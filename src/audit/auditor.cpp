@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "core/stream_distiller.hpp"
+#include "sim/json.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
 #include "version.hpp"
@@ -19,21 +20,6 @@ std::string fmt(const char* f, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), f, v);
   return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 void check(std::vector<std::string>& breaches, const char* what, double value,
@@ -251,7 +237,7 @@ void write_fidelity_json(std::ostream& out, const FidelityReport& report) {
   out << "{\n";
   out << "  \"schema\": \"tracemod-fidelity-v1\",\n";
   out << "  \"tool_version\": \"" << kToolVersion << "\",\n";
-  out << "  \"label\": \"" << escape(report.label) << "\",\n";
+  out << "  \"label\": \"" << sim::json_escape(report.label) << "\",\n";
   out << "  \"verdict\": \"" << to_string(report.verdict) << "\",\n";
   out << "  \"baseline\": {\"latency_s\": "
       << fmt("%.9g", report.baseline.latency_s)
@@ -299,7 +285,7 @@ void write_fidelity_json(std::ostream& out, const FidelityReport& report) {
   out << "  \"breaches\": [";
   for (std::size_t i = 0; i < report.breaches.size(); ++i) {
     if (i > 0) out << ", ";
-    out << "\"" << escape(report.breaches[i]) << "\"";
+    out << "\"" << sim::json_escape(report.breaches[i]) << "\"";
   }
   out << "]\n";
   out << "}\n";

@@ -3,7 +3,6 @@
 #include "sim/io/durable.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -15,11 +14,12 @@
 #include <thread>
 #include <variant>
 
+#include "sim/crc32c.hpp"
+#include "sim/io/codec.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/perf/perf.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/task_pool.hpp"
-#include "trace/crc32c.hpp"
 #include "trace/stream_reader.hpp"
 
 namespace tracemod::core {
@@ -27,57 +27,18 @@ namespace tracemod::core {
 namespace {
 
 // ===========================================================================
-// TMDJ checkpoint journal: magic | version u16 | fingerprint u32, then
-// CRC-framed records (type u8 | len u32 | crc32c u32 | payload; the CRC
-// covers the type byte followed by the payload) -- the same framing the
-// sweep supervisor journal uses.  The reader is tolerant: a corrupt frame
-// is skipped (that window recomputes), a partial tail is dropped.
+// TMDJ checkpoint journal: the shared journal header, then CRC-framed plan
+// and window records (sim/io/codec.hpp).  The reader is tolerant: a frame
+// that fails its CRC or does not decode is skipped (that window
+// recomputes), and a torn tail or an implausible length ends the scan.
 // ===========================================================================
 
-constexpr char kJournalMagic[4] = {'T', 'M', 'D', 'J'};
-constexpr std::uint16_t kJournalVersion = 1;
-constexpr std::size_t kJournalHeaderBytes = 4 + 2 + 4;
+constexpr sim::io::JournalFormat kJournal{
+    {'T', 'M', 'D', 'J'}, 1, 64u * 1024 * 1024, sim::io::BadFrame::kSkip};
 constexpr std::uint8_t kFramePlan = 1;
 constexpr std::uint8_t kFrameWindow = 2;
-constexpr std::size_t kMaxFramePayload = 64u * 1024 * 1024;
 
-template <typename T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  buf.append(reinterpret_cast<const char*>(raw), sizeof(T));
-}
-
-/// Bounds-checked journal parse cursor.  Returns false on exhaustion
-/// instead of throwing: a short or garbled journal frame is recoverable
-/// state, not an error.
-struct JCursor {
-  const unsigned char* p;
-  const unsigned char* end;
-
-  bool need(std::size_t n) const {
-    return static_cast<std::size_t>(end - p) >= n;
-  }
-  /// Overflow-safe bound for `count` items of `item_bytes` each: a
-  /// fuzzer-controlled count must never trick the reader into a giant
-  /// allocation.
-  bool need_items(std::uint64_t count, std::size_t item_bytes) const {
-    return count <= static_cast<std::size_t>(end - p) / item_bytes;
-  }
-  template <typename T>
-  bool get(T* out) {
-    if (!need(sizeof(T))) return false;
-    std::memcpy(out, p, sizeof(T));
-    p += sizeof(T);
-    return true;
-  }
-};
-
-std::uint32_t frame_checksum(std::uint8_t type, const std::string& payload) {
-  const std::uint32_t seed = trace::crc32c(&type, 1);
-  return trace::crc32c(payload.data(), payload.size(), seed);
-}
+using sim::io::put;
 
 // ===========================================================================
 // Plan: everything pass 1 learns about the corpus.
@@ -94,7 +55,6 @@ struct WindowPlan {
 };
 
 struct Plan {
-  std::uint16_t trace_version = 0;
   std::uint64_t header_bytes = 0;
   std::uint64_t file_size = 0;
   trace::TraceReadReport report;
@@ -221,7 +181,6 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
   trace::TraceStreamReader reader(in, opts);
 
   Plan plan;
-  plan.trace_version = reader.version();
   plan.header_bytes = reader.header_bytes();
   plan.file_size = reader.stream_size().value_or(0);
 
@@ -346,36 +305,34 @@ std::uint32_t journal_fingerprint(const std::string& path,
   in.read(head, sizeof(head));
   const auto got = static_cast<std::size_t>(std::max<std::streamsize>(
       0, in.gcount()));
-  put<std::uint32_t>(blob, trace::crc32c(head, got));
+  put<std::uint32_t>(blob, sim::crc32c(head, got));
   // Everything the plan depends on.  Thread count is deliberately absent:
   // a resume on a different machine must still be byte-identical.
   put<std::int64_t>(blob, cfg.distill.window.count());
   put<std::int64_t>(blob, cfg.distill.step.count());
-  double max_loss = cfg.distill.max_loss;
-  put<double>(blob, max_loss);
+  put<double>(blob, cfg.distill.max_loss);
   put<std::int64_t>(blob, cfg.span.count());
   put<std::uint64_t>(blob, cfg.budget.bytes);
   put<std::uint32_t>(blob, cfg.budget.max_inflight);
-  return trace::crc32c(blob.data(), blob.size());
+  return sim::crc32c(blob.data(), blob.size());
 }
 
 std::string encode_plan(const Plan& plan) {
   std::string p;
-  put<std::uint16_t>(p, plan.trace_version);
+  // The layout carries the trace format version twice: here and in the
+  // read report below.
+  put<std::uint16_t>(p, plan.report.version);
   put<std::uint64_t>(p, plan.header_bytes);
   put<std::uint64_t>(p, plan.file_size);
   const trace::TraceReadReport& r = plan.report;
   put<std::uint16_t>(p, r.version);
   put<std::uint8_t>(p, static_cast<std::uint8_t>(r.mode));
-  put<std::uint64_t>(p, r.records_expected);
-  put<std::uint64_t>(p, r.records_read);
-  put<std::uint64_t>(p, r.records_skipped);
-  put<std::uint64_t>(p, r.records_salvaged);
-  put<std::uint64_t>(p, r.crc_failures);
-  put<std::uint64_t>(p, r.unknown_tags);
-  put<std::uint64_t>(p, r.resync_scans);
-  put<std::uint64_t>(p, r.bytes_scanned);
-  put<std::uint64_t>(p, r.lost_markers_synthesized);
+  for (const std::uint64_t v :
+       {r.records_expected, r.records_read, r.records_skipped,
+        r.records_salvaged, r.crc_failures, r.unknown_tags, r.resync_scans,
+        r.bytes_scanned, r.lost_markers_synthesized}) {
+    put<std::uint64_t>(p, v);
+  }
   put<std::uint8_t>(p, r.truncated ? 1 : 0);
   put<std::uint8_t>(p, plan.any_records ? 1 : 0);
   put<std::int64_t>(p, plan.t0);
@@ -391,63 +348,59 @@ std::string encode_plan(const Plan& plan) {
   }
   put<std::uint64_t>(p, plan.windows.size());
   for (const WindowPlan& w : plan.windows) {
-    put<std::uint64_t>(p, w.begin);
-    put<std::uint64_t>(p, w.end);
-    put<std::uint64_t>(p, w.records);
-    put<std::uint64_t>(p, w.sent);
-    put<std::uint64_t>(p, w.replies);
+    for (const std::uint64_t v : {w.begin, w.end, w.records, w.sent,
+                                  w.replies}) {
+      put<std::uint64_t>(p, v);
+    }
     put<std::uint8_t>(p, w.damaged ? 1 : 0);
     put<std::uint8_t>(p, w.shed ? 1 : 0);
   }
   return p;
 }
 
-bool decode_plan(const std::string& payload, Plan* plan) {
-  JCursor c{reinterpret_cast<const unsigned char*>(payload.data()),
-            reinterpret_cast<const unsigned char*>(payload.data()) +
-                payload.size()};
-  std::uint8_t mode = 0, truncated = 0, any = 0;
-  std::uint64_t steps = 0, windows = 0;
+bool decode_plan(std::string_view payload, Plan* plan) {
+  sim::io::ByteReader c(payload.data(), payload.size());
   trace::TraceReadReport& r = plan->report;
-  if (!c.get(&plan->trace_version) || !c.get(&plan->header_bytes) ||
-      !c.get(&plan->file_size) || !c.get(&r.version) || !c.get(&mode) ||
-      !c.get(&r.records_expected) || !c.get(&r.records_read) ||
-      !c.get(&r.records_skipped) || !c.get(&r.records_salvaged) ||
-      !c.get(&r.crc_failures) || !c.get(&r.unknown_tags) ||
-      !c.get(&r.resync_scans) || !c.get(&r.bytes_scanned) ||
-      !c.get(&r.lost_markers_synthesized) || !c.get(&truncated) ||
-      !c.get(&any) || !c.get(&plan->t0) || !c.get(&plan->t_end) ||
-      !c.get(&plan->echoes_total) || !c.get(&plan->replies_total) ||
-      !c.get(&plan->records_streamed) || !c.get(&steps)) {
-    return false;
+  (void)c.get<std::uint16_t>();  // the trace version, repeated in r
+  plan->header_bytes = c.get<std::uint64_t>();
+  plan->file_size = c.get<std::uint64_t>();
+  r.version = c.get<std::uint16_t>();
+  r.mode = static_cast<trace::ReadMode>(c.get<std::uint8_t>());
+  for (std::uint64_t* v :
+       {&r.records_expected, &r.records_read, &r.records_skipped,
+        &r.records_salvaged, &r.crc_failures, &r.unknown_tags,
+        &r.resync_scans, &r.bytes_scanned, &r.lost_markers_synthesized}) {
+    *v = c.get<std::uint64_t>();
   }
-  r.mode = static_cast<trace::ReadMode>(mode);
-  r.truncated = truncated != 0;
-  plan->any_records = any != 0;
-  if (!c.need_items(steps, 24)) return false;
+  r.truncated = c.get<std::uint8_t>() != 0;
+  plan->any_records = c.get<std::uint8_t>() != 0;
+  plan->t0 = c.get<std::int64_t>();
+  plan->t_end = c.get<std::int64_t>();
+  plan->echoes_total = c.get<std::uint64_t>();
+  plan->replies_total = c.get<std::uint64_t>();
+  plan->records_streamed = c.get<std::uint64_t>();
+  const auto steps = c.get<std::uint64_t>();
+  if (!c.ok() || !c.fits(steps, 24)) return false;
   plan->loss_b.resize(steps);
   plan->loss_lo.resize(steps);
   plan->loss_hi.resize(steps);
   for (std::uint64_t j = 0; j < steps; ++j) {
-    if (!c.get(&plan->loss_b[j]) || !c.get(&plan->loss_lo[j]) ||
-        !c.get(&plan->loss_hi[j])) {
-      return false;
-    }
+    plan->loss_b[j] = c.get<std::int64_t>();
+    plan->loss_lo[j] = c.get<std::int64_t>();
+    plan->loss_hi[j] = c.get<std::int64_t>();
   }
-  if (!c.get(&windows) || !c.need_items(windows, 42)) return false;
+  const auto windows = c.get<std::uint64_t>();
+  if (!c.ok() || !c.fits(windows, 42)) return false;
   plan->windows.resize(windows);
-  for (std::uint64_t k = 0; k < windows; ++k) {
-    WindowPlan& w = plan->windows[k];
-    std::uint8_t damaged = 0, shed = 0;
-    if (!c.get(&w.begin) || !c.get(&w.end) || !c.get(&w.records) ||
-        !c.get(&w.sent) || !c.get(&w.replies) || !c.get(&damaged) ||
-        !c.get(&shed)) {
-      return false;
+  for (WindowPlan& w : plan->windows) {
+    for (std::uint64_t* v : {&w.begin, &w.end, &w.records, &w.sent,
+                             &w.replies}) {
+      *v = c.get<std::uint64_t>();
     }
-    w.damaged = damaged != 0;
-    w.shed = shed != 0;
+    w.damaged = c.get<std::uint8_t>() != 0;
+    w.shed = c.get<std::uint8_t>() != 0;
   }
-  return true;
+  return c.ok();
 }
 
 std::string encode_window(std::uint64_t index, const WindowData& data) {
@@ -467,34 +420,29 @@ std::string encode_window(std::uint64_t index, const WindowData& data) {
   return p;
 }
 
-bool decode_window(const std::string& payload, std::uint64_t* index,
+bool decode_window(std::string_view payload, std::uint64_t* index,
                    WindowData* data) {
-  JCursor c{reinterpret_cast<const unsigned char*>(payload.data()),
-            reinterpret_cast<const unsigned char*>(payload.data()) +
-                payload.size()};
-  std::uint64_t n_sent = 0, n_reply = 0;
-  if (!c.get(index) || !c.get(&n_sent) || !c.need_items(n_sent, 6)) {
-    return false;
-  }
+  sim::io::ByteReader c(payload.data(), payload.size());
+  *index = c.get<std::uint64_t>();
+  const auto n_sent = c.get<std::uint64_t>();
+  if (!c.ok() || !c.fits(n_sent, 6)) return false;
   data->n_sent = static_cast<std::size_t>(n_sent);
   data->sent = std::make_unique<EchoSent[]>(data->n_sent);
-  for (std::uint64_t i = 0; i < n_sent; ++i) {
-    if (!c.get(&data->sent[i].icmp_seq) || !c.get(&data->sent[i].ip_bytes)) {
-      return false;
-    }
+  for (std::size_t i = 0; i < data->n_sent; ++i) {
+    data->sent[i].icmp_seq = c.get<std::uint16_t>();
+    data->sent[i].ip_bytes = c.get<std::uint32_t>();
   }
-  if (!c.get(&n_reply) || !c.need_items(n_reply, 18)) return false;
+  const auto n_reply = c.get<std::uint64_t>();
+  if (!c.ok() || !c.fits(n_reply, 18)) return false;
   data->n_reply = static_cast<std::size_t>(n_reply);
   data->replies = std::make_unique<EchoReply[]>(data->n_reply);
-  for (std::uint64_t i = 0; i < n_reply; ++i) {
-    std::int64_t at = 0, rtt = 0;
-    if (!c.get(&at) || !c.get(&rtt) || !c.get(&data->replies[i].icmp_seq)) {
-      return false;
-    }
-    data->replies[i].at = sim::TimePoint{sim::Duration{at}};
-    data->replies[i].rtt = sim::Duration{rtt};
+  for (std::size_t i = 0; i < data->n_reply; ++i) {
+    data->replies[i].at =
+        sim::TimePoint{sim::Duration{c.get<std::int64_t>()}};
+    data->replies[i].rtt = sim::Duration{c.get<std::int64_t>()};
+    data->replies[i].icmp_seq = c.get<std::uint16_t>();
   }
-  return true;
+  return c.ok();
 }
 
 /// Append-side journal handle over the durable write plane
@@ -507,26 +455,20 @@ class JournalWriter {
  public:
   void open(const std::string& path, std::uint32_t fingerprint,
             sim::io::FaultPlan* plan) {
-    std::string head;
-    head.append(kJournalMagic, sizeof(kJournalMagic));
-    put<std::uint16_t>(head, kJournalVersion);
-    put<std::uint32_t>(head, fingerprint);
     // Window frames land at task-pool cadence; periodic fdatasync bounds
     // the resumable-progress loss without a sync per window.
     sim::io::AppendJournalWriter::Options options;
     options.plan = plan;
-    const sim::io::IoResult r = writer_.open_fresh(path, head, options);
+    const sim::io::IoResult r = writer_.open_fresh(
+        path, sim::io::journal_header(kJournal, fingerprint), options);
     if (!r.ok) note_degraded();
   }
 
   void append(std::uint8_t type, const std::string& payload) {
+    std::string frame;
+    sim::io::append_frame(frame, type, payload);
     std::lock_guard<std::mutex> lock(mu_);
     if (!writer_.is_open()) return;
-    std::string frame;
-    put<std::uint8_t>(frame, type);
-    put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-    put<std::uint32_t>(frame, frame_checksum(type, payload));
-    frame += payload;
     const sim::io::IoResult r = writer_.append(frame);
     if (!r.ok) note_degraded();
   }
@@ -559,44 +501,27 @@ struct JournalContents {
   std::map<std::uint64_t, WindowData> windows;
 };
 
-JournalContents parse_journal_bytes(const std::string& bytes,
+JournalContents parse_journal_bytes(std::string_view bytes,
                                     const std::uint32_t* fingerprint) {
   JournalContents out;
-  if (bytes.size() < kJournalHeaderBytes) return out;
-  if (std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    return out;
-  }
-  std::uint16_t version = 0;
-  std::uint32_t fp = 0;
-  std::memcpy(&version, bytes.data() + 4, 2);
-  std::memcpy(&fp, bytes.data() + 6, 4);
-  if (version != kJournalVersion) return out;
-  if (fingerprint != nullptr && fp != *fingerprint) return out;
-
-  std::size_t pos = kJournalHeaderBytes;
-  while (bytes.size() - pos >= 9) {
-    const auto type = static_cast<std::uint8_t>(bytes[pos]);
-    std::uint32_t len = 0, crc = 0;
-    std::memcpy(&len, bytes.data() + pos + 1, 4);
-    std::memcpy(&crc, bytes.data() + pos + 5, 4);
-    if (len > kMaxFramePayload || bytes.size() - pos - 9 < len) break;
-    const std::string payload = bytes.substr(pos + 9, len);
-    pos += 9 + len;
-    if (frame_checksum(type, payload) != crc) continue;  // window recomputes
-    if (type == kFramePlan) {
-      Plan plan;
-      if (decode_plan(payload, &plan)) {
-        out.plan = std::move(plan);
-        out.have_plan = true;
-      }
-    } else if (type == kFrameWindow) {
-      std::uint64_t index = 0;
-      WindowData data;
-      if (decode_window(payload, &index, &data)) {
+  sim::io::scan_journal(
+      bytes, kJournal, fingerprint,
+      [&](std::uint8_t type, std::string_view payload) {
+        if (type == kFramePlan) {
+          Plan plan;
+          if (!decode_plan(payload, &plan)) return false;
+          out.plan = std::move(plan);
+          out.have_plan = true;
+          return true;
+        }
+        std::uint64_t index = 0;
+        WindowData data;
+        if (type != kFrameWindow || !decode_window(payload, &index, &data)) {
+          return false;
+        }
         out.windows[index] = std::move(data);
-      }
-    }
-  }
+        return true;
+      });
   return out;
 }
 
@@ -647,13 +572,13 @@ class BoundedFileBuf : public std::streambuf {
 /// exactly-sized buffers (capacities come from the pass-1 plan, so there
 /// is no growth and no over-allocation).  Returns false on a plan/parse
 /// mismatch, which the caller treats as a shed window -- never an abort.
-bool extract_window(const std::string& path, std::uint16_t version,
-                    const WindowPlan& w, WindowData* out) {
+bool extract_window(const std::string& path, const WindowPlan& w,
+                    WindowData* out) {
   BoundedFileBuf buf(path, w.begin, w.end - w.begin);
   if (!buf.ok()) return false;
   std::istream in(&buf);
   trace::TraceStreamReader reader(
-      in, trace::TraceStreamReader::FrameRange{}, version, w.begin);
+      in, trace::TraceStreamReader::FrameRange{}, w.begin);
 
   out->n_sent = 0;
   out->n_reply = 0;
@@ -679,8 +604,8 @@ bool extract_window(const std::string& path, std::uint16_t version,
 }  // namespace
 
 std::size_t probe_checkpoint_journal(const char* data, std::size_t size) {
-  const std::string bytes(data, size);
-  const JournalContents contents = parse_journal_bytes(bytes, nullptr);
+  const JournalContents contents =
+      parse_journal_bytes(std::string_view(data, size), nullptr);
   return (contents.have_plan ? 1u : 0u) + contents.windows.size();
 }
 
@@ -765,8 +690,7 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
     for (std::size_t k = 0; k < n_windows; ++k) {
       if (plan.windows[k].shed || window_ok[k]) continue;
       tasks.push_back([&, k, board] {
-        if (extract_window(path, plan.trace_version, plan.windows[k],
-                           &window_data[k])) {
+        if (extract_window(path, plan.windows[k], &window_data[k])) {
           window_ok[k] = 1;
           if (journaling) {
             journal.append(kFrameWindow, encode_window(k, window_data[k]));

@@ -1,20 +1,21 @@
 #include "scenarios/supervisor.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
-#include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 
 #include "scenarios/experiment.hpp"
 #include "scenarios/parallel_runner.hpp"
-#include "sim/sim_context.hpp"
+#include "sim/crc32c.hpp"
+#include "sim/io/codec.hpp"
+#include "sim/json.hpp"
 #include "sim/metric_names.hpp"
-#include "trace/crc32c.hpp"
+#include "sim/sim_context.hpp"
 #include "version.hpp"
 
 namespace tracemod::scenarios {
@@ -263,13 +264,16 @@ void tally_timed_out_trials(SweepResult& result) {
 
 // --- sweep journal ----------------------------------------------------------
 
+using sim::io::put;
+using sim::io::put_str;
+
 namespace {
 
-constexpr char kJournalMagic[4] = {'T', 'M', 'S', 'J'};
-constexpr std::uint16_t kJournalVersion = 1;
-constexpr std::size_t kJournalHeaderSize = 4 + 2 + 4;  // magic|version|fp
-constexpr std::size_t kFrameHeaderSize = 1 + 4 + 4;    // type|len|crc
-constexpr std::uint32_t kMaxFramePayload = 64u << 20;
+// Every frame that fails its CRC or does not decode makes the journal
+// kCorrupt: a resumed sweep must never skip work on the strength of a
+// damaged record, so it re-runs in full instead.
+constexpr sim::io::JournalFormat kJournal{
+    {'T', 'M', 'S', 'J'}, 1, 64u << 20, sim::io::BadFrame::kStop};
 
 enum RecordType : std::uint8_t {
   kRecordCell = 1,
@@ -277,68 +281,10 @@ enum RecordType : std::uint8_t {
   kRecordCollect = 3,
 };
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) put_u8(out, (v >> (8 * i)) & 0xff);
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, (v >> (8 * i)) & 0xff);
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, (v >> (8 * i)) & 0xff);
-}
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-/// Bounds-checked little-endian cursor; decode errors throw and the reader
-/// maps them to JournalStatus::kCorrupt.
-struct Cursor {
-  const char* p;
-  const char* end;
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) {
-      throw std::runtime_error("journal record truncated mid-field");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(*p++);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(*p++)) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(*p++)) << (8 * i);
-    }
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > kMaxFramePayload) {
-      throw std::runtime_error("journal string length implausible");
-    }
-    need(n);
-    std::string s(p, n);
-    p += n;
-    return s;
-  }
-};
+// Smallest encodings of one outcome and one error, for ByteReader::fits.
+constexpr std::size_t kOutcomeBytes = 1 + 7 * 8 + 2 * 8;
+constexpr std::size_t kErrorBytes = 1 + 8 + 4 + 4 + 4 * 4;
+constexpr std::uint32_t kMaxItems = 1u << 20;
 
 void put_outcome(std::string& out, const BenchmarkOutcome& o) {
   std::uint8_t flags = 0;
@@ -347,95 +293,76 @@ void put_outcome(std::string& out, const BenchmarkOutcome& o) {
   if (o.timed_out) flags |= 1u << 2;
   if (o.wall_stuck) flags |= 1u << 3;
   if (o.andrew.ok) flags |= 1u << 4;
-  put_u8(out, flags);
-  put_f64(out, o.elapsed_s);
-  put_f64(out, o.andrew.makedir_s);
-  put_f64(out, o.andrew.copy_s);
-  put_f64(out, o.andrew.scandir_s);
-  put_f64(out, o.andrew.readall_s);
-  put_f64(out, o.andrew.make_s);
-  put_f64(out, o.andrew.total_s);
-  put_u64(out, o.andrew.rpc_calls);
-  put_u64(out, o.andrew.rpc_retransmissions);
+  put<std::uint8_t>(out, flags);
+  for (const double v : {o.elapsed_s, o.andrew.makedir_s, o.andrew.copy_s,
+                         o.andrew.scandir_s, o.andrew.readall_s,
+                         o.andrew.make_s, o.andrew.total_s}) {
+    put<double>(out, v);
+  }
+  put<std::uint64_t>(out, o.andrew.rpc_calls);
+  put<std::uint64_t>(out, o.andrew.rpc_retransmissions);
 }
 
-BenchmarkOutcome get_outcome(Cursor& c) {
+BenchmarkOutcome get_outcome(sim::io::ByteReader& c) {
   BenchmarkOutcome o;
-  const std::uint8_t flags = c.u8();
+  const auto flags = c.get<std::uint8_t>();
   o.ok = flags & (1u << 0);
   o.completed = flags & (1u << 1);
   o.timed_out = flags & (1u << 2);
   o.wall_stuck = flags & (1u << 3);
   o.andrew.ok = flags & (1u << 4);
-  o.elapsed_s = c.f64();
-  o.andrew.makedir_s = c.f64();
-  o.andrew.copy_s = c.f64();
-  o.andrew.scandir_s = c.f64();
-  o.andrew.readall_s = c.f64();
-  o.andrew.make_s = c.f64();
-  o.andrew.total_s = c.f64();
-  o.andrew.rpc_calls = c.u64();
-  o.andrew.rpc_retransmissions = c.u64();
+  for (double* v : {&o.elapsed_s, &o.andrew.makedir_s, &o.andrew.copy_s,
+                    &o.andrew.scandir_s, &o.andrew.readall_s,
+                    &o.andrew.make_s, &o.andrew.total_s}) {
+    *v = c.get<double>();
+  }
+  o.andrew.rpc_calls = c.get<std::uint64_t>();
+  o.andrew.rpc_retransmissions = c.get<std::uint64_t>();
   return o;
 }
 
 void put_error(std::string& out, const TrialError& e) {
-  put_u8(out, static_cast<std::uint8_t>(e.kind));
-  put_u64(out, e.seed);
-  put_u32(out, static_cast<std::uint32_t>(e.trial));
-  put_u32(out, static_cast<std::uint32_t>(e.attempts));
-  put_str(out, e.scenario);
-  put_str(out, e.benchmark);
-  put_str(out, e.phase);
-  put_str(out, e.message);
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(e.kind));
+  put<std::uint64_t>(out, e.seed);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(e.trial));
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(e.attempts));
+  for (const std::string* s : {&e.scenario, &e.benchmark, &e.phase,
+                               &e.message}) {
+    put_str(out, *s);
+  }
 }
 
-TrialError get_error(Cursor& c) {
+TrialError get_error(sim::io::ByteReader& c) {
   TrialError e;
-  const std::uint8_t kind = c.u8();
-  if (kind > static_cast<std::uint8_t>(TrialErrorKind::kStuck)) {
-    throw std::runtime_error("journal error record has unknown kind");
-  }
+  const auto kind = c.get<std::uint8_t>();
+  if (kind > static_cast<std::uint8_t>(TrialErrorKind::kStuck)) c.fail();
   e.kind = static_cast<TrialErrorKind>(kind);
-  e.seed = c.u64();
-  e.trial = static_cast<int>(c.u32());
-  e.attempts = static_cast<int>(c.u32());
-  e.scenario = c.str();
-  e.benchmark = c.str();
-  e.phase = c.str();
-  e.message = c.str();
+  e.seed = c.get<std::uint64_t>();
+  e.trial = static_cast<int>(c.get<std::uint32_t>());
+  e.attempts = static_cast<int>(c.get<std::uint32_t>());
+  for (std::string* s : {&e.scenario, &e.benchmark, &e.phase, &e.message}) {
+    *s = c.str();
+  }
   return e;
 }
 
-void put_outcomes(std::string& out, const std::vector<BenchmarkOutcome>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const BenchmarkOutcome& o : v) put_outcome(out, o);
+template <typename T, typename Put>
+void put_list(std::string& out, const std::vector<T>& v, Put put_item) {
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(v.size()));
+  for (const T& item : v) put_item(out, item);
 }
 
-std::vector<BenchmarkOutcome> get_outcomes(Cursor& c) {
-  const std::uint32_t n = c.u32();
-  if (n > 1u << 20) {
-    throw std::runtime_error("journal outcome count implausible");
+template <typename T>
+std::vector<T> get_list(sim::io::ByteReader& c, std::size_t item_bytes,
+                        T (*get_item)(sim::io::ByteReader&)) {
+  const auto n = c.get<std::uint32_t>();
+  std::vector<T> v;
+  if (n > kMaxItems || !c.fits(n, item_bytes)) {
+    c.fail();
+    return v;
   }
-  std::vector<BenchmarkOutcome> v;
   v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(get_outcome(c));
-  return v;
-}
-
-void put_errors(std::string& out, const std::vector<TrialError>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const TrialError& e : v) put_error(out, e);
-}
-
-std::vector<TrialError> get_errors(Cursor& c) {
-  const std::uint32_t n = c.u32();
-  if (n > 1u << 20) {
-    throw std::runtime_error("journal error count implausible");
-  }
-  std::vector<TrialError> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(get_error(c));
+  for (std::uint32_t i = 0; i < n && c.ok(); ++i) v.push_back(get_item(c));
   return v;
 }
 
@@ -445,41 +372,26 @@ std::uint8_t record_type(const JournalCellRecord& r) {
   return kRecordCell;
 }
 
-JournalCellRecord decode_journal_record(std::uint8_t type,
-                                        const std::string& payload) {
-  Cursor c{payload.data(), payload.data() + payload.size()};
-  JournalCellRecord r;
-  r.collect = type == kRecordCollect;
-  r.ethernet = type == kRecordEthernet;
-  r.scenario = c.str();
-  const std::uint8_t kind = c.u8();
-  if (kind > static_cast<std::uint8_t>(BenchmarkKind::kAndrew)) {
-    throw std::runtime_error("journal record has unknown benchmark kind");
+/// Decodes one frame; false when the payload is damaged or the type is
+/// unknown.
+bool decode_journal_record(std::uint8_t type, std::string_view payload,
+                           JournalCellRecord* r) {
+  if (type != kRecordCell && type != kRecordEthernet &&
+      type != kRecordCollect) {
+    return false;
   }
-  r.kind = static_cast<BenchmarkKind>(kind);
-  r.live = get_outcomes(c);
-  r.modulated = get_outcomes(c);
-  r.errors = get_errors(c);
-  r.trials_retried = c.u64();
-  if (c.p != c.end) {
-    throw std::runtime_error("journal record has trailing bytes");
-  }
-  return r;
-}
-
-std::string frame_record(const JournalCellRecord& r) {
-  const std::string payload = encode_journal_record(r);
-  const std::uint8_t type = record_type(r);
-  std::string frame;
-  put_u8(frame, type);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  // Like trace format v2, the CRC covers the type byte followed by the
-  // payload, so a flipped type and a flipped length are both caught.
-  std::uint32_t crc = trace::crc32c(&type, 1);
-  crc = trace::crc32c(payload.data(), payload.size(), crc);
-  put_u32(frame, crc);
-  frame += payload;
-  return frame;
+  sim::io::ByteReader c(payload.data(), payload.size());
+  r->collect = type == kRecordCollect;
+  r->ethernet = type == kRecordEthernet;
+  r->scenario = c.str();
+  const auto kind = c.get<std::uint8_t>();
+  if (kind > static_cast<std::uint8_t>(BenchmarkKind::kAndrew)) c.fail();
+  r->kind = static_cast<BenchmarkKind>(kind);
+  r->live = get_list(c, kOutcomeBytes, get_outcome);
+  r->modulated = get_list(c, kOutcomeBytes, get_outcome);
+  r->errors = get_list(c, kErrorBytes, get_error);
+  r->trials_retried = c.get<std::uint64_t>();
+  return c.done();
 }
 
 }  // namespace
@@ -487,35 +399,36 @@ std::string frame_record(const JournalCellRecord& r) {
 std::string encode_journal_record(const JournalCellRecord& r) {
   std::string out;
   put_str(out, r.scenario);
-  put_u8(out, static_cast<std::uint8_t>(r.kind));
-  put_outcomes(out, r.live);
-  put_outcomes(out, r.modulated);
-  put_errors(out, r.errors);
-  put_u64(out, r.trials_retried);
+  put<std::uint8_t>(out, static_cast<std::uint8_t>(r.kind));
+  put_list(out, r.live, put_outcome);
+  put_list(out, r.modulated, put_outcome);
+  put_list(out, r.errors, put_error);
+  put<std::uint64_t>(out, r.trials_retried);
   return out;
 }
 
 std::uint32_t sweep_fingerprint(const ExperimentConfig& cfg) {
   std::string bytes;
-  put_u64(bytes, cfg.base_seed);
-  put_u32(bytes, static_cast<std::uint32_t>(cfg.trials));
-  put_u64(bytes, static_cast<std::uint64_t>(cfg.tick.count()));
-  put_u8(bytes, cfg.compensate ? 1 : 0);
-  put_f64(bytes, cfg.compensation_vb);
-  put_u8(bytes, cfg.supervision.enabled ? 1 : 0);
-  put_u32(bytes, static_cast<std::uint32_t>(cfg.supervision.max_retries));
-  put_u8(bytes, cfg.supervision.perturb_retry_seed ? 1 : 0);
-  put_u64(bytes,
-          static_cast<std::uint64_t>(cfg.supervision.virtual_budget.count()));
-  put_f64(bytes, cfg.supervision.wall_budget_s);
+  put<std::uint64_t>(bytes, cfg.base_seed);
+  put<std::uint32_t>(bytes, static_cast<std::uint32_t>(cfg.trials));
+  put<std::uint64_t>(bytes, static_cast<std::uint64_t>(cfg.tick.count()));
+  put<std::uint8_t>(bytes, cfg.compensate ? 1 : 0);
+  put<double>(bytes, cfg.compensation_vb);
+  put<std::uint8_t>(bytes, cfg.supervision.enabled ? 1 : 0);
+  put<std::uint32_t>(bytes,
+                     static_cast<std::uint32_t>(cfg.supervision.max_retries));
+  put<std::uint8_t>(bytes, cfg.supervision.perturb_retry_seed ? 1 : 0);
+  put<std::uint64_t>(bytes, static_cast<std::uint64_t>(
+                                cfg.supervision.virtual_budget.count()));
+  put<double>(bytes, cfg.supervision.wall_budget_s);
   for (const InjectedTrialFault& f : cfg.supervision.inject) {
     put_str(bytes, f.scenario);
     put_str(bytes, f.benchmark);
     put_str(bytes, f.phase);
-    put_u32(bytes, static_cast<std::uint32_t>(f.trial));
-    put_u32(bytes, static_cast<std::uint32_t>(f.fail_attempts));
+    put<std::uint32_t>(bytes, static_cast<std::uint32_t>(f.trial));
+    put<std::uint32_t>(bytes, static_cast<std::uint32_t>(f.fail_attempts));
   }
-  return trace::crc32c(bytes.data(), bytes.size());
+  return sim::crc32c(bytes.data(), bytes.size());
 }
 
 const char* to_string(JournalStatus status) {
@@ -529,89 +442,30 @@ const char* to_string(JournalStatus status) {
   return "?";
 }
 
+JournalReadResult decode_sweep_journal(std::string_view bytes,
+                                       std::uint32_t fingerprint) {
+  JournalReadResult result;
+  const sim::io::JournalScan scan = sim::io::scan_journal(
+      bytes, kJournal, &fingerprint,
+      [&](std::uint8_t type, std::string_view payload) {
+        JournalCellRecord r;
+        if (!decode_journal_record(type, payload, &r)) return false;
+        result.records.push_back(std::move(r));
+        return true;
+      });
+  result.status = scan.status;
+  result.message = scan.message;
+  if (scan.status == JournalStatus::kCorrupt) result.records.clear();
+  return result;
+}
+
 JournalReadResult read_sweep_journal(const std::string& path,
                                      std::uint32_t fingerprint) {
-  JournalReadResult result;
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.status = JournalStatus::kMissing;
-    return result;
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-
-  auto corrupt = [&](const std::string& why) {
-    result.status = JournalStatus::kCorrupt;
-    result.message = why;
-    result.records.clear();
-    return result;
-  };
-
-  if (bytes.size() < kJournalHeaderSize) {
-    return corrupt("journal smaller than its header");
-  }
-  if (std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    return corrupt("bad journal magic");
-  }
-  Cursor header{bytes.data() + 4, bytes.data() + kJournalHeaderSize};
-  std::uint16_t version = header.u8();
-  version |= static_cast<std::uint16_t>(header.u8()) << 8;
-  if (version != kJournalVersion) {
-    return corrupt("unsupported journal version " + std::to_string(version));
-  }
-  const std::uint32_t fp = header.u32();
-  if (fp != fingerprint) {
-    result.status = JournalStatus::kMismatch;
-    result.message = "journal config fingerprint differs from this run";
-    return result;
-  }
-
-  result.status = JournalStatus::kClean;
-  std::size_t off = kJournalHeaderSize;
-  while (off < bytes.size()) {
-    const std::size_t remaining = bytes.size() - off;
-    if (remaining < kFrameHeaderSize) {
-      result.status = JournalStatus::kDroppedTail;
-      result.message = "dropped partial trailing frame header at offset " +
-                       std::to_string(off);
-      return result;
-    }
-    Cursor fh{bytes.data() + off, bytes.data() + off + kFrameHeaderSize};
-    const std::uint8_t type = fh.u8();
-    const std::uint32_t len = fh.u32();
-    const std::uint32_t crc = fh.u32();
-    if (len > kMaxFramePayload) {
-      return corrupt("frame length implausible at offset " +
-                     std::to_string(off));
-    }
-    if (remaining - kFrameHeaderSize < len) {
-      // A killed sweep's final append: the frame is declared but its
-      // payload never fully landed.  Drop it, keep the intact prefix.
-      result.status = JournalStatus::kDroppedTail;
-      result.message = "dropped partial trailing record at offset " +
-                       std::to_string(off);
-      return result;
-    }
-    const char* payload = bytes.data() + off + kFrameHeaderSize;
-    std::uint32_t actual = trace::crc32c(&type, 1);
-    actual = trace::crc32c(payload, len, actual);
-    if (actual != crc) {
-      return corrupt("record checksum mismatch at offset " +
-                     std::to_string(off));
-    }
-    if (type != kRecordCell && type != kRecordEthernet &&
-        type != kRecordCollect) {
-      return corrupt("unknown record type at offset " + std::to_string(off));
-    }
-    try {
-      result.records.push_back(
-          decode_journal_record(type, std::string(payload, len)));
-    } catch (const std::exception& e) {
-      return corrupt(e.what());
-    }
-    off += kFrameHeaderSize + len;
-  }
-  return result;
+  if (!in) return JournalReadResult{};  // kMissing
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return decode_sweep_journal(bytes, fingerprint);
 }
 
 bool SweepJournalWriter::open(const std::string& path,
@@ -625,10 +479,8 @@ bool SweepJournalWriter::open(const std::string& path,
   options.plan = plan;
   sim::io::IoResult r = sim::io::IoResult::success();
   if (fresh) {
-    std::string header(kJournalMagic, sizeof(kJournalMagic));
-    put_u16(header, kJournalVersion);
-    put_u32(header, fingerprint);
-    r = writer_.open_fresh(path, header, options);
+    r = writer_.open_fresh(path, sim::io::journal_header(kJournal, fingerprint),
+                           options);
   } else {
     r = writer_.open_existing(path, options);
   }
@@ -642,7 +494,9 @@ std::string SweepJournalWriter::degraded_reason() const {
 
 void SweepJournalWriter::append(const JournalCellRecord& record) {
   if (!writer_.is_open()) return;
-  const std::string frame = frame_record(record);
+  std::string frame;
+  sim::io::append_frame(frame, record_type(record),
+                        encode_journal_record(record));
   // A failed append is truncated back to the previous frame boundary and
   // the writer degrades: journaling stops, the sweep keeps computing, and
   // no partially-written record can masquerade as a committed cell.
@@ -977,35 +831,8 @@ CellResult run_supervised_experiment(TaskPool* pool, const Scenario& scenario,
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+using sim::json_double;
+using sim::json_escape;
 
 void write_json_outcomes(std::ostream& out,
                          const std::vector<BenchmarkOutcome>& outcomes) {

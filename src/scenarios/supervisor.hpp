@@ -22,12 +22,14 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.hpp"
 #include "core/model.hpp"
 #include "scenarios/benchmarks.hpp"
 #include "scenarios/scenario.hpp"
+#include "sim/io/codec.hpp"
 #include "sim/io/durable.hpp"
 #include "sim/time.hpp"
 
@@ -245,13 +247,10 @@ struct JournalCellRecord {
 /// from an aborted subset resumes cleanly into a larger matrix.
 std::uint32_t sweep_fingerprint(const ExperimentConfig& cfg);
 
-enum class JournalStatus {
-  kMissing,      ///< no file; start fresh
-  kClean,        ///< every frame decoded and checksummed
-  kDroppedTail,  ///< trailing partial frame dropped (kill mid-append)
-  kCorrupt,      ///< checksum/structure failure on a complete frame
-  kMismatch,     ///< config fingerprint differs; records unusable
-};
+/// kMissing: no file, start fresh.  kClean / kDroppedTail: the records
+/// (an intact prefix, for a dropped tail) are reusable.  kCorrupt /
+/// kMismatch: no record is reusable.
+using JournalStatus = sim::io::JournalStatus;
 
 const char* to_string(JournalStatus status);
 
@@ -266,6 +265,10 @@ struct JournalReadResult {
 /// skip un-journaled work or crash the sweep).
 JournalReadResult read_sweep_journal(const std::string& path,
                                      std::uint32_t fingerprint);
+
+/// read_sweep_journal over bytes already in memory (the fuzz surface).
+JournalReadResult decode_sweep_journal(std::string_view bytes,
+                                       std::uint32_t fingerprint);
 
 /// Appends CRC-framed records through the durable write plane
 /// (sim/io/durable.hpp); each append is synced so a killed sweep loses at

@@ -1,17 +1,17 @@
 // CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected 0x82F63B78).
 //
-// The checksum shared by every crash-safe on-disk format in the repo: trace
-// format v2 records (trace/trace_io.hpp), the TMSJ sweep journal
-// (scenarios/supervisor.cpp), the TMDJ distill checkpoints
-// (core/stream_distiller.cpp), and the TMST status snapshots
-// (sim/status/status.hpp).  CRC32C is the standard choice for storage
-// framing (iSCSI, ext4, Btrfs): it catches all burst errors up to 32 bits
-// and has good Hamming distance at trace-record payload sizes.
+// The checksum shared by every crash-safe on-disk format in the repo: the
+// CRC frame of the record codec (sim/io/codec.hpp) that carries trace
+// format v2 records, the TMSJ sweep journal and the TMDJ distill
+// checkpoints; the TMST status snapshot (sim/status/status.hpp); and the
+// config fingerprints of both journals.  CRC32C is the standard choice
+// for storage framing (iSCSI, ext4, Btrfs): it catches all burst errors up
+// to 32 bits and has good Hamming distance at trace-record payload sizes.
 // Table-driven software implementation; no hardware dependencies, identical
 // output on every platform.
 //
-// Lives in sim/ (the base library) so layers below trace/ can frame their
-// files with it; trace/crc32c.hpp forwards here for existing callers.
+// Lives in sim/ (the base library) so every layer can frame its files
+// with it.
 #pragma once
 
 #include <cstddef>

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <ostream>
 
+#include "sim/json.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace_event.hpp"
 #include "version.hpp"
 
 namespace tracemod::sim::perf {

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <ostream>
-#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/crc32c.hpp"
+#include "sim/io/codec.hpp"
 #include "sim/io/durable.hpp"
+#include "sim/json.hpp"
 #include "version.hpp"
 
 #if defined(_WIN32)
@@ -30,164 +31,57 @@ constexpr char kMagic[4] = {'T', 'M', 'S', 'T'};
 constexpr std::size_t kHeaderSize = 4 + 2 + 4 + 4;  // magic|version|len|crc
 constexpr std::uint32_t kMaxPayload = 1u << 20;     // snapshots are tiny
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) put_u8(out, (v >> (8 * i)) & 0xff);
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, (v >> (8 * i)) & 0xff);
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, (v >> (8 * i)) & 0xff);
-}
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-/// Bounds-checked little-endian cursor; decode errors throw and
-/// decode_status maps them to StatusReadStatus::kCorrupt.
-struct Cursor {
-  const char* p;
-  const char* end;
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) {
-      throw std::runtime_error("status snapshot truncated mid-field");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(*p++);
-  }
-  std::uint16_t u16() {
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v |= static_cast<std::uint16_t>(static_cast<std::uint8_t>(*p++))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(*p++))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(*p++))
-           << (8 * i);
-    }
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > kMaxPayload) {
-      throw std::runtime_error("status string length implausible");
-    }
-    need(n);
-    std::string s(p, n);
-    p += n;
-    return s;
-  }
-};
-
 std::string encode_payload(const StatusSnapshot& s) {
   std::string out;
-  put_str(out, s.tool_version);
-  put_str(out, s.driver);
-  put_str(out, s.phase);
-  put_str(out, s.units_label);
-  put_u64(out, s.seq);
-  put_u64(out, s.pid);
-  put_u64(out, s.published_unix_ms);
-  put_f64(out, s.units_done);
-  put_f64(out, s.units_total);
-  put_u64(out, s.events_dispatched);
-  put_u64(out, s.retries);
-  put_u64(out, s.errors);
-  put_u64(out, s.windows_distilled);
-  put_u64(out, s.windows_shed);
-  put_u64(out, s.records_streamed);
-  put_f64(out, s.sim_seconds);
-  put_f64(out, s.wall_seconds);
-  put_f64(out, s.sim_per_wall);
-  put_f64(out, s.eta_seconds);
-  put_u8(out, s.finished ? 1 : 0);
-  put_u32(out, static_cast<std::uint32_t>(s.exit_code));
+  io::put_str(out, s.tool_version);
+  io::put_str(out, s.driver);
+  io::put_str(out, s.phase);
+  io::put_str(out, s.units_label);
+  io::put<std::uint64_t>(out, s.seq);
+  io::put<std::uint64_t>(out, s.pid);
+  io::put<std::uint64_t>(out, s.published_unix_ms);
+  io::put<double>(out, s.units_done);
+  io::put<double>(out, s.units_total);
+  io::put<std::uint64_t>(out, s.events_dispatched);
+  io::put<std::uint64_t>(out, s.retries);
+  io::put<std::uint64_t>(out, s.errors);
+  io::put<std::uint64_t>(out, s.windows_distilled);
+  io::put<std::uint64_t>(out, s.windows_shed);
+  io::put<std::uint64_t>(out, s.records_streamed);
+  io::put<double>(out, s.sim_seconds);
+  io::put<double>(out, s.wall_seconds);
+  io::put<double>(out, s.sim_per_wall);
+  io::put<double>(out, s.eta_seconds);
+  io::put<std::uint8_t>(out, s.finished ? 1 : 0);
+  io::put<std::uint32_t>(out, static_cast<std::uint32_t>(s.exit_code));
   return out;
 }
 
-StatusSnapshot decode_payload(const char* data, std::size_t size) {
-  Cursor c{data, data + size};
+/// Decodes every field; the reader's sticky flag reports a short payload.
+StatusSnapshot decode_payload(io::ByteReader& c) {
   StatusSnapshot s;
   s.tool_version = c.str();
   s.driver = c.str();
   s.phase = c.str();
   s.units_label = c.str();
-  s.seq = c.u64();
-  s.pid = c.u64();
-  s.published_unix_ms = c.u64();
-  s.units_done = c.f64();
-  s.units_total = c.f64();
-  s.events_dispatched = c.u64();
-  s.retries = c.u64();
-  s.errors = c.u64();
-  s.windows_distilled = c.u64();
-  s.windows_shed = c.u64();
-  s.records_streamed = c.u64();
-  s.sim_seconds = c.f64();
-  s.wall_seconds = c.f64();
-  s.sim_per_wall = c.f64();
-  s.eta_seconds = c.f64();
-  s.finished = c.u8() != 0;
-  s.exit_code = static_cast<std::int32_t>(c.u32());
-  if (c.p != c.end) {
-    throw std::runtime_error("status snapshot has trailing bytes");
-  }
+  s.seq = c.get<std::uint64_t>();
+  s.pid = c.get<std::uint64_t>();
+  s.published_unix_ms = c.get<std::uint64_t>();
+  s.units_done = c.get<double>();
+  s.units_total = c.get<double>();
+  s.events_dispatched = c.get<std::uint64_t>();
+  s.retries = c.get<std::uint64_t>();
+  s.errors = c.get<std::uint64_t>();
+  s.windows_distilled = c.get<std::uint64_t>();
+  s.windows_shed = c.get<std::uint64_t>();
+  s.records_streamed = c.get<std::uint64_t>();
+  s.sim_seconds = c.get<double>();
+  s.wall_seconds = c.get<double>();
+  s.sim_per_wall = c.get<double>();
+  s.eta_seconds = c.get<double>();
+  s.finished = c.get<std::uint8_t>() != 0;
+  s.exit_code = static_cast<std::int32_t>(c.get<std::uint32_t>());
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 std::uint64_t current_pid() {
@@ -209,12 +103,11 @@ std::uint64_t unix_now_ms() {
 
 std::vector<std::uint8_t> encode_status(const StatusSnapshot& snap) {
   const std::string payload = encode_payload(snap);
-  std::string out;
+  std::string out(kMagic, sizeof(kMagic));
   out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  put_u16(out, kStatusFormatVersion);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32c(payload.data(), payload.size()));
+  io::put<std::uint16_t>(out, kStatusFormatVersion);
+  io::put<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
+  io::put<std::uint32_t>(out, crc32c(payload.data(), payload.size()));
   out += payload;
   return std::vector<std::uint8_t>(out.begin(), out.end());
 }
@@ -226,19 +119,19 @@ StatusReadResult decode_status(const std::uint8_t* data, std::size_t size) {
     r.message = "file shorter than the TMST header (torn write?)";
     return r;
   }
-  const char* p = reinterpret_cast<const char*>(data);
-  if (std::char_traits<char>::compare(p, kMagic, sizeof(kMagic)) != 0) {
+  if (std::char_traits<char>::compare(reinterpret_cast<const char*>(data),
+                                      kMagic, sizeof(kMagic)) != 0) {
     r.message = "bad magic: not a TMST status file";
     return r;
   }
-  Cursor header{p + 4, p + kHeaderSize};
-  const std::uint16_t version = header.u16();
+  io::ByteReader header(data + sizeof(kMagic), kHeaderSize - sizeof(kMagic));
+  const auto version = header.get<std::uint16_t>();
   if (version != kStatusFormatVersion) {
     r.message = "unsupported TMST version " + std::to_string(version);
     return r;
   }
-  const std::uint32_t len = header.u32();
-  const std::uint32_t crc = header.u32();
+  const auto len = header.get<std::uint32_t>();
+  const auto crc = header.get<std::uint32_t>();
   if (len > kMaxPayload) {
     r.message = "payload length implausible";
     return r;
@@ -249,16 +142,19 @@ StatusReadResult decode_status(const std::uint8_t* data, std::size_t size) {
                 std::to_string(size - kHeaderSize);
     return r;
   }
-  if (crc32c(p + kHeaderSize, len) != crc) {
+  // TMST is one record, not a frame: its CRC covers the payload only.
+  if (crc32c(data + kHeaderSize, len) != crc) {
     r.message = "CRC mismatch: snapshot payload is damaged";
     return r;
   }
-  try {
-    r.snapshot = decode_payload(p + kHeaderSize, len);
-  } catch (const std::exception& e) {
-    r.message = e.what();
+  io::ByteReader payload(data + kHeaderSize, len, kHeaderSize);
+  StatusSnapshot snap = decode_payload(payload);
+  if (!payload.done()) {
+    r.message = payload.ok() ? "status snapshot has trailing bytes"
+                             : "status snapshot truncated mid-field";
     return r;
   }
+  r.snapshot = std::move(snap);
   r.status = StatusReadStatus::kOk;
   return r;
 }

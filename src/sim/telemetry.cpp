@@ -5,6 +5,7 @@
 #include <ostream>
 #include <set>
 
+#include "sim/json.hpp"
 #include "sim/sim_context.hpp"
 
 namespace tracemod::sim {

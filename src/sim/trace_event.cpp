@@ -6,6 +6,8 @@
 #include <numeric>
 #include <ostream>
 
+#include "sim/json.hpp"
+
 namespace tracemod::sim {
 
 TrackId FlightRecorder::track(const std::string& node,
@@ -17,29 +19,6 @@ TrackId FlightRecorder::track(const std::string& node,
   }
   tracks_.push_back(Track{node, layer});
   return static_cast<TrackId>(tracks_.size());
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 namespace {

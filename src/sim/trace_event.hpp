@@ -94,9 +94,6 @@ class FlightRecorder {
   std::uint64_t dropped_ = 0;
 };
 
-/// Escapes a string for embedding in a JSON string literal.
-std::string json_escape(const std::string& s);
-
 /// Writes the comma-separated Chrome trace-event objects for one recorder's
 /// events (metadata events naming each track, then the events sorted by
 /// timestamp).  Process ids start at pid_base + 1 and node names are

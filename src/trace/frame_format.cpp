@@ -1,10 +1,8 @@
 #include "trace/frame_format.hpp"
 
-#include <cstring>
-#include <ostream>
 #include <vector>
 
-#include "trace/crc32c.hpp"
+#include "trace/trace_io.hpp"
 
 namespace tracemod::trace::wire {
 
@@ -33,32 +31,14 @@ const std::vector<SchemaEntry>& schema() {
   return s;
 }
 
-// --- primitive writers (little-endian) -------------------------------------
+using sim::io::put;
 
-template <typename T>
-void put(std::ostream& out, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char buf[sizeof(T)];
-  std::memcpy(buf, &v, sizeof(T));
-  out.write(reinterpret_cast<const char*>(buf), sizeof(T));
+sim::TimePoint get_time(sim::io::ByteReader& in) {
+  return sim::TimePoint{sim::Duration{in.get<std::int64_t>()}};
 }
 
-void put_string(std::ostream& out, const std::string& s) {
-  if (s.size() > 0xffff) throw TraceFormatError("string too long");
-  put<std::uint16_t>(out, static_cast<std::uint16_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-template <typename T>
-void append(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  unsigned char raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  buf.append(reinterpret_cast<const char*>(raw), sizeof(T));
-}
-
-void append_time(std::string& buf, sim::TimePoint t) {
-  append<std::int64_t>(buf, t.time_since_epoch().count());
+void put_time(std::string& out, sim::TimePoint t) {
+  put<std::int64_t>(out, t.time_since_epoch().count());
 }
 
 }  // namespace
@@ -69,138 +49,100 @@ bool known_tag(std::uint8_t tag) {
          tag == static_cast<std::uint8_t>(RecordTag::kLost);
 }
 
-std::uint32_t frame_crc(std::uint8_t tag, const unsigned char* payload,
-                        std::size_t len) {
-  const std::uint32_t tag_crc = crc32c(&tag, 1);
-  return crc32c(payload, len, tag_crc);
-}
-
 bool frame_validates(const unsigned char* data, std::size_t size,
                      std::size_t pos) {
-  if (size - pos < kFrameHeaderBytes) return false;
-  const std::uint8_t tag = data[pos];
-  std::uint32_t len, crc;
-  std::memcpy(&len, data + pos + 1, sizeof(len));
-  std::memcpy(&crc, data + pos + 5, sizeof(crc));
-  if (len > kMaxRecordPayload) return false;
-  if (size - pos - kFrameHeaderBytes < len) return false;
-  return frame_crc(tag, data + pos + kFrameHeaderBytes, len) == crc;
+  if (size - pos < sim::io::kFrameHeaderBytes) return false;
+  const sim::io::FrameHeader h = sim::io::read_frame_header(data + pos);
+  if (h.len > kMaxRecordPayload) return false;
+  if (size - pos - sim::io::kFrameHeaderBytes < h.len) return false;
+  return sim::io::frame_crc(h.type, data + pos + sim::io::kFrameHeaderBytes,
+                            h.len) == h.crc;
 }
 
-void encode_payload(std::string& buf, const TraceRecord& r, RecordTag* tag) {
+void append_record(std::string& out, const TraceRecord& r) {
+  std::string payload;
+  RecordTag tag;
   if (const auto* p = std::get_if<PacketRecord>(&r)) {
-    *tag = RecordTag::kPacket;
-    append_time(buf, p->at);
-    append<std::uint8_t>(buf, static_cast<std::uint8_t>(p->dir));
-    append<std::uint8_t>(buf, static_cast<std::uint8_t>(p->protocol));
-    append<std::uint32_t>(buf, p->ip_bytes);
-    append<std::uint8_t>(buf, static_cast<std::uint8_t>(p->icmp_kind));
-    append<std::uint16_t>(buf, p->icmp_id);
-    append<std::uint16_t>(buf, p->icmp_seq);
-    append_time(buf, p->echo_origin);
-    append<std::uint16_t>(buf, p->src_port);
-    append<std::uint16_t>(buf, p->dst_port);
-    append<std::uint64_t>(buf, p->tcp_seq);
-    append<std::uint8_t>(buf, p->tcp_flags);
+    tag = RecordTag::kPacket;
+    put_time(payload, p->at);
+    put<std::uint8_t>(payload, static_cast<std::uint8_t>(p->dir));
+    put<std::uint8_t>(payload, static_cast<std::uint8_t>(p->protocol));
+    put<std::uint32_t>(payload, p->ip_bytes);
+    put<std::uint8_t>(payload, static_cast<std::uint8_t>(p->icmp_kind));
+    put<std::uint16_t>(payload, p->icmp_id);
+    put<std::uint16_t>(payload, p->icmp_seq);
+    put_time(payload, p->echo_origin);
+    put<std::uint16_t>(payload, p->src_port);
+    put<std::uint16_t>(payload, p->dst_port);
+    put<std::uint64_t>(payload, p->tcp_seq);
+    put<std::uint8_t>(payload, p->tcp_flags);
   } else if (const auto* d = std::get_if<DeviceRecord>(&r)) {
-    *tag = RecordTag::kDevice;
-    append_time(buf, d->at);
-    append<double>(buf, d->signal_level);
-    append<double>(buf, d->signal_quality);
-    append<double>(buf, d->silence_level);
+    tag = RecordTag::kDevice;
+    put_time(payload, d->at);
+    put<double>(payload, d->signal_level);
+    put<double>(payload, d->signal_quality);
+    put<double>(payload, d->silence_level);
   } else {
     const auto& l = std::get<LostRecords>(r);
-    *tag = RecordTag::kLost;
-    append_time(buf, l.at);
-    append<std::uint32_t>(buf, l.lost_packet_records);
-    append<std::uint32_t>(buf, l.lost_device_records);
+    tag = RecordTag::kLost;
+    put_time(payload, l.at);
+    put<std::uint32_t>(payload, l.lost_packet_records);
+    put<std::uint32_t>(payload, l.lost_device_records);
   }
+  sim::io::append_frame(out, static_cast<std::uint8_t>(tag), payload);
 }
 
-TraceRecord decode_payload(RecordTag tag, Cursor& cur) {
+TraceRecord decode_payload(RecordTag tag, sim::io::ByteReader& in) {
   switch (tag) {
     case RecordTag::kPacket: {
       PacketRecord p;
-      p.at = cur.get_time();
-      p.dir = static_cast<PacketDirection>(cur.get<std::uint8_t>());
-      p.protocol = static_cast<net::Protocol>(cur.get<std::uint8_t>());
-      p.ip_bytes = cur.get<std::uint32_t>();
-      p.icmp_kind = static_cast<IcmpKind>(cur.get<std::uint8_t>());
-      p.icmp_id = cur.get<std::uint16_t>();
-      p.icmp_seq = cur.get<std::uint16_t>();
-      p.echo_origin = cur.get_time();
-      p.src_port = cur.get<std::uint16_t>();
-      p.dst_port = cur.get<std::uint16_t>();
-      p.tcp_seq = cur.get<std::uint64_t>();
-      p.tcp_flags = cur.get<std::uint8_t>();
+      p.at = get_time(in);
+      p.dir = static_cast<PacketDirection>(in.get<std::uint8_t>());
+      p.protocol = static_cast<net::Protocol>(in.get<std::uint8_t>());
+      p.ip_bytes = in.get<std::uint32_t>();
+      p.icmp_kind = static_cast<IcmpKind>(in.get<std::uint8_t>());
+      p.icmp_id = in.get<std::uint16_t>();
+      p.icmp_seq = in.get<std::uint16_t>();
+      p.echo_origin = get_time(in);
+      p.src_port = in.get<std::uint16_t>();
+      p.dst_port = in.get<std::uint16_t>();
+      p.tcp_seq = in.get<std::uint64_t>();
+      p.tcp_flags = in.get<std::uint8_t>();
       return p;
     }
     case RecordTag::kDevice: {
       DeviceRecord d;
-      d.at = cur.get_time();
-      d.signal_level = cur.get<double>();
-      d.signal_quality = cur.get<double>();
-      d.silence_level = cur.get<double>();
+      d.at = get_time(in);
+      d.signal_level = in.get<double>();
+      d.signal_quality = in.get<double>();
+      d.silence_level = in.get<double>();
       return d;
     }
     case RecordTag::kLost: {
       LostRecords l;
-      l.at = cur.get_time();
-      l.lost_packet_records = cur.get<std::uint32_t>();
-      l.lost_device_records = cur.get<std::uint32_t>();
+      l.at = get_time(in);
+      l.lost_packet_records = in.get<std::uint32_t>();
+      l.lost_device_records = in.get<std::uint32_t>();
       return l;
     }
   }
-  cur.fail("unknown record tag " +
-           std::to_string(static_cast<int>(tag)));
+  in.fail();
+  return LostRecords{};
 }
 
-std::uint64_t write_container_header(std::ostream& out, std::uint16_t version,
-                                     std::uint64_t count) {
-  if (version != kTraceFormatVersionV1 && version != kTraceFormatVersionV2) {
-    throw TraceFormatError("unsupported version " + std::to_string(version));
-  }
-  std::uint64_t off = sizeof(kMagic);
-  out.write(kMagic, sizeof(kMagic));
-  put<std::uint16_t>(out, version);
-  off += 2;
-
+std::string container_header(std::uint64_t count) {
+  std::string out(kMagic, sizeof(kMagic));
+  put<std::uint16_t>(out, kTraceFormatVersion);
   // Self-descriptive schema table.
   put<std::uint8_t>(out, static_cast<std::uint8_t>(schema().size()));
-  off += 1;
   for (const SchemaEntry& e : schema()) {
     put<std::uint8_t>(out, e.tag);
-    put_string(out, e.name);
-    off += 1 + 2 + std::strlen(e.name);
+    sim::io::put_str<std::uint16_t>(out, e.name);
     put<std::uint8_t>(out, static_cast<std::uint8_t>(e.fields.size()));
-    off += 1;
-    for (const char* f : e.fields) {
-      put_string(out, f);
-      off += 2 + std::strlen(f);
-    }
+    for (const char* f : e.fields) sim::io::put_str<std::uint16_t>(out, f);
   }
-
   put<std::uint64_t>(out, count);
-  return off;
-}
-
-std::string encode_frame(const TraceRecord& r, std::uint16_t version) {
-  std::string payload;
-  RecordTag tag{};
-  encode_payload(payload, r, &tag);
-  std::string frame;
-  const auto tag_byte = static_cast<std::uint8_t>(tag);
-  append<std::uint8_t>(frame, tag_byte);
-  if (version == kTraceFormatVersionV2) {
-    append<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-    append<std::uint32_t>(
-        frame,
-        frame_crc(tag_byte,
-                  reinterpret_cast<const unsigned char*>(payload.data()),
-                  payload.size()));
-  }
-  frame += payload;
-  return frame;
+  return out;
 }
 
 }  // namespace tracemod::trace::wire

@@ -1,39 +1,35 @@
-// On-disk primitives shared by every component that touches the trace
-// container: the in-memory reader facade (trace_io.cpp), the incremental
-// reader/writer (stream_reader.cpp), and the streaming distiller's window
-// re-scan.  One definition of the frame layout keeps the salvage semantics
-// of all of them byte-identical.
+// The trace container's layout on top of the shared record codec
+// (sim/io/codec.hpp): the container header, the record payloads, and the
+// frame checks the salvage reader resynchronizes with.  Shared by the
+// in-memory reader facade (trace_io.cpp), the incremental reader/writer
+// (stream_reader.cpp), and the streaming distiller's window re-scan, so
+// the salvage semantics of all of them stay byte-identical.
 //
-// Layout recap (trace_io.hpp documents the container): a v2 frame is
-//   tag u8 | payload length u32 | crc32c u32 | payload bytes
-// with the CRC covering the tag byte followed by the payload.
+// Layout recap (trace_io.hpp documents the container): every record is a
+// codec frame, tag u8 | payload length u32 | crc32c u32 | payload bytes.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <iosfwd>
 #include <string>
 
+#include "sim/io/codec.hpp"
 #include "trace/records.hpp"
-#include "trace/trace_io.hpp"
 
 namespace tracemod::trace::wire {
 
 inline constexpr char kMagic[4] = {'T', 'M', 'T', 'R'};
 
-// v2 frame: tag u8 | payload length u32 | crc32c u32 | payload.
-inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4;
 // Real payloads are <= 40 bytes today; anything past this bound is a
 // corrupted length, not a future record type.
 inline constexpr std::size_t kMaxRecordPayload = 4096;
-// Smallest on-disk record across both versions (v1 LostRecords: tag + time +
-// two u32 counters).  Used to clamp the header count before reserving.
-inline constexpr std::size_t kMinRecordBytes = 17;
+// Smallest frame (LostRecords: time + two u32 counters).  Used to clamp
+// the header count before reserving.
+inline constexpr std::size_t kMinRecordBytes = sim::io::kFrameHeaderBytes + 16;
 // Worst-case bytes a reader must see past any position to make the same
 // frame decision an in-memory parse would: a full header plus the largest
 // plausible payload.
 inline constexpr std::size_t kMaxFrameBytes =
-    kFrameHeaderBytes + kMaxRecordPayload;
+    sim::io::kFrameHeaderBytes + kMaxRecordPayload;
 
 enum class RecordTag : std::uint8_t {
   kPacket = 1,
@@ -43,77 +39,21 @@ enum class RecordTag : std::uint8_t {
 
 bool known_tag(std::uint8_t tag);
 
-std::uint32_t frame_crc(std::uint8_t tag, const unsigned char* payload,
-                        std::size_t len);
-
-// --- in-memory parse cursor -------------------------------------------------
-//
-// A bounds-checked view over a byte span that knows its absolute offset in
-// the stream and the index of the record being decoded, so every failure
-// can say exactly where it happened.  The streaming reader parks one of
-// these over its buffered window; the offsets it reports are identical to a
-// whole-file slurp's.
-
-struct Cursor {
-  const unsigned char* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  std::size_t base = 0;          ///< absolute offset of data[0] in the stream
-  std::uint64_t record = 0;      ///< record index, for error messages
-
-  std::size_t remaining() const { return size - pos; }
-  std::uint64_t offset() const { return base + pos; }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw TraceFormatError(what, offset(), record);
-  }
-
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (remaining() < sizeof(T)) fail("unexpected end of stream");
-    T v;
-    std::memcpy(&v, data + pos, sizeof(T));
-    pos += sizeof(T);
-    return v;
-  }
-
-  std::string get_string() {
-    const auto n = get<std::uint16_t>();
-    if (remaining() < n) fail("unexpected end of stream in string");
-    std::string s(reinterpret_cast<const char*>(data + pos), n);
-    pos += n;
-    return s;
-  }
-
-  sim::TimePoint get_time() {
-    return sim::TimePoint{sim::Duration{get<std::int64_t>()}};
-  }
-};
-
 /// True when the bytes at `pos` look like a decodable frame header whose
 /// payload fits in [data, data+size) and whose CRC validates.
 bool frame_validates(const unsigned char* data, std::size_t size,
                      std::size_t pos);
 
-// --- record payload codecs --------------------------------------------------
+/// Appends one record as a checksummed frame.
+void append_record(std::string& out, const TraceRecord& r);
 
-void encode_payload(std::string& buf, const TraceRecord& r, RecordTag* tag);
+/// Decodes one record body of a known tag.  A payload shorter than the
+/// fields fails the reader (check in.ok()); longer payloads are a newer
+/// minor revision and the extra bytes are ignored.
+TraceRecord decode_payload(RecordTag tag, sim::io::ByteReader& in);
 
-/// Decodes one record body (sans tag) from the cursor.  Shared by the v1
-/// reader (cursor over the record run) and the v2 reader (cursor over one
-/// frame's payload).
-TraceRecord decode_payload(RecordTag tag, Cursor& cur);
-
-// --- container header -------------------------------------------------------
-
-/// Serializes magic | version | schema table | record count.  Returns the
-/// absolute byte offset of the count field so a streaming writer can patch
-/// it on finalize.  Throws TraceFormatError on an unsupported version.
-std::uint64_t write_container_header(std::ostream& out, std::uint16_t version,
-                                     std::uint64_t count);
-
-/// One fully framed record (v1: bare tag + payload; v2: checksummed frame).
-std::string encode_frame(const TraceRecord& r, std::uint16_t version);
+/// magic | version | schema table | record count.  The count is the last
+/// eight bytes, so a streaming writer can patch it on finalize.
+std::string container_header(std::uint64_t count);
 
 }  // namespace tracemod::trace::wire

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
@@ -15,9 +14,6 @@ namespace {
 /// Read granularity.  The buffer never grows past roughly one chunk plus
 /// two maximum frames, no matter how large the stream is.
 constexpr std::size_t kReadChunk = 256 * 1024;
-
-/// Largest on-disk v1 record: packet tag byte + 40 payload bytes.
-constexpr std::size_t kMaxV1RecordBytes = 41;
 
 }  // namespace
 
@@ -41,6 +37,19 @@ TraceStreamReader::TraceStreamReader(std::istream& in,
     }
   }
 
+  read_header();
+}
+
+TraceStreamReader::TraceStreamReader(std::istream& in, FrameRange,
+                                     std::uint64_t base_offset)
+    : in_(&in), headerless_(true), base_(base_offset),
+      header_bytes_(base_offset) {
+  opts_.mode = ReadMode::kSalvage;
+  report_.mode = ReadMode::kSalvage;
+  report_.version = kTraceFormatVersion;
+}
+
+void TraceStreamReader::read_header() {
   // Header: magic | version | schema table | record count.  The header must
   // be intact even for salvage: without it there is no trustworthy record
   // framing to resynchronize against.
@@ -52,66 +61,36 @@ TraceStreamReader::TraceStreamReader(std::istream& in,
   }
   pos_ += sizeof(wire::kMagic);
 
-  const auto get_u8 = [&] {
-    ensure(1);
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
-    const auto v = c.get<std::uint8_t>();
-    pos_ += c.pos;
-    return v;
-  };
-  const auto get_string = [&] {
-    ensure(2);
-    std::uint16_t n = 0;
-    if (avail() >= 2) std::memcpy(&n, buf_.data() + pos_, 2);
-    ensure(2 + static_cast<std::size_t>(n));
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
-    std::string s = c.get_string();
-    pos_ += c.pos;
-    return s;
-  };
-
-  {
-    ensure(2);
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
-    report_.version = c.get<std::uint16_t>();
-    pos_ += c.pos;
-  }
-  if (report_.version != kTraceFormatVersionV1 &&
-      report_.version != kTraceFormatVersionV2) {
-    throw TraceFormatError("unsupported version " +
-                           std::to_string(report_.version));
-  }
-
-  const auto n_schemas = get_u8();
-  for (std::uint8_t i = 0; i < n_schemas; ++i) {
-    (void)get_u8();       // tag
-    (void)get_string();   // name
-    const auto n_fields = get_u8();
-    for (std::uint8_t f = 0; f < n_fields; ++f) (void)get_string();
-  }
-
-  {
-    ensure(8);
-    wire::Cursor c{reinterpret_cast<const unsigned char*>(buf_.data()) + pos_,
-                   avail(), 0, static_cast<std::size_t>(abs()), 0};
-    report_.records_expected = c.get<std::uint64_t>();
-    pos_ += c.pos;
+  // The schema table is variable-length: parse what is buffered, and read
+  // more only for a header longer than one read chunk.
+  for (;;) {
+    sim::io::ByteReader h(buf_.data() + pos_, avail(), abs());
+    report_.version = h.get<std::uint16_t>();
+    if (h.ok() && report_.version != kTraceFormatVersion) {
+      throw TraceFormatError("unsupported version " +
+                             std::to_string(report_.version));
+    }
+    const auto n_schemas = h.get<std::uint8_t>();
+    for (std::uint8_t i = 0; i < n_schemas && h.ok(); ++i) {
+      (void)h.get<std::uint8_t>();   // tag
+      (void)h.str<std::uint16_t>();  // name
+      const auto n_fields = h.get<std::uint8_t>();
+      for (std::uint8_t f = 0; f < n_fields; ++f) {
+        (void)h.str<std::uint16_t>();
+      }
+    }
+    report_.records_expected = h.get<std::uint64_t>();
+    if (h.ok()) {
+      pos_ += h.pos();
+      break;
+    }
+    if (stream_exhausted_) {
+      throw TraceFormatError("unexpected end of stream", h.offset(), 0);
+    }
+    ensure(avail() + 1);
   }
   header_bytes_ = abs();
   hold_rel_ = pos_;
-}
-
-TraceStreamReader::TraceStreamReader(std::istream& in, FrameRange,
-                                     std::uint16_t version,
-                                     std::uint64_t base_offset)
-    : in_(&in), headerless_(true), base_(base_offset),
-      header_bytes_(base_offset) {
-  opts_.mode = ReadMode::kSalvage;
-  report_.mode = ReadMode::kSalvage;
-  report_.version = version;
 }
 
 // --- buffer management ------------------------------------------------------
@@ -225,13 +204,7 @@ bool TraceStreamReader::resync(std::uint64_t frame_start_abs) {
 // --- record iteration -------------------------------------------------------
 
 bool TraceStreamReader::next(TraceRecord* out) {
-  if (pending_.empty() && !done_) {
-    if (report_.version == kTraceFormatVersionV1) {
-      next_v1();
-    } else {
-      next_v2();
-    }
-  }
+  if (pending_.empty() && !done_) parse_frames();
   if (pending_.empty()) return false;
   *out = std::move(pending_.front().record);
   record_frame_offset_ = pending_.front().frame_offset;
@@ -239,7 +212,7 @@ bool TraceStreamReader::next(TraceRecord* out) {
   return true;
 }
 
-void TraceStreamReader::next_v2() {
+void TraceStreamReader::parse_frames() {
   while (pending_.empty() && !done_) {
     if (strict() && !headerless_ &&
         report_.records_read >= report_.records_expected) {
@@ -255,7 +228,7 @@ void TraceStreamReader::next_v2() {
     last_record_index_ = report_.records_read + report_.records_skipped;
     const std::uint64_t frame_start = abs();
 
-    if (avail() < wire::kFrameHeaderBytes) {
+    if (avail() < sim::io::kFrameHeaderBytes) {
       if (strict()) {
         fail("unexpected end of stream in frame header", abs());
       }
@@ -268,11 +241,8 @@ void TraceStreamReader::next_v2() {
       break;
     }
     const auto* d = reinterpret_cast<const unsigned char*>(buf_.data());
-    const std::uint8_t tag = d[pos_];
-    std::uint32_t len, crc;
-    std::memcpy(&len, d + pos_ + 1, sizeof(len));
-    std::memcpy(&crc, d + pos_ + 5, sizeof(crc));
-    pos_ += wire::kFrameHeaderBytes;
+    const auto [tag, len, crc] = sim::io::read_frame_header(d + pos_);
+    pos_ += sim::io::kFrameHeaderBytes;
 
     // A length that cannot fit the stream (or is absurd) means the header
     // itself is corrupt: the length cannot be trusted to skip forward, so
@@ -299,7 +269,7 @@ void TraceStreamReader::next_v2() {
     const std::size_t payload_pos = pos_;
     pos_ += len;
 
-    if (wire::frame_crc(tag, d + payload_pos, len) != crc) {
+    if (sim::io::frame_crc(tag, d + payload_pos, len) != crc) {
       if (strict()) {
         throw TraceFormatError("record checksum mismatch", frame_start,
                                last_record_index_);
@@ -339,85 +309,33 @@ void TraceStreamReader::next_v2() {
     // a payload longer than the fields we know is a newer minor revision
     // (extra fields are ignored), a shorter one is damage the CRC cannot
     // see (it was written that way), which strict mode rejects.
-    wire::Cursor body{d + payload_pos, len, 0,
-                      static_cast<std::size_t>(base_) + payload_pos,
-                      last_record_index_};
-    try {
-      TraceRecord rec =
-          wire::decode_payload(static_cast<wire::RecordTag>(tag), body);
+    sim::io::ByteReader body(d + payload_pos, len, base_ + payload_pos);
+    TraceRecord rec =
+        wire::decode_payload(static_cast<wire::RecordTag>(tag), body);
+    if (body.ok()) {
       emit_good(std::move(rec), frame_start);
-    } catch (const TraceFormatError&) {
-      if (strict()) throw;
-      ++report_.records_skipped;
-      queue_damage(tag, 1, frame_start);
-      damage_seen_ = true;
-    }
-  }
-}
-
-void TraceStreamReader::next_v1() {
-  while (pending_.empty() && !done_) {
-    if (!headerless_ && v1_index_ >= report_.records_expected) {
-      finish();
-      break;
-    }
-    hold_rel_ = pos_;
-    ensure(kMaxV1RecordBytes);
-    if (headerless_ && avail() == 0) {
-      finish();
-      break;
-    }
-    last_record_index_ = v1_index_;
-    const std::uint64_t frame_start = abs();
-    wire::Cursor cur{reinterpret_cast<const unsigned char*>(buf_.data()) +
-                         pos_,
-                     avail(), 0, static_cast<std::size_t>(abs()), v1_index_};
-    if (strict()) {
-      const auto tag = static_cast<wire::RecordTag>(cur.get<std::uint8_t>());
-      TraceRecord rec = wire::decode_payload(tag, cur);
-      pos_ += cur.pos;
-      pending_.push_back({std::move(rec), frame_start});
-      ++report_.records_read;
-      ++v1_index_;
       continue;
     }
-    // Salvage: v1 frames carry no length prefix, so damage cannot be
-    // skipped over -- parsing stops at the first problem and the remainder
-    // of the header's promised records becomes one LostRecords marker.
-    try {
-      const auto tag = static_cast<wire::RecordTag>(cur.get<std::uint8_t>());
-      TraceRecord rec = wire::decode_payload(tag, cur);
-      pos_ += cur.pos;
-      emit_good(std::move(rec), frame_start);
-      ++v1_index_;
-    } catch (const TraceFormatError&) {
-      if (!headerless_) {
-        report_.truncated = true;
-        const std::uint64_t lost = report_.records_expected - v1_index_;
-        report_.records_skipped += lost;
-        queue_damage(static_cast<std::uint8_t>(wire::RecordTag::kPacket),
-                     static_cast<std::uint32_t>(
-                         std::min<std::uint64_t>(lost, 0xffffffffu)),
-                     frame_start);
-      }
-      finish();
-      break;
+    if (strict()) {
+      throw TraceFormatError("unexpected end of stream", body.offset(),
+                             last_record_index_);
     }
+    ++report_.records_skipped;
+    queue_damage(tag, 1, frame_start);
+    damage_seen_ = true;
   }
 }
 
 // --- streaming writer -------------------------------------------------------
 
-TraceStreamWriter::TraceStreamWriter(const std::string& path,
-                                     std::uint16_t version)
-    : path_(path), version_(version) {
+TraceStreamWriter::TraceStreamWriter(const std::string& path) : path_(path) {
   if (!sink_.open(path, sim::io::FileSink::Mode::kTruncate)) {
     throw std::runtime_error("cannot open for writing: " + path);
   }
-  std::ostringstream header;
-  count_offset_ = wire::write_container_header(header, version, 0);
-  bytes_ = count_offset_ + 8;
-  if (!sink_.write(header.str())) {
+  const std::string header = wire::container_header(0);
+  count_offset_ = header.size() - sizeof(std::uint64_t);
+  bytes_ = header.size();
+  if (!sink_.write(header)) {
     throw std::runtime_error("write failed: " + path);
   }
 }
@@ -432,12 +350,13 @@ TraceStreamWriter::~TraceStreamWriter() {
 }
 
 void TraceStreamWriter::append(const TraceRecord& record) {
-  const std::string frame = wire::encode_frame(record, version_);
-  if (!sink_.write(frame)) {
+  frame_.clear();
+  wire::append_record(frame_, record);
+  if (!sink_.write(frame_)) {
     throw std::runtime_error("write failed: " + path_);
   }
   ++records_;
-  bytes_ += frame.size();
+  bytes_ += frame_.size();
 }
 
 void TraceStreamWriter::finalize() {
@@ -445,10 +364,10 @@ void TraceStreamWriter::finalize() {
   // Patch the header count in place, then make the whole container
   // durable before reporting success: after finalize() returns, the trace
   // survives power loss.
-  unsigned char raw[8];
-  std::uint64_t v = records_;
-  std::memcpy(raw, &v, sizeof(v));
-  sim::io::IoResult r = sink_.write_at(count_offset_, raw, sizeof(raw));
+  std::string count;
+  sim::io::put<std::uint64_t>(count, records_);
+  sim::io::IoResult r = sink_.write_at(count_offset_, count.data(),
+                                       count.size());
   if (r.ok) r = sink_.datasync();
   if (r.ok) r = sink_.close();
   if (!r.ok) throw std::runtime_error("finalize failed: " + path_);

@@ -42,14 +42,13 @@ class TraceStreamReader {
   explicit TraceStreamReader(std::istream& in,
                              const TraceReadOptions& options = {});
 
-  /// Headerless frame-range mode: parse v2 frames (or v1 records) starting
-  /// at the stream's current position, which must be a frame boundary
-  /// `base_offset` bytes into the original file.  Always salvage; no
-  /// expected-count bookkeeping.  This is how a distillation window is
-  /// re-read from its checkpointed byte range.
+  /// Headerless frame-range mode: parse frames starting at the stream's
+  /// current position, which must be a frame boundary `base_offset` bytes
+  /// into the original file.  Always salvage; no expected-count
+  /// bookkeeping.  This is how a distillation window is re-read from its
+  /// checkpointed byte range.
   struct FrameRange {};
-  TraceStreamReader(std::istream& in, FrameRange, std::uint16_t version,
-                    std::uint64_t base_offset);
+  TraceStreamReader(std::istream& in, FrameRange, std::uint64_t base_offset);
 
   TraceStreamReader(const TraceStreamReader&) = delete;
   TraceStreamReader& operator=(const TraceStreamReader&) = delete;
@@ -59,8 +58,6 @@ class TraceStreamReader {
   /// TraceFormatError on the first problem, with the same offset-annotated
   /// message an in-memory parse produces.
   bool next(TraceRecord* out);
-
-  std::uint16_t version() const { return report_.version; }
 
   /// Running damage report; final once next() has returned false.
   const TraceReadReport& report() const { return report_; }
@@ -103,8 +100,10 @@ class TraceStreamReader {
   void emit_good(TraceRecord rec, std::uint64_t frame_start_abs);
   void finish();
 
-  void next_v1();
-  void next_v2();
+  void read_header();
+  /// Parses frames until a record (or marker) is pending or the stream
+  /// ends.
+  void parse_frames();
 
   std::istream* in_;
   TraceReadOptions opts_;
@@ -120,7 +119,6 @@ class TraceStreamReader {
   TraceReadReport report_;
   std::uint64_t header_bytes_ = 0;
   std::uint64_t record_frame_offset_ = 0;
-  std::uint64_t v1_index_ = 0;
   std::uint64_t last_record_index_ = 0;
   std::optional<std::uint64_t> stream_size_;
 
@@ -141,7 +139,7 @@ class TraceStreamReader {
   std::deque<Pending> pending_;
 };
 
-/// Streaming v2 writer: header up front (count patched on finalize), one
+/// Streaming writer: header up front (count patched on finalize), one
 /// framed record per append.  File-based because finalize() must seek.
 /// Writes through the durable plane (sim/io/file_sink.hpp) directly --
 /// not via atomic replace, because a collection stream can be far larger
@@ -149,8 +147,7 @@ class TraceStreamReader {
 /// already detectably invalid (zero count against a non-empty body).
 class TraceStreamWriter {
  public:
-  explicit TraceStreamWriter(const std::string& path,
-                             std::uint16_t version = kTraceFormatVersion);
+  explicit TraceStreamWriter(const std::string& path);
   ~TraceStreamWriter();
 
   TraceStreamWriter(const TraceStreamWriter&) = delete;
@@ -168,7 +165,7 @@ class TraceStreamWriter {
  private:
   sim::io::FileSink sink_;
   std::string path_;
-  std::uint16_t version_;
+  std::string frame_;  ///< reused encode buffer
   std::uint64_t count_offset_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "sim/io/durable.hpp"
 #include "trace/frame_format.hpp"
@@ -14,13 +13,19 @@ namespace tracemod::trace {
 
 // --- writer -----------------------------------------------------------------
 
-void write_trace(std::ostream& out, const CollectedTrace& trace,
-                 std::uint16_t version) {
-  wire::write_container_header(out, version, trace.records.size());
-  for (const TraceRecord& r : trace.records) {
-    const std::string frame = wire::encode_frame(r, version);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  }
+namespace {
+
+std::string encode_trace(const CollectedTrace& trace) {
+  std::string bytes = wire::container_header(trace.records.size());
+  for (const TraceRecord& r : trace.records) wire::append_record(bytes, r);
+  return bytes;
+}
+
+}  // namespace
+
+void write_trace(std::ostream& out, const CollectedTrace& trace) {
+  const std::string bytes = encode_trace(trace);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 // --- reader -----------------------------------------------------------------
@@ -59,16 +64,12 @@ CollectedTrace read_trace(std::istream& in) {
   return read_trace_ex(in, TraceReadOptions{}).trace;
 }
 
-void save_trace(const std::string& path, const CollectedTrace& trace,
-                std::uint16_t version) {
+void save_trace(const std::string& path, const CollectedTrace& trace) {
   // Atomic replace (sim/io/durable.hpp): a collected trace is a final
   // artifact, so a crash or full disk mid-save leaves the previous file
   // (or nothing), never a truncated container that replays short.
-  std::ostringstream out;
-  write_trace(out, trace, version);
-  if (!out) throw std::runtime_error("write failed: " + path);
-  const std::string bytes = out.str();
-  const sim::io::IoResult r = sim::io::write_file_atomic(path, bytes);
+  const sim::io::IoResult r =
+      sim::io::write_file_atomic(path, encode_trace(trace));
   if (!r.ok) {
     if (r.error.op == sim::io::IoOp::kOpen) {
       throw std::runtime_error("cannot open for writing: " + path);

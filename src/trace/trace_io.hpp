@@ -1,15 +1,9 @@
 // Self-descriptive binary trace format (in the spirit of RFC 2041: flexible,
-// extensible, fully self-descriptive).
-//
-// Version 1 layout:
-//   magic "TMTR" | format version u16 | schema table | record count u64 |
-//   records...                       (records are bare tag u8 + fields)
-//
-// Version 2 layout (current writer default) adds per-record framing so a
-// reader can survive corruption:
+// extensible, fully self-descriptive).  Version 2 layout, framed per record
+// so a reader can survive corruption:
 //   magic "TMTR" | format version u16 | schema table | record count u64 |
 //   frames...
-// where each frame is
+// where each frame is the shared codec frame (sim/io/codec.hpp)
 //   tag u8 | payload length u32 | crc32c u32 | payload bytes
 // The CRC covers the tag byte followed by the payload, so a flipped tag,
 // a flipped length, and flipped payload bytes are all detected.  The length
@@ -19,7 +13,8 @@
 //
 // The schema table names every record type and its fields, so a reader can
 // detect version skew and skip unknown record types instead of
-// misinterpreting bytes.  All integers little-endian fixed width.
+// misinterpreting bytes.  All integers little-endian fixed width.  Any
+// other format version, including the unframed version 1, is rejected.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +44,7 @@ class TraceFormatError : public std::runtime_error {
                            std::to_string(record_index) + ")") {}
 };
 
-inline constexpr std::uint16_t kTraceFormatVersionV1 = 1;
-inline constexpr std::uint16_t kTraceFormatVersionV2 = 2;
-inline constexpr std::uint16_t kTraceFormatVersion = kTraceFormatVersionV2;
+inline constexpr std::uint16_t kTraceFormatVersion = 2;
 
 /// How a reader treats damage (bad CRC, unknown tag, truncation).
 enum class ReadMode {
@@ -96,13 +89,11 @@ struct TraceReadResult {
   TraceReadReport report;
 };
 
-/// Serializes a collected trace; `version` selects the on-disk format
-/// (v2, the checksummed framing, by default).
-void write_trace(std::ostream& out, const CollectedTrace& trace,
-                 std::uint16_t version = kTraceFormatVersion);
+/// Serializes a collected trace.
+void write_trace(std::ostream& out, const CollectedTrace& trace);
 
 /// Parses a trace in strict mode; throws TraceFormatError on malformed
-/// input.  Reads both v1 and v2 streams.
+/// input.
 CollectedTrace read_trace(std::istream& in);
 
 /// Parses a trace under the given options, returning the damage report
@@ -113,8 +104,7 @@ TraceReadResult read_trace_ex(std::istream& in,
                               const TraceReadOptions& options = {});
 
 /// Convenience file wrappers; throw std::runtime_error on I/O failure.
-void save_trace(const std::string& path, const CollectedTrace& trace,
-                std::uint16_t version = kTraceFormatVersion);
+void save_trace(const std::string& path, const CollectedTrace& trace);
 CollectedTrace load_trace(const std::string& path);
 TraceReadResult load_trace_ex(const std::string& path,
                               const TraceReadOptions& options = {});

@@ -5,8 +5,10 @@
 // emits carries a "tool_version" field with this string so a snapshot's
 // provenance is auditable long after the binary that wrote it is gone
 // (`tracemod version` prints the same inventory interactively).  The
-// binary formats are versioned separately, in their own headers:
-//   - trace format v2        (trace/trace_io.hpp, per-record CRC32C)
+// binary formats are versioned separately, in their own headers, and all
+// encode through the shared record codec (sim/io/codec.hpp):
+//   - trace format v2        (trace/trace_io.hpp, per-record CRC frames;
+//                             v1 is retired and rejected on read)
 //   - TMSJ v1                (scenarios/supervisor.cpp, sweep journal)
 //   - TMDJ v1                (core/stream_distiller.cpp, distill checkpoints)
 //   - TMST v1                (sim/status/status.hpp, live status snapshots)

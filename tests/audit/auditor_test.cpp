@@ -134,7 +134,7 @@ TEST(FidelityAuditor, JsonVerdictHasTheGateSchema) {
   const core::ReplayTrace reference =
       core::ReplayTrace::wavelan_like(sim::seconds(60));
   const FidelityReport r =
-      audit_trace(reference, quick_config(), "say \"hi\"\\path");
+      audit_trace(reference, quick_config(), "say \"hi\"\\path\tend");
   std::ostringstream out;
   write_fidelity_json(out, r);
   const std::string json = out.str();
@@ -147,8 +147,8 @@ TEST(FidelityAuditor, JsonVerdictHasTheGateSchema) {
         "\"within_tolerance_fraction\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // The label's quote and backslash must be escaped.
-  EXPECT_NE(json.find("say \\\"hi\\\"\\\\path"), std::string::npos);
+  // The label's quote, backslash and tab must be escaped.
+  EXPECT_NE(json.find("say \\\"hi\\\"\\\\path\\tend"), std::string::npos);
   // Brace balance is a cheap structural check; CI json-validates for real.
   int depth = 0;
   bool in_string = false;

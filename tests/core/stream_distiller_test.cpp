@@ -13,12 +13,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "audit/auditor.hpp"
 #include "core/distiller.hpp"
+#include "sim/crc32c.hpp"
 #include "sim/io/fault_plan.hpp"
 #include "sim/random.hpp"
 #include "trace/fault_injector.hpp"
@@ -150,6 +152,14 @@ TEST(StreamDistiller, ResumeFromJournalIsByteIdentical) {
   EXPECT_EQ(resumed.stats.windows_resumed, resumed.stats.windows_total);
   EXPECT_EQ(serialize(resumed.replay), serialize(first.replay));
   for (const WindowSummary& w : resumed.windows) EXPECT_TRUE(w.resumed);
+
+  // Pinned bytes: a resume rewrites the plan and then every adopted window
+  // in index order, so this TMDJ file is independent of thread scheduling.
+  std::ifstream in(journal, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 14615u);
+  EXPECT_EQ(sim::crc32c(bytes.data(), bytes.size()), 0x5e0a2f4bu);
 
   std::filesystem::remove(path);
   std::filesystem::remove(journal);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "scenarios/parallel_runner.hpp"
+#include "sim/crc32c.hpp"
 #include "sim/io/fault_plan.hpp"
 #include "sim/io/file_sink.hpp"
 #include "sim/metric_names.hpp"
@@ -329,7 +330,12 @@ void expect_record_prefix(const std::vector<JournalCellRecord>& got,
 TEST(SweepJournal, RoundTripPreservesEveryField) {
   const auto records = sample_records();
   const std::string path = tmp("roundtrip.journal");
-  write_journal(path, 0xdeadbeef, records);
+  const std::string bytes = write_journal(path, 0xdeadbeef, records);
+  // Pinned bytes: the TMSJ layout and the fingerprint encoding are on-disk
+  // contracts a resumed sweep depends on.
+  EXPECT_EQ(bytes.size(), 569u);
+  EXPECT_EQ(sim::crc32c(bytes.data(), bytes.size()), 0x87eb4c35u);
+  EXPECT_EQ(sweep_fingerprint(ExperimentConfig{}), 0xf889dd44u);
 
   const auto read = read_sweep_journal(path, 0xdeadbeef);
   EXPECT_EQ(read.status, JournalStatus::kClean);

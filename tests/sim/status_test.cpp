@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/crc32c.hpp"
 #include "sim/io/durable.hpp"
 #include "sim/io/fault_plan.hpp"
 #include "sim/io/file_sink.hpp"
@@ -79,6 +80,9 @@ void expect_equal(const StatusSnapshot& a, const StatusSnapshot& b) {
 TEST(StatusFormat, RoundTripPreservesEveryField) {
   const StatusSnapshot want = sample_snapshot();
   const std::vector<std::uint8_t> bytes = encode_status(want);
+  // Pinned bytes: the TMST image a status client reads.
+  EXPECT_EQ(bytes.size(), 185u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0xc8685bc1u);
   const StatusReadResult read = decode_status(bytes.data(), bytes.size());
   ASSERT_EQ(read.status, StatusReadStatus::kOk) << read.message;
   expect_equal(read.snapshot, want);

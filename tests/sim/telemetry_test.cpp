@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "sim/json.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/trace_event.hpp"
 

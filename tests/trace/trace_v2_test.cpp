@@ -6,13 +6,15 @@
 #include <sstream>
 #include <string>
 
+#include "sim/crc32c.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
-#include "trace/crc32c.hpp"
 #include "trace/trace_io.hpp"
 
 namespace tracemod::trace {
 namespace {
+
+using sim::crc32c;
 
 constexpr std::size_t kFrameHeader = 9;   // tag u8 + len u32 + crc u32
 constexpr std::size_t kPacketFrame = kFrameHeader + 40;
@@ -47,10 +49,9 @@ CollectedTrace sample_trace() {
   return trace;
 }
 
-std::string to_bytes(const CollectedTrace& trace,
-                     std::uint16_t version = kTraceFormatVersionV2) {
+std::string to_bytes(const CollectedTrace& trace) {
   std::ostringstream out;
-  write_trace(out, trace, version);
+  write_trace(out, trace);
   return out.str();
 }
 
@@ -81,7 +82,7 @@ std::string make_frame(std::uint8_t tag, const std::string& payload) {
 TEST(TraceV2, RoundTripIsCleanAndVersioned) {
   const CollectedTrace original = sample_trace();
   const auto result = read_bytes(to_bytes(original), ReadMode::kStrict);
-  EXPECT_EQ(result.report.version, kTraceFormatVersionV2);
+  EXPECT_EQ(result.report.version, kTraceFormatVersion);
   EXPECT_TRUE(result.report.clean());
   EXPECT_EQ(result.report.records_read, 4u);
   ASSERT_EQ(result.trace.records.size(), original.records.size());
@@ -94,33 +95,29 @@ TEST(TraceV2, RoundTripIsCleanAndVersioned) {
 
 TEST(TraceV2, WriterIsBitStable) {
   const CollectedTrace trace = sample_trace();
-  EXPECT_EQ(to_bytes(trace), to_bytes(trace));
-  EXPECT_EQ(to_bytes(trace, kTraceFormatVersionV1),
-            to_bytes(trace, kTraceFormatVersionV1));
-  EXPECT_NE(to_bytes(trace), to_bytes(trace, kTraceFormatVersionV1));
+  const std::string bytes = to_bytes(trace);
+  EXPECT_EQ(bytes, to_bytes(trace));
+  // Pinned bytes: any change to the header, the framing or a record
+  // layout shows up here, not as a silent format drift.
+  EXPECT_EQ(bytes.size(), 434u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0x88c1eaa6u);
 }
 
-TEST(TraceV2, V1WriteReadStillRoundTrips) {
-  const CollectedTrace original = sample_trace();
-  const auto result =
-      read_bytes(to_bytes(original, kTraceFormatVersionV1), ReadMode::kStrict);
-  EXPECT_EQ(result.report.version, kTraceFormatVersionV1);
-  EXPECT_TRUE(result.report.clean());
-  ASSERT_EQ(result.trace.records.size(), 4u);
-  EXPECT_EQ(std::get<PacketRecord>(result.trace.records[1]).tcp_seq,
-            123456789ull);
-}
-
-TEST(TraceV2, V1AndV2DecodeIdentically) {
-  const CollectedTrace original = sample_trace();
-  const auto v1 =
-      read_bytes(to_bytes(original, kTraceFormatVersionV1), ReadMode::kStrict);
-  const auto v2 = read_bytes(to_bytes(original), ReadMode::kStrict);
-  ASSERT_EQ(v1.trace.records.size(), v2.trace.records.size());
-  for (std::size_t i = 0; i < v1.trace.records.size(); ++i) {
-    EXPECT_EQ(record_time(v1.trace.records[i]),
-              record_time(v2.trace.records[i]));
-    EXPECT_EQ(v1.trace.records[i].index(), v2.trace.records[i].index());
+TEST(TraceV2, Version1HeaderIsRejectedInEveryMode) {
+  // Format v1 (unframed records) is retired: its header must be refused as
+  // unsupported, never parsed as frames, even by the salvage reader.
+  std::string bytes = to_bytes(sample_trace());
+  const std::uint16_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kSalvage}) {
+    try {
+      read_bytes(bytes, mode);
+      FAIL() << "expected the v1 header to be rejected";
+    } catch (const TraceFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -150,19 +147,6 @@ TEST(TraceV2, StrictErrorsCarryOffsetAndRecordIndex) {
               std::string::npos)
         << what;
     EXPECT_NE(what.find("(record 1)"), std::string::npos) << what;
-  }
-}
-
-TEST(TraceV2, V1TruncationErrorCarriesOffset) {
-  std::string bytes = to_bytes(sample_trace(), kTraceFormatVersionV1);
-  bytes.resize(bytes.size() - 5);
-  try {
-    read_bytes(bytes, ReadMode::kStrict);
-    FAIL() << "expected strict read to throw";
-  } catch (const TraceFormatError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
-    EXPECT_NE(what.find("(record 3)"), std::string::npos) << what;
   }
 }
 
@@ -243,20 +227,16 @@ TEST(TraceV2, SalvageReportsTruncatedTail) {
 TEST(TraceV2, CountBombCannotForceAllocation) {
   // A corrupted (or hostile) record count must not drive reserve(): the
   // reader bounds it by the bytes actually present.
-  for (const std::uint16_t version :
-       {kTraceFormatVersionV1, kTraceFormatVersionV2}) {
-    std::string bytes = to_bytes(CollectedTrace{}, version);
-    const std::uint64_t bomb = ~0ull;
-    std::memcpy(bytes.data() + bytes.size() - 8, &bomb, sizeof(bomb));
+  std::string bytes = to_bytes(CollectedTrace{});
+  const std::uint64_t bomb = ~0ull;
+  std::memcpy(bytes.data() + bytes.size() - 8, &bomb, sizeof(bomb));
 
-    EXPECT_THROW(read_bytes(bytes, ReadMode::kStrict), TraceFormatError)
-        << "v" << version;
-    const auto result = read_bytes(bytes, ReadMode::kSalvage);
-    EXPECT_EQ(result.report.records_expected, bomb);
-    EXPECT_EQ(result.report.records_read, 0u);
-    EXPECT_TRUE(result.report.truncated);
-    EXPECT_LE(result.trace.records.capacity(), 16u) << "v" << version;
-  }
+  EXPECT_THROW(read_bytes(bytes, ReadMode::kStrict), TraceFormatError);
+  const auto result = read_bytes(bytes, ReadMode::kSalvage);
+  EXPECT_EQ(result.report.records_expected, bomb);
+  EXPECT_EQ(result.report.records_read, 0u);
+  EXPECT_TRUE(result.report.truncated);
+  EXPECT_LE(result.trace.records.capacity(), 16u);
 }
 
 TEST(TraceV2, SalvageToleratesDroppedAndDuplicatedFrames) {
