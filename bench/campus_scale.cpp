@@ -6,17 +6,17 @@
 // Usage: campus_scale [--sizes 100,1000,10000] [--seconds S] [--threads T]
 //                     [--out BENCH_campus.json]
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "report.hpp"
 #include "scenarios/campus.hpp"
 #include "sim/io/durable.hpp"
+#include "tracemod_cli.hpp"
 #include "version.hpp"
 
 #include "build_guard.hpp"
@@ -29,20 +29,6 @@ struct Point {
   std::size_t hosts = 0;
   scenarios::CampusResult result;
 };
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string tok = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!tok.empty()) out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
 
 /// Least-squares slope of log(wall) against log(hosts): the empirical
 /// scaling exponent.  Quadratic contention would push this toward 2;
@@ -92,33 +78,33 @@ bool write_json(const std::string& path, const std::vector<Point>& pts,
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  cli::Parsed cmdline = cli::parse(
+      "campus_scale", std::vector<std::string>(argv + 1, argv + argc),
+      {{"--sizes", true},
+       {"--seconds", true},
+       {"--threads", true},
+       {"--out", true},
+       {"--allow-debug", false}},
+      0, 0);
   std::vector<std::size_t> sizes = {100, 1000, 10000};
   double seconds = 30.0;
   unsigned threads = 0;
   std::string out_path = "BENCH_campus.json";
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
+  std::string csv;
+  if (cmdline.str("--sizes", &csv)) {
+    sizes.clear();
+    for (const std::string& tok : cli::split(csv, ',')) {
+      std::uint64_t n = 0;
+      if (!cli::parse_uint(tok, SIZE_MAX, &n)) {
+        cli::reject_value(cmdline, "--sizes", "whole numbers", tok);
       }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--sizes") == 0) {
-      sizes = parse_sizes(next("--sizes"));
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      seconds = std::atof(next("--seconds"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else if (std::strcmp(argv[i], "--allow-debug") == 0) {
-      // Consumed by require_release_build() above.
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
+      sizes.push_back(n);
     }
   }
+  cli::checked_number(cmdline, "--seconds", &seconds);
+  cli::checked_uint(cmdline, "--threads", &threads);
+  cmdline.str("--out", &out_path);
+  if (cmdline.failed) return cli::kExitUsage;
 
   bench::heading("Campus scaling: events/sec vs hosts",
                  "sharded medium, " + std::to_string(seconds) +
@@ -145,7 +131,7 @@ int main(int argc, char** argv) {
   const double expo = scaling_exponent(pts);
   bench::rowf("scaling exponent (log wall / log hosts): %.2f  [%s]", expo,
               expo < 1.8 ? "sub-quadratic" : "QUADRATIC-ISH");
-  if (!write_json(out_path, pts, seconds, threads)) return 2;
+  if (!write_json(out_path, pts, seconds, threads)) return cli::kExitIo;
   bench::rowf("wrote %s", out_path.c_str());
   return all_ok ? 0 : 1;
 }

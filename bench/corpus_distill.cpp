@@ -12,17 +12,17 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/stream_distiller.hpp"
+#include "flags.hpp"
 #include "report.hpp"
 #include "sim/io/durable.hpp"
 #include "trace/synthetic_corpus.hpp"
+#include "tracemod_cli.hpp"
 #include "version.hpp"
 
 #include "build_guard.hpp"
@@ -57,39 +57,28 @@ const char* status_name(core::DistillStatus s) {
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  cli::Parsed cmdline = cli::parse(
+      "corpus_distill", std::vector<std::string>(argv + 1, argv + argc),
+      {{"--mb", true},
+       {"--seconds", true},
+       {"--threads", true},
+       {"--rss-cap-mb", true},
+       {"--out", true},
+       {"--keep", false},
+       {"--allow-debug", false}},
+      0, 0);
   double mb = 1024.0;
   double seconds = 7200.0;
   unsigned threads = 0;
   double rss_cap_mb = 512.0;
   std::string out_path = "BENCH_corpus.json";
-  bool keep = false;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--mb") == 0) {
-      mb = std::atof(next("--mb"));
-    } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      seconds = std::atof(next("--seconds"));
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<unsigned>(std::atoi(next("--threads")));
-    } else if (std::strcmp(argv[i], "--rss-cap-mb") == 0) {
-      rss_cap_mb = std::atof(next("--rss-cap-mb"));
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else if (std::strcmp(argv[i], "--keep") == 0) {
-      keep = true;
-    } else if (std::strcmp(argv[i], "--allow-debug") == 0) {
-      // Consumed by require_release_build() above.
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cli::checked_number(cmdline, "--mb", &mb);
+  cli::checked_number(cmdline, "--seconds", &seconds);
+  cli::checked_uint(cmdline, "--threads", &threads);
+  cli::checked_number(cmdline, "--rss-cap-mb", &rss_cap_mb);
+  cmdline.str("--out", &out_path);
+  const bool keep = cmdline.has("--keep");
+  if (cmdline.failed) return cli::kExitUsage;
 
   bench::heading("Corpus distillation: wall time and RSS at production volume",
                  "streaming two-pass distiller, " + std::to_string(mb) +
@@ -162,7 +151,7 @@ int main(int argc, char** argv) {
       << "}\n";
   if (!sim::io::write_artifact_or_complain(out_path, out.str())) {
     if (!keep) std::filesystem::remove(corpus_path);
-    return 2;
+    return cli::kExitIo;
   }
   bench::rowf("wrote %s", out_path.c_str());
 

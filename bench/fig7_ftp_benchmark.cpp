@@ -5,11 +5,9 @@
 // by unsynchronized clocks: real WaveLAN performance is asymmetric (send
 // slower than receive on marginal uplinks), while modulated send and
 // receive land near the mean of the two real directions.
-#include "audit_option.hpp"
+#include "observers.hpp"
 #include "report.hpp"
 #include "scenarios/parallel_runner.hpp"
-#include "status_option.hpp"
-#include "telemetry_option.hpp"
 
 #include "build_guard.hpp"
 
@@ -32,12 +30,17 @@ constexpr PaperRow kPaper[] = {
 
 int main(int argc, char** argv) {
   tracemod::bench::require_release_build(argc, argv);
+  const cli::Parsed cmdline = cli::parse(
+      "fig7_ftp_benchmark", std::vector<std::string>(argv + 1, argv + argc),
+      cli::Observers::declare({{"--allow-debug", false}}), 0, 0);
+  if (cmdline.failed) return cli::kExitUsage;
+  ExperimentConfig cfg;
+  cli::Observers obs;
+  const int armed = obs.arm(cmdline, "fig7-ftp", &cfg);
+  if (armed != cli::kExitOk) return armed;
   bench::heading("Figure 7: Elapsed Times for FTP Benchmark",
                  "10 MB disk-to-disk; mean (stddev) seconds over 4 trials");
-  ExperimentConfig cfg;
-  bench::TelemetryOption telemetry(argc, argv, cfg);
-  bench::AuditOption audits(argc, argv, cfg);
-  bench::StatusOption status(argc, argv, cfg, "fig7-ftp");
+  sim::status::StatusBoard& status = obs.status();
   status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
   ParallelRunner runner;
@@ -45,11 +48,11 @@ int main(int argc, char** argv) {
               "real(s)", "modulated(s)", "paper real", "paper mod", "check");
 
   for (const Scenario& s : all_scenarios()) {
-    status.phase(s.name);
+    status.set_phase(s.name);
     const auto traces = runner.replay_traces(s, cfg);
     // Traces are shared by both FTP directions; audit each trace once.
-    if (audits.enabled()) {
-      audits.add(runner.trace_audits(traces, cfg), s.name);
+    if (cfg.audit.enabled) {
+      obs.add_audits(runner.trace_audits(traces, cfg), s.name);
     }
     const PaperRow* p = nullptr;
     for (const auto& row : kPaper) {
@@ -61,8 +64,8 @@ int main(int argc, char** argv) {
       const std::string dir = send ? "send" : "recv";
       const auto live = runner.live_trials(s, kind, cfg);
       const auto modulated = runner.modulated_trials(traces, kind, cfg);
-      telemetry.add(live, s.name + "/" + dir + "/live");
-      telemetry.add(modulated, s.name + "/" + dir + "/mod");
+      obs.add_telemetry(live, s.name + "/" + dir + "/live");
+      obs.add_telemetry(modulated, s.name + "/" + dir + "/mod");
       const Summary r = summarize_elapsed(live);
       const Summary m = summarize_elapsed(modulated);
       bench::rowf("%-11s %-5s | %16s %16s | %7.2f (%6.2f) %7.2f (%6.2f) | %s",
@@ -73,28 +76,26 @@ int main(int argc, char** argv) {
                   send ? p->msend_sd : p->mrecv_sd,
                   check_label(r, m).c_str());
     }
-    status.step();
+    status.add_units_done();
   }
-  status.phase("ethernet");
+  status.set_phase("ethernet");
   for (const bool send : {true, false}) {
     const BenchmarkKind kind =
         send ? BenchmarkKind::kFtpSend : BenchmarkKind::kFtpRecv;
     const auto eth_trials = runner.ethernet_trials(kind, cfg);
-    telemetry.add(eth_trials,
-                  std::string("ethernet/") + (send ? "send" : "recv"));
+    obs.add_telemetry(eth_trials,
+                      std::string("ethernet/") + (send ? "send" : "recv"));
     const Summary eth = summarize_elapsed(eth_trials);
     bench::rowf("%-11s %-5s | %16s %16s | %7.2f (%6.2f) %16s |", "Ethernet",
                 send ? "send" : "recv", cell(eth).c_str(), "-",
                 send ? 20.50 : 18.83, send ? 0.08 : 0.17, "-");
   }
-  status.step();
+  status.add_units_done();
   bench::rowf(
       "\nExpected shape: real send > real recv (asymmetric WaveLAN);\n"
       "modulated send ~ modulated recv, both near the mean of the real\n"
       "directions (the symmetry assumption, Section 5.3); Ethernet ~ 20 s.");
-  const int audit_rc = audits.finish();
-  const int telemetry_rc = telemetry.finish();
-  const int rc = audit_rc != 0 ? audit_rc : telemetry_rc;
+  const int rc = obs.write_exports();
   status.finish(rc);
   return rc;
 }

@@ -29,13 +29,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/distiller.hpp"
+#include "flags.hpp"
 #include "report.hpp"
 #include "scenarios/campus.hpp"
 #include "scenarios/experiment.hpp"
@@ -44,6 +44,7 @@
 #include "sim/perf/perf.hpp"
 #include "sim/perf/report.hpp"
 #include "trace/ping.hpp"
+#include "tracemod_cli.hpp"
 #include "version.hpp"
 
 #include "build_guard.hpp"
@@ -257,45 +258,35 @@ bool baseline_field(const std::string& text, const std::string& workload,
 
 int main(int argc, char** argv) {
   const bool official = tracemod::bench::require_release_build(argc, argv);
+  cli::Parsed cmdline = cli::parse(
+      "perf_gate", std::vector<std::string>(argv + 1, argv + argc),
+      {{"--baseline", true},
+       {"--out", true},
+       {"--update", false},
+       {"--repeat", true},
+       {"--drill-slowdown", true},
+       {"--min-wall-ratio", true},
+       {"--max-alloc-ratio", true},
+       {"--allow-debug", false}},
+      0, 0);
   std::string baseline_path = "BENCH_perf.json";
   std::string out_path;
-  bool update = false;
   int repeat = 3;
   double drill = 1.0;
   double min_wall_ratio = 0.25;
   double max_alloc_ratio = 1.5;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--baseline") == 0) {
-      baseline_path = next("--baseline");
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = next("--out");
-    } else if (std::strcmp(argv[i], "--update") == 0) {
-      update = true;
-    } else if (std::strcmp(argv[i], "--repeat") == 0) {
-      repeat = std::max(1, std::atoi(next("--repeat")));
-    } else if (std::strcmp(argv[i], "--drill-slowdown") == 0) {
-      drill = std::atof(next("--drill-slowdown"));
-    } else if (std::strcmp(argv[i], "--min-wall-ratio") == 0) {
-      min_wall_ratio = std::atof(next("--min-wall-ratio"));
-    } else if (std::strcmp(argv[i], "--max-alloc-ratio") == 0) {
-      max_alloc_ratio = std::atof(next("--max-alloc-ratio"));
-    } else if (std::strcmp(argv[i], "--allow-debug") == 0) {
-      // Consumed by require_release_build() above.
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 1;
-    }
-  }
+  cmdline.str("--baseline", &baseline_path);
+  cmdline.str("--out", &out_path);
+  const bool update = cmdline.has("--update");
+  cli::checked_uint(cmdline, "--repeat", &repeat);
+  repeat = std::max(1, repeat);
+  cli::checked_number(cmdline, "--drill-slowdown", &drill);
+  cli::checked_number(cmdline, "--min-wall-ratio", &min_wall_ratio);
+  cli::checked_number(cmdline, "--max-alloc-ratio", &max_alloc_ratio);
+  if (cmdline.failed) return cli::kExitUsage;
   if (drill <= 0.0) {
     std::fprintf(stderr, "--drill-slowdown must be > 0\n");
-    return 1;
+    return cli::kExitUsage;
   }
 
   bench::heading("Perf gate: throughput / real-time ratio / allocs vs baseline",
@@ -325,7 +316,9 @@ int main(int argc, char** argv) {
   if (!out_path.empty()) {
     std::ostringstream f;
     write_gate_json(f, results, repeat);
-    if (!sim::io::write_artifact_or_complain(out_path, f.str())) return 2;
+    if (!sim::io::write_artifact_or_complain(out_path, f.str())) {
+      return cli::kExitIo;
+    }
     bench::rowf("wrote %s", out_path.c_str());
   }
 
@@ -338,7 +331,7 @@ int main(int argc, char** argv) {
     std::ostringstream f;
     write_gate_json(f, results, repeat);
     if (!sim::io::write_artifact_or_complain(baseline_path, f.str())) {
-      return 1;
+      return cli::kExitIo;
     }
     bench::rowf("baseline updated: %s", baseline_path.c_str());
     return 0;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,7 @@ TEST(TracemodCli, ExitCodesArePinnedAndDistinct) {
   // The exit-code contract is external API (CI and scripts match on the
   // numbers; README.md carries the full 0-6 table): never renumber.  5 is
   // the supervised sweep's completed-with-degraded-cells code
-  // (tools/sweep.cpp); 6 is reserved by the benchmark build guard and
+  // (`tracemod sweep`); 6 is reserved by the benchmark build guard and
   // never returned by tracemod itself.
   EXPECT_EQ(kExitOk, 0);
   EXPECT_EQ(kExitUsage, 1);
@@ -56,12 +57,23 @@ TEST(TracemodCli, UnknownFlagIsAUsageError) {
 TEST(TracemodCli, MissingFlagValueIsAUsageError) {
   EXPECT_EQ(run({"synth", "wavelan", tmp("x.replay"), "--seconds"}),
             kExitUsage);
+  EXPECT_EQ(run({"synth", "wavelan", tmp("x.replay"), "--seconds="}),
+            kExitUsage);
+  // A flag without a value cannot be given one.
+  EXPECT_EQ(run({"distill", tmp("in.trace"), tmp("out.replay"),
+                 "--salvage=1"}),
+            kExitUsage);
 }
 
 TEST(TracemodCli, NonNumericFlagValueIsAUsageError) {
   EXPECT_EQ(run({"synth", "wavelan", tmp("x.replay"), "--seconds", "soon"}),
             kExitUsage);
   EXPECT_EQ(run({"audit", tmp("x.replay"), "--tick", "10ms"}), kExitUsage);
+  // Seeds are exact unsigned integers: no sign, no fraction.
+  EXPECT_EQ(run({"collect", "porter", tmp("x.trace"), "--seed", "-1"}),
+            kExitUsage);
+  EXPECT_EQ(run({"collect", "porter", tmp("x.trace"), "--seed", "1.5"}),
+            kExitUsage);
 }
 
 TEST(TracemodCli, WrongPositionalCountIsAUsageError) {
@@ -214,6 +226,16 @@ TEST(TracemodCli, StatusCommandDistinguishesMissingFromDamaged) {
 }
 
 TEST(TracemodCli, CampusStatusLeavesAReadableFinishedSnapshot) {
+  // Both spellings of the value flag arm the same board.
+  ASSERT_EQ(run({"campus", "--hosts", "50", "--seconds", "2",
+                 "--status=" + tmp("campusstatus_eq")}),
+            kExitOk);
+  EXPECT_EQ(run({"status", tmp("campusstatus_eq") + ".status"}), kExitOk);
+  // An unwritable prefix is an I/O error before any work runs.
+  EXPECT_EQ(run({"campus", "--hosts", "50", "--seconds", "2", "--status",
+                 tmp("no_such_dir/x/campus")}),
+            kExitIo);
+
   const std::string prefix = tmp("campusstatus");
   ASSERT_EQ(run({"campus", "--hosts", "50", "--seconds", "2", "--status",
                  prefix}),
@@ -232,6 +254,46 @@ TEST(TracemodCli, CampusStatusLeavesAReadableFinishedSnapshot) {
   std::ofstream(torn, std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   EXPECT_EQ(run({"status", torn}), kExitIo);
+}
+
+TEST(TracemodCli, SweepMatchesTheSeedGolden) {
+  testing::internal::CaptureStdout();
+  const int rc = run({"sweep", "--serial", "--trials", "1", "--scenarios",
+                      "wean", "--benchmarks", "web"});
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, kExitOk);
+  // The thread-count and wall-clock lines are the only ones that may vary.
+  std::istringstream lines(out);
+  std::string kept;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("wall clock") != std::string::npos ||
+        line.find("thread(s)") != std::string::npos) {
+      continue;
+    }
+    kept += line + "\n";
+  }
+  std::ifstream golden(TRACEMOD_TEST_DIR "/golden/sweep_wean_web.txt");
+  ASSERT_TRUE(golden.good());
+  const std::string expected((std::istreambuf_iterator<char>(golden)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(kept, expected);
+}
+
+TEST(TracemodCli, SweepRejectsMalformedFlags) {
+  const std::vector<std::string> small = {"sweep", "--serial", "--scenarios",
+                                          "wean", "--benchmarks", "web"};
+  auto with = [&](std::initializer_list<std::string> extra) {
+    std::vector<std::string> args = small;
+    args.insert(args.end(), extra);
+    return run(args);
+  };
+  EXPECT_EQ(with({"--trials", "abc"}), kExitUsage);
+  EXPECT_EQ(with({"--threads", "-1"}), kExitUsage);
+  EXPECT_EQ(with({"--seed", "-5"}), kExitUsage);
+  EXPECT_EQ(with({"--telemetry"}), kExitUsage);
+  // An unwritable status prefix fails before any trial runs.
+  EXPECT_EQ(with({"--trials", "1", "--status", tmp("no_such_dir/x/s")}),
+            kExitIo);
 }
 
 TEST(TracemodCli, DistillStatusRequiresTheStreamingPath) {

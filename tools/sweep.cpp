@@ -1,540 +1,12 @@
-// sweep — run the paper's full evaluation matrix on N threads.
-//
-//   sweep [--threads N] [--serial] [--trials N] [--seed N]
-//         [--scenarios porter,flagstaff,wean,chatterbox]
-//         [--benchmarks web,ftp-send,ftp-recv,andrew]
-//         [--no-compensate] [--telemetry=PREFIX] [--audit[=FILE]]
-//         [--supervise] [--retries N] [--retry-perturb]
-//         [--budget SECONDS] [--wall-budget SECONDS]
-//         [--poison SCEN:BENCH:PHASE:TRIAL[:FAILS]]
-//         [--journal FILE | --resume FILE] [--json FILE]
-//
-// Every cell of {benchmark} x {scenario} runs the paper's procedure: N
-// live trials, N collection traversals distilled to replay traces, one
-// modulated trial per trace, plus a bare-Ethernet baseline row per
-// benchmark.  Each trial is an isolated SimContext seeded as
-// base_seed + trial, so the results are bit-identical whether the matrix
-// runs on one thread (--serial) or across all cores; only the wall clock
-// changes.  Exit status: 0 on success, 1 on usage error, 4 when --audit
-// found a fidelity breach, 5 when a supervised sweep completed with
-// degraded cells (at least one trial exhausted its retries; the table
-// still prints and the error records say which trials and seeds failed).
-//
-// Supervision (DESIGN.md section 10, scenarios/supervisor.hpp): with
-// --supervise (implied by the other supervision flags), every trial runs
-// crash-isolated under a guard, watchdogs bound runaway worlds
-// (--budget caps virtual time per trial, --wall-budget abandons trials
-// whose event loop stops making progress), and --retries re-runs a failed
-// trial with the identical derived seed (--retry-perturb opts into
-// explicitly non-bit-identical perturbed retry seeds).  --poison injects
-// a deterministic fault for chaos drills ("-" fields are wildcards;
-// FAILS bounds how many attempts fail, default all).
-//
-// Resumable sweeps: --journal FILE persists each completed cell to a
-// CRC-framed journal as the sweep runs; after a crash or kill,
-// --resume FILE skips the journaled cells and re-runs only the rest, with
-// final output byte-identical to an uninterrupted run of the same config.
-// A damaged journal degrades safely: a partial trailing record (the
-// normal kill-mid-append case) is dropped with a warning, and a corrupt
-// or config-mismatched journal falls back to a full re-run.  Resuming is
-// incompatible with --audit and --telemetry (neither is journaled).
-//
-// --audit additionally runs one closed-loop fidelity audit per collected
-// trace (src/audit/) in its own dedicated world, prints a verdict table,
-// and writes the reports as a fidelity trajectory (schema
-// "tracemod-fidelity-trajectory-v1", default BENCH_fidelity.json --
-// documented in EXPERIMENTS.md).  Audit worlds never touch trial worlds,
-// so every benchmark number above is bit-identical with or without the
-// flag.
-//
-// --telemetry=PREFIX enables the observability subsystem in every trial
-// world and writes the merged exports to PREFIX.perfetto.json (load in
-// ui.perfetto.dev) and PREFIX.metrics.txt.  Snapshots merge in trial
-// order, so the files are identical for serial and parallel runs.
-//
-// --status=PREFIX (implies --supervise) publishes a live crash-safe
-// tracemod-status-v1 snapshot to PREFIX.status as the sweep runs; poll it
-// with `tracemod status PREFIX.status [--follow]` (DESIGN.md section 14).
-#include <cctype>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+// sweep -- the same command as `tracemod sweep` (tracemod_cli.cpp), kept
+// as its own binary for the scripts and docs that call it by this name.
 #include <string>
 #include <vector>
 
-#include "scenarios/campus.hpp"
-#include "scenarios/parallel_runner.hpp"
-#include "sim/io/durable.hpp"
-#include "sim/status/status.hpp"
 #include "tracemod_cli.hpp"
-#include "version.hpp"
-
-using namespace tracemod;
-using namespace tracemod::scenarios;
-
-namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sweep [--threads N] [--serial] [--trials N] [--seed N]\n"
-      "             [--scenarios porter,flagstaff,wean,chatterbox,campus] "
-      "[--benchmarks web,ftp-recv,...]\n"
-      "             [--no-compensate] [--telemetry=PREFIX] "
-      "[--audit[=FILE]]\n"
-      "             [--supervise] [--retries N] [--retry-perturb]\n"
-      "             [--budget SECONDS] [--wall-budget SECONDS]\n"
-      "             [--poison SCEN:BENCH:PHASE:TRIAL[:FAILS]]\n"
-      "             [--journal FILE | --resume FILE] [--json FILE]\n"
-      "             [--status=PREFIX]\n");
-  return cli::kExitUsage;
-}
-
-std::vector<std::string> split_csv_with(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(sep, start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  return split_csv_with(s, ',');
-}
-
-/// "wean:web:live:0" or "wean:web:live:0:2"; "-" fields are wildcards.
-bool parse_poison(const std::string& spec, InjectedTrialFault* out) {
-  const std::vector<std::string> parts = split_csv_with(spec, ':');
-  if (parts.size() < 4 || parts.size() > 5) return false;
-  InjectedTrialFault f;
-  if (parts[0] != "-") f.scenario = parts[0];
-  if (parts[1] != "-") f.benchmark = parts[1];
-  if (parts[2] != "-") {
-    if (parts[2] != "live" && parts[2] != "collect" &&
-        parts[2] != "modulated" && parts[2] != "ethernet" &&
-        parts[2] != "audit") {
-      return false;
-    }
-    f.phase = parts[2];
-  }
-  try {
-    if (parts[3] != "-") f.trial = std::stoi(parts[3]);
-    if (parts.size() == 5) f.fail_attempts = std::stoi(parts[4]);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (f.fail_attempts <= 0) return false;
-  *out = f;
-  return true;
-}
-
-bool parse_benchmark(const std::string& name, BenchmarkKind* out) {
-  if (name == "web") *out = BenchmarkKind::kWeb;
-  else if (name == "ftp-send") *out = BenchmarkKind::kFtpSend;
-  else if (name == "ftp-recv") *out = BenchmarkKind::kFtpRecv;
-  else if (name == "andrew") *out = BenchmarkKind::kAndrew;
-  else return false;
-  return true;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  unsigned threads = 0;  // 0 = hardware concurrency
-  std::string telemetry_prefix;
-  std::string status_prefix;
-  std::string audit_path;
-  std::string journal_path;
-  std::string resume_path;
-  std::string json_path;
-  ExperimentConfig cfg;
-  std::vector<Scenario> scenarios = all_scenarios();
-  std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb,
-                                      BenchmarkKind::kFtpRecv,
-                                      BenchmarkKind::kAndrew};
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--threads") {
-      const char* v = next_value("--threads");
-      if (v == nullptr) return usage();
-      threads = static_cast<unsigned>(std::stoul(v));
-    } else if (arg == "--serial") {
-      threads = 1;
-    } else if (arg == "--trials") {
-      const char* v = next_value("--trials");
-      if (v == nullptr) return usage();
-      cfg.trials = std::stoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next_value("--seed");
-      if (v == nullptr) return usage();
-      cfg.base_seed = std::stoull(v);
-    } else if (arg == "--no-compensate") {
-      cfg.compensate = false;
-    } else if (arg == "--supervise") {
-      cfg.supervision.enabled = true;
-    } else if (arg == "--retries") {
-      const char* v = next_value("--retries");
-      if (v == nullptr) return usage();
-      cfg.supervision.max_retries = std::stoi(v);
-      cfg.supervision.enabled = true;
-    } else if (arg == "--retry-perturb") {
-      cfg.supervision.perturb_retry_seed = true;
-      cfg.supervision.enabled = true;
-    } else if (arg == "--budget") {
-      const char* v = next_value("--budget");
-      if (v == nullptr) return usage();
-      cfg.supervision.virtual_budget = sim::from_seconds(std::stod(v));
-      cfg.supervision.enabled = true;
-    } else if (arg == "--wall-budget") {
-      const char* v = next_value("--wall-budget");
-      if (v == nullptr) return usage();
-      cfg.supervision.wall_budget_s = std::stod(v);
-      cfg.supervision.enabled = true;
-    } else if (arg == "--poison") {
-      const char* v = next_value("--poison");
-      if (v == nullptr) return usage();
-      InjectedTrialFault fault;
-      if (!parse_poison(v, &fault)) {
-        std::fprintf(stderr, "bad --poison spec '%s'\n", v);
-        return usage();
-      }
-      cfg.supervision.inject.push_back(fault);
-      cfg.supervision.enabled = true;
-    } else if (arg == "--journal") {
-      const char* v = next_value("--journal");
-      if (v == nullptr) return usage();
-      journal_path = v;
-      cfg.supervision.enabled = true;
-    } else if (arg == "--resume") {
-      const char* v = next_value("--resume");
-      if (v == nullptr) return usage();
-      resume_path = v;
-      cfg.supervision.enabled = true;
-    } else if (arg == "--json") {
-      const char* v = next_value("--json");
-      if (v == nullptr) return usage();
-      json_path = v;
-    } else if (arg == "--audit") {
-      audit_path = "BENCH_fidelity.json";
-      cfg.audit.enabled = true;
-    } else if (arg.rfind("--audit=", 0) == 0) {
-      audit_path = arg.substr(std::strlen("--audit="));
-      if (audit_path.empty()) {
-        std::fprintf(stderr, "--audit needs a file path\n");
-        return usage();
-      }
-      cfg.audit.enabled = true;
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_prefix = arg.substr(std::strlen("--telemetry="));
-      if (telemetry_prefix.empty()) {
-        std::fprintf(stderr, "--telemetry needs a file prefix\n");
-        return usage();
-      }
-      cfg.telemetry.enabled = true;
-    } else if (arg == "--telemetry") {
-      const char* v = next_value("--telemetry");
-      if (v == nullptr) return usage();
-      telemetry_prefix = v;
-      cfg.telemetry.enabled = true;
-    } else if (arg.rfind("--status=", 0) == 0) {
-      status_prefix = arg.substr(std::strlen("--status="));
-      if (status_prefix.empty()) {
-        std::fprintf(stderr, "--status needs a file prefix\n");
-        return usage();
-      }
-      // Per-trial progress accounting lives in the supervised path.
-      cfg.supervision.enabled = true;
-    } else if (arg == "--scenarios") {
-      const char* v = next_value("--scenarios");
-      if (v == nullptr) return usage();
-      // The paper's four plus the synthetic sharded-medium quad; "campus"
-      // is selectable by name only so all_scenarios() (and the goldens
-      // pinned to it) stay exactly the paper's set.
-      auto all = all_scenarios();
-      all.push_back(campus_walk());
-      scenarios.clear();
-      for (const std::string& name : split_csv(v)) {
-        bool found = false;
-        for (const auto& s : all) {
-          std::string lower = s.name;
-          for (char& c : lower) c = static_cast<char>(std::tolower(c));
-          if (lower == name) {
-            scenarios.push_back(s);
-            found = true;
-          }
-        }
-        if (!found) {
-          std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-          return usage();
-        }
-      }
-    } else if (arg == "--benchmarks") {
-      const char* v = next_value("--benchmarks");
-      if (v == nullptr) return usage();
-      kinds.clear();
-      for (const std::string& name : split_csv(v)) {
-        BenchmarkKind kind;
-        if (!parse_benchmark(name, &kind)) {
-          std::fprintf(stderr, "unknown benchmark '%s'\n", name.c_str());
-          return usage();
-        }
-        kinds.push_back(kind);
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
-      return usage();
-    }
-  }
-  if (scenarios.empty() || kinds.empty() || cfg.trials <= 0) return usage();
-  if (!journal_path.empty() && !resume_path.empty()) {
-    std::fprintf(stderr, "--journal and --resume are mutually exclusive "
-                         "(--resume keeps journaling to its own file)\n");
-    return usage();
-  }
-  if (!resume_path.empty() &&
-      (cfg.audit.enabled || cfg.telemetry.enabled)) {
-    std::fprintf(stderr, "--resume is incompatible with --audit and "
-                         "--telemetry (neither is journaled)\n");
-    return usage();
-  }
-
-  sim::status::StatusBoard board;
-  if (!status_prefix.empty()) {
-    sim::status::StatusBoard::Config bcfg;
-    bcfg.path = status_prefix + ".status";
-    bcfg.driver = "sweep";
-    if (!board.configure(bcfg)) {
-      std::fprintf(stderr, "cannot write status file '%s'\n",
-                   bcfg.path.c_str());
-      return cli::kExitIo;
-    }
-    cfg.status = &board;
-    std::printf("status: -> %s (poll with `tracemod status %s`)\n",
-                bcfg.path.c_str(), bcfg.path.c_str());
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (cfg.compensate) {
-    cfg.compensation_vb = measure_compensation_vb();
-    std::printf("measured physical network Vb: %.3f us/byte\n",
-                cfg.compensation_vb * 1e6);
-  }
-
-  ParallelRunner runner(threads);
-  std::printf("sweep: %zu scenario(s) x %zu benchmark(s) x %d trial(s) on "
-              "%u thread(s)\n\n",
-              scenarios.size(), kinds.size(), cfg.trials,
-              runner.thread_count());
-
-  // Journal / resume plumbing.  Resume-specific notices go to stderr so a
-  // resumed run's stdout stays byte-comparable to an uninterrupted one.
-  SweepJournalWriter journal;
-  JournalReadResult resumed;
-  SupervisedSweepOptions opts;
-  const std::uint32_t fingerprint = sweep_fingerprint(cfg);
-  if (!journal_path.empty()) {
-    if (!journal.open(journal_path, fingerprint, /*fresh=*/true)) {
-      std::fprintf(stderr, "cannot write sweep journal '%s'\n",
-                   journal_path.c_str());
-      return cli::kExitIo;
-    }
-    opts.journal = &journal;
-  } else if (!resume_path.empty()) {
-    resumed = read_sweep_journal(resume_path, fingerprint);
-    switch (resumed.status) {
-      case JournalStatus::kMissing:
-        std::fprintf(stderr, "resume: no journal at '%s'; running the full "
-                             "sweep\n", resume_path.c_str());
-        journal.open(resume_path, fingerprint, /*fresh=*/true);
-        break;
-      case JournalStatus::kClean:
-        journal.open(resume_path, fingerprint, /*fresh=*/false);
-        break;
-      case JournalStatus::kDroppedTail:
-        // The normal kill-mid-append shape: keep the intact prefix and
-        // rewrite the journal without the partial tail.
-        std::fprintf(stderr, "resume: %s; keeping %zu intact record(s)\n",
-                     resumed.message.c_str(), resumed.records.size());
-        if (journal.open(resume_path, fingerprint, /*fresh=*/true)) {
-          for (const auto& r : resumed.records) journal.append(r);
-        }
-        break;
-      case JournalStatus::kCorrupt:
-      case JournalStatus::kMismatch:
-        // A damaged or foreign journal must never skip work: warn, drop
-        // every record, and re-run the full sweep.
-        std::fprintf(stderr, "resume: journal '%s' unusable (%s: %s); "
-                             "re-running the full sweep\n",
-                     resume_path.c_str(), to_string(resumed.status),
-                     resumed.message.c_str());
-        resumed.records.clear();
-        journal.open(resume_path, fingerprint, /*fresh=*/true);
-        break;
-    }
-    if (!resumed.records.empty()) opts.resume = &resumed.records;
-    if (journal.is_open()) opts.journal = &journal;
-    std::fprintf(stderr, "resume: %zu journaled record(s) reused\n",
-                 resumed.records.size());
-  }
-
-  const auto result = cfg.supervision.enabled
-                          ? runner.supervised_sweep(scenarios, kinds, cfg, opts)
-                          : runner.sweep(scenarios, kinds, cfg);
-
-  std::printf("%-11s %-9s | %18s %18s | %s\n", "scenario", "benchmark",
-              "real(s)", "modulated(s)", "check");
-  for (const auto& c : result.cells) {
-    const Summary r = summarize_elapsed(c.live);
-    const Summary m = summarize_elapsed(c.modulated);
-    std::printf("%-11s %-9s | %18s %18s | %s\n", c.scenario.c_str(),
-                to_string(c.kind), cell(r).c_str(), cell(m).c_str(),
-                check_label(r, m).c_str());
-  }
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    const Summary eth = summarize_elapsed(result.ethernet[k]);
-    std::printf("%-11s %-9s | %18s %18s |\n", "Ethernet",
-                to_string(kinds[k]), cell(eth).c_str(), "-");
-  }
-
-  if (cfg.supervision.enabled) {
-    const SupervisionReport& sup = result.supervision;
-    std::printf("\nsupervision: %llu trial(s) failed, %llu retry attempt(s), "
-                "%llu timed out\n",
-                static_cast<unsigned long long>(sup.trials_failed),
-                static_cast<unsigned long long>(sup.trials_retried),
-                static_cast<unsigned long long>(sup.trials_timed_out));
-    for (const TrialError& e : sup.errors) {
-      std::printf("  %s\n", describe(e).c_str());
-    }
-  }
-
-  bool audit_breach = false;
-  if (cfg.audit.enabled) {
-    std::printf("\n%-25s %-12s | %8s %8s %8s %8s %6s\n", "audit", "verdict",
-                "lat.err", "bw.err", "loss.d", "ks.rtt", "within");
-    std::size_t pass = 0, breach = 0, unauditable = 0;
-    for (const auto& per_scenario : result.audits) {
-      for (const auto& rep : per_scenario) {
-        const auto& s = rep.scores;
-        std::printf("%-25s %-12s | %8.3f %8.3f %8.4f %8.3f %5.0f%%\n",
-                    rep.label.c_str(), audit::to_string(rep.verdict),
-                    s.latency_rel_err, s.bandwidth_rel_err, s.loss_delta,
-                    s.ks_rtt, 100.0 * s.within_tolerance_fraction);
-        for (const std::string& b : rep.breaches) {
-          std::printf("%-25s   breach: %s\n", "", b.c_str());
-        }
-        switch (rep.verdict) {
-          case audit::Verdict::kPass: ++pass; break;
-          case audit::Verdict::kBreach: ++breach; break;
-          case audit::Verdict::kUnauditable: ++unauditable; break;
-        }
-      }
-    }
-    std::printf("audit: %zu pass, %zu breach, %zu unauditable\n", pass,
-                breach, unauditable);
-    audit_breach = breach > 0;
-
-    std::ostringstream out;
-    out << "{\n\"schema\": \"tracemod-fidelity-trajectory-v1\",\n"
-        << "\"tool_version\": \"" << kToolVersion << "\",\n"
-        << "\"reports\": [";
-    bool first = true;
-    for (const auto& per_scenario : result.audits) {
-      for (const auto& rep : per_scenario) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        audit::write_fidelity_json(out, rep);
-      }
-    }
-    out << "\n]\n}\n";
-    if (!sim::io::write_artifact_or_complain(audit_path, out.str())) {
-      return cli::kExitIo;
-    }
-    std::printf("fidelity trajectory: -> %s\n", audit_path.c_str());
-  }
-
-  if (!telemetry_prefix.empty()) {
-    // Merge every trial's snapshot in table order (cells, then Ethernet
-    // baselines) with trial-ordered labels -- the same file regardless of
-    // thread count.
-    std::vector<sim::LabeledTelemetry> snaps;
-    for (const auto& c : result.cells) {
-      const std::string cell_prefix =
-          c.scenario + "/" + to_string(c.kind);
-      for (auto& s : labeled_telemetry(c.live, cell_prefix + "/live"))
-        snaps.push_back(std::move(s));
-      for (auto& s : labeled_telemetry(c.modulated, cell_prefix + "/mod"))
-        snaps.push_back(std::move(s));
-    }
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      for (auto& s : labeled_telemetry(
-               result.ethernet[k],
-               std::string("ethernet/") + to_string(kinds[k])))
-        snaps.push_back(std::move(s));
-    }
-
-    const std::string json_path = telemetry_prefix + ".perfetto.json";
-    const std::string metrics_path = telemetry_prefix + ".metrics.txt";
-    std::ostringstream json;
-    std::ostringstream metrics;
-    sim::write_chrome_trace(json, snaps);
-    sim::write_metrics_text(metrics, snaps);
-    if (!sim::io::write_artifact_or_complain(json_path, json.str()) ||
-        !sim::io::write_artifact_or_complain(metrics_path, metrics.str())) {
-      return cli::kExitIo;
-    }
-    std::printf("\ntelemetry: %zu snapshot(s) -> %s (load in "
-                "ui.perfetto.dev) and %s\n",
-                snaps.size(), json_path.c_str(), metrics_path.c_str());
-  }
-
-  if (!json_path.empty()) {
-    std::ostringstream out;
-    write_sweep_json(out, result, cfg, kinds);
-    if (!sim::io::write_artifact_or_complain(json_path, out.str())) {
-      return cli::kExitIo;
-    }
-    std::printf("\nsweep json: -> %s\n", json_path.c_str());
-  }
-
-  journal.close();
-  if (journal.degraded()) {
-    std::fprintf(stderr,
-                 "warning: sweep journal degraded mid-run (%s); results are "
-                 "complete but this run is not resumable\n",
-                 journal.degraded_reason().c_str());
-  }
-
-  std::printf("\ntotal wall clock: %.2f s\n", seconds_since(t0));
-  // Degraded cells outrank an audit breach: exit 5 says "every cell ran,
-  // but these trials carry error records" (the contract tracemod_cli.hpp
-  // pins as kExitDegraded).  A journal plane that gave up mid-run is the
-  // same grade of outcome: the table is good, the crash-safety is not.
-  const int exit_code = result.supervision.degraded() || journal.degraded()
-                            ? cli::kExitDegraded
-                            : (audit_breach ? cli::kExitAudit : cli::kExitOk);
-  board.finish(exit_code);
-  return exit_code;
+  std::vector<std::string> args = {"sweep"};
+  args.insert(args.end(), argv + 1, argv + argc);
+  return tracemod::cli::run(args);
 }

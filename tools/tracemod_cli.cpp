@@ -66,26 +66,68 @@
 //       built-in scenario; --campus runs the N-host campus and carries
 //       its result digest (profiling never changes virtual time, so the
 //       digest equals an unprofiled run's)
+//   tracemod sweep [--threads N | --serial] [--trials N] [--seed N]
+//                  [--scenarios porter,flagstaff,wean,chatterbox,campus]
+//                  [--benchmarks web,ftp-send,ftp-recv,andrew]
+//                  [--no-compensate] [--supervise] [--retries N]
+//                  [--retry-perturb] [--budget S] [--wall-budget S]
+//                  [--poison SCEN:BENCH:PHASE:TRIAL[:FAILS]]
+//                  [--journal FILE | --resume FILE] [--json FILE]
+//                  [--telemetry PREFIX] [--audit[=FILE]] [--status PREFIX]
+//       run the paper's full evaluation matrix on N threads (the `sweep`
+//       binary is the same command).  Every cell of {benchmark} x
+//       {scenario} runs the paper's procedure: N live trials, N collection
+//       traversals distilled to replay traces, one modulated trial per
+//       trace, plus a bare-Ethernet baseline row per benchmark.  Each
+//       trial is an isolated SimContext seeded as base_seed + trial, so
+//       the results are bit-identical whether the matrix runs on one
+//       thread (--serial) or across all cores; only the wall clock
+//       changes.  Exits 4 when --audit found a fidelity breach, 5 when a
+//       supervised sweep completed with degraded cells (at least one trial
+//       exhausted its retries; the table still prints and the error
+//       records say which trials and seeds failed) or its journal degraded.
+//       Supervision (DESIGN.md section 10; every flag from --supervise to
+//       --resume, and --status, implies --supervise): every trial runs
+//       crash-isolated under a guard, --budget caps virtual time per trial,
+//       --wall-budget abandons trials whose event loop stops making
+//       progress, --retries re-runs a failed trial with the identical
+//       derived seed (--retry-perturb opts into explicitly
+//       non-bit-identical perturbed retry seeds), and --poison injects a
+//       deterministic fault for chaos drills ("-" fields are wildcards;
+//       FAILS bounds how many attempts fail, default all).  --journal FILE
+//       persists each completed cell to a CRC-framed journal as the sweep
+//       runs; after a crash or kill, --resume FILE skips the journaled
+//       cells and re-runs only the rest, with final output byte-identical
+//       to an uninterrupted run of the same config.  A partial trailing
+//       record (the normal kill-mid-append case) is dropped with a
+//       warning, and a corrupt or config-mismatched journal falls back to
+//       a full re-run.  --resume is incompatible with --audit and
+//       --telemetry (neither is journaled).  The observer flags are
+//       documented in observers.hpp.
 #include "tracemod_cli.hpp"
 
 #include <cctype>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "audit/auditor.hpp"
 #include "core/distiller.hpp"
 #include "core/model.hpp"
 #include "core/stream_distiller.hpp"
+#include "flags.hpp"
+#include "observers.hpp"
 #include "scenarios/campus.hpp"
 #include "scenarios/experiment.hpp"
+#include "scenarios/parallel_runner.hpp"
 #include "sim/io/durable.hpp"
 #include "sim/perf/perf.hpp"
 #include "sim/perf/report.hpp"
@@ -95,9 +137,6 @@
 #include "trace/synthetic_corpus.hpp"
 #include "trace/trace_io.hpp"
 #include "version.hpp"
-
-#include <chrono>
-#include <thread>
 
 namespace tracemod::cli {
 
@@ -139,139 +178,78 @@ int usage() {
       "[--seconds N]\n"
       "                [--hosts N] [--cell METERS] [--threads N] "
       "[--stride N] [--top N] [--status PREFIX]\n"
+      "  tracemod sweep [--threads N | --serial] [--trials N] [--seed N]\n"
+      "                 [--scenarios porter,flagstaff,wean,chatterbox,campus]\n"
+      "                 [--benchmarks web,ftp-send,ftp-recv,andrew] "
+      "[--no-compensate]\n"
+      "                 [--supervise] [--retries N] [--retry-perturb] "
+      "[--budget S] [--wall-budget S]\n"
+      "                 [--poison SCEN:BENCH:PHASE:TRIAL[:FAILS]]\n"
+      "                 [--journal FILE | --resume FILE] [--json FILE]\n"
+      "                 [--telemetry PREFIX] [--audit[=FILE]] "
+      "[--status PREFIX]\n"
       "  tracemod status <file.status> [--json] [--follow] [--interval S]\n"
       "  tracemod version\n"
       "(campus and `distill --stream` also accept --status PREFIX: publish "
       "live progress\n to PREFIX.status, readable by `tracemod status` "
-      "while the run executes)\n"
+      "while the run executes;\n every value flag may also be spelled "
+      "--flag=VALUE)\n"
       "exit codes: 0 ok, 1 usage, 2 I/O or format error, "
       "3 damaged-but-salvageable trace, 4 fidelity breach, "
       "5 degraded/incomplete run (6 is bench-only; see README)\n");
   return kExitUsage;
 }
 
-struct FlagSpec {
-  const char* name;
-  bool takes_value;
-};
-
-/// Parsed, validated arguments: positionals in order, flags by name.
-struct Parsed {
-  std::vector<std::string> pos;
-  std::map<std::string, std::string> flags;
-  bool failed = false;
-
-  bool has(const std::string& name) const { return flags.count(name) > 0; }
-
-  bool str(const std::string& name, std::string* out) const {
-    const auto it = flags.find(name);
-    if (it == flags.end()) return false;
-    *out = it->second;
-    return true;
+/// A built-in scenario by its lower-cased name, or null after a
+/// diagnostic.  The synthetic sharded-medium quad ("campus") is selectable
+/// only where `with_campus` is set (sweep), so all_scenarios() -- and the
+/// goldens pinned to it -- stay exactly the paper's four.
+const scenarios::Scenario* find_scenario(const std::string& name,
+                                         bool with_campus) {
+  static const std::vector<scenarios::Scenario> all = [] {
+    std::vector<scenarios::Scenario> v = scenarios::all_scenarios();
+    v.push_back(scenarios::campus_walk());
+    return v;
+  }();
+  for (std::size_t i = 0; i + (with_campus ? 0 : 1) < all.size(); ++i) {
+    std::string lower = all[i].name;
+    for (char& c : lower) c = static_cast<char>(std::tolower(c));
+    if (lower == name) return &all[i];
   }
-};
-
-/// Strict parse: every --flag must be declared, value-taking flags must
-/// have a value, and the positional count must be in [min_pos, max_pos].
-Parsed parse(const char* cmd, const std::vector<std::string>& args,
-             std::initializer_list<FlagSpec> spec, std::size_t min_pos,
-             std::size_t max_pos) {
-  Parsed p;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a.rfind("--", 0) != 0) {
-      p.pos.push_back(a);
-      continue;
-    }
-    const FlagSpec* match = nullptr;
-    for (const FlagSpec& f : spec) {
-      if (a == f.name) match = &f;
-    }
-    if (match == nullptr) {
-      std::fprintf(stderr, "tracemod %s: unknown flag '%s'\n", cmd, a.c_str());
-      p.failed = true;
-      return p;
-    }
-    if (!match->takes_value) {
-      p.flags[a];
-      continue;
-    }
-    if (i + 1 >= args.size()) {
-      std::fprintf(stderr, "tracemod %s: flag '%s' requires a value\n", cmd,
-                   a.c_str());
-      p.failed = true;
-      return p;
-    }
-    p.flags[a] = args[++i];
-  }
-  if (p.pos.size() < min_pos || p.pos.size() > max_pos) {
-    std::fprintf(stderr, "tracemod %s: expected %zu%s argument%s, got %zu\n",
-                 cmd, min_pos, max_pos > min_pos ? "+" : "",
-                 min_pos == 1 && max_pos == 1 ? "" : "s", p.pos.size());
-    p.failed = true;
-  }
-  return p;
+  std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
+  return nullptr;
 }
 
-/// A numeric flag whose value must parse fully as a number.
-bool checked_number(const char* cmd, const Parsed& p, const std::string& name,
-                    double* out, bool* bad) {
-  const auto it = p.flags.find(name);
-  if (it == p.flags.end()) return false;
-  char* end = nullptr;
-  *out = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    std::fprintf(stderr, "tracemod %s: flag '%s' needs a number, got '%s'\n",
-                 cmd, name.c_str(), it->second.c_str());
-    *bad = true;
-    return false;
+/// A benchmark by its to_string() name; false after a diagnostic.
+bool parse_benchmark(const std::string& name,
+                     scenarios::BenchmarkKind* kind) {
+  using scenarios::BenchmarkKind;
+  for (const BenchmarkKind k : {BenchmarkKind::kWeb, BenchmarkKind::kFtpSend,
+                                BenchmarkKind::kFtpRecv,
+                                BenchmarkKind::kAndrew}) {
+    if (name == scenarios::to_string(k)) {
+      *kind = k;
+      return true;
+    }
   }
-  return true;
-}
-
-/// Arms `board` when --status PREFIX was given: snapshots go to
-/// PREFIX.status.  Returns false (after diagnosing) only when the flag was
-/// given but the status file is unwritable -- callers map that to usage,
-/// so a typo'd prefix fails loudly instead of running dark.
-bool arm_status_board(const char* cmd, const Parsed& p, const char* driver,
-                      sim::status::StatusBoard* board) {
-  std::string prefix;
-  if (!p.str("--status", &prefix)) return true;
-  sim::status::StatusBoard::Config cfg;
-  cfg.path = prefix + ".status";
-  cfg.driver = driver;
-  if (!board->configure(std::move(cfg))) {
-    std::fprintf(stderr, "tracemod %s: cannot write status file %s.status\n",
-                 cmd, prefix.c_str());
-    return false;
-  }
-  return true;
+  std::fprintf(stderr, "unknown benchmark '%s'\n", name.c_str());
+  return false;
 }
 
 int cmd_collect(const std::vector<std::string>& args) {
-  const Parsed p = parse("collect", args, {{"--seed", true}}, 2, 2);
+  Parsed p = parse("tracemod collect", args, {{"--seed", true}}, 2, 2);
   if (p.failed) return usage();
-  const scenarios::Scenario* scenario = nullptr;
-  static const auto all = scenarios::all_scenarios();
-  for (const auto& s : all) {
-    std::string lower = s.name;
-    for (char& c : lower) c = static_cast<char>(std::tolower(c));
-    if (lower == p.pos[0]) scenario = &s;
-  }
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "unknown scenario '%s'\n", p.pos[0].c_str());
-    return usage();
-  }
-  double seed = 1;
-  bool bad = false;
-  checked_number("collect", p, "--seed", &seed, &bad);
-  if (bad) return usage();
+  const scenarios::Scenario* scenario = find_scenario(p.pos[0], false);
+  if (scenario == nullptr) return usage();
+  std::uint64_t seed = 1;
+  checked_uint(p, "--seed", &seed);
+  if (p.failed) return usage();
 
-  std::printf("collecting %s (seed %.0f, %.0f s traversal)...\n",
-              scenario->name.c_str(), seed,
+  std::printf("collecting %s (seed %llu, %.0f s traversal)...\n",
+              scenario->name.c_str(), static_cast<unsigned long long>(seed),
               sim::to_seconds(scenario->collection_duration));
-  const trace::CollectedTrace collected = scenarios::collect_raw_trace(
-      *scenario, static_cast<std::uint64_t>(seed));
+  const trace::CollectedTrace collected =
+      scenarios::collect_raw_trace(*scenario, seed);
   trace::save_trace(p.pos[1], collected);
   std::printf("wrote %zu records to %s\n", collected.records.size(),
               p.pos[1].c_str());
@@ -280,26 +258,25 @@ int cmd_collect(const std::vector<std::string>& args) {
 
 /// The streaming-distillation path of cmd_distill: bounded memory,
 /// checkpoints, and the 0/3/5 exit-code contract.
-int cmd_distill_stream(const Parsed& p, const core::DistillConfig& dcfg) {
+int cmd_distill_stream(Parsed& p, const core::DistillConfig& dcfg) {
   core::StreamDistillConfig scfg;
   scfg.distill = dcfg;
   double v = 0;
-  bool bad = false;
-  if (checked_number("distill", p, "--corpus-window", &v, &bad)) {
+  if (checked_number(p, "--corpus-window", &v)) {
     scfg.span = sim::from_seconds(v);
   }
-  if (checked_number("distill", p, "--threads", &v, &bad)) {
-    scfg.threads = static_cast<unsigned>(v);
-  }
-  if (checked_number("distill", p, "--budget-mb", &v, &bad)) {
+  checked_uint(p, "--threads", &scfg.threads);
+  if (checked_number(p, "--budget-mb", &v)) {
     scfg.budget.bytes =
         static_cast<std::uint64_t>(v * 1024.0 * 1024.0);
   }
-  if (bad) return usage();
+  if (p.failed) return usage();
   p.str("--checkpoint", &scfg.checkpoint_path);
   scfg.resume = p.has("--resume");
   sim::status::StatusBoard board;
-  if (!arm_status_board("distill", p, "distill", &board)) return usage();
+  if (const int rc = arm_status(p, "distill", &board); rc != kExitOk) {
+    return rc;
+  }
   if (board.enabled()) scfg.status = &board;
 
   core::StreamDistiller distiller(scfg);
@@ -377,19 +354,19 @@ int cmd_distill_stream(const Parsed& p, const core::DistillConfig& dcfg) {
 }
 
 int cmd_distill(const std::vector<std::string>& args) {
-  const Parsed p = parse("distill", args,
-                         {{"--window", true},
-                          {"--step", true},
-                          {"--salvage", false},
-                          {"--stream", false},
-                          {"--corpus-window", true},
-                          {"--threads", true},
-                          {"--budget-mb", true},
-                          {"--checkpoint", true},
-                          {"--resume", false},
-                          {"--json", true},
-                          {"--status", true}},
-                         2, 2);
+  Parsed p = parse("tracemod distill", args,
+                   {{"--window", true},
+                    {"--step", true},
+                    {"--salvage", false},
+                    {"--stream", false},
+                    {"--corpus-window", true},
+                    {"--threads", true},
+                    {"--budget-mb", true},
+                    {"--checkpoint", true},
+                    {"--resume", false},
+                    {"--json", true},
+                    {"--status", true}},
+                   2, 2);
   if (p.failed) return usage();
   if (p.has("--status") && !p.has("--stream")) {
     std::fprintf(stderr,
@@ -398,17 +375,10 @@ int cmd_distill(const std::vector<std::string>& args) {
     return usage();
   }
   core::DistillConfig cfg;
-  {
-    double v = 0;
-    bool bad = false;
-    if (checked_number("distill", p, "--window", &v, &bad)) {
-      cfg.window = sim::from_seconds(v);
-    }
-    if (checked_number("distill", p, "--step", &v, &bad)) {
-      cfg.step = sim::from_seconds(v);
-    }
-    if (bad) return usage();
-  }
+  double v = 0;
+  if (checked_number(p, "--window", &v)) cfg.window = sim::from_seconds(v);
+  if (checked_number(p, "--step", &v)) cfg.step = sim::from_seconds(v);
+  if (p.failed) return usage();
   if (p.has("--stream")) return cmd_distill_stream(p, cfg);
   trace::TraceReadOptions ropts;
   if (p.has("--salvage")) ropts.mode = trace::ReadMode::kSalvage;
@@ -441,7 +411,7 @@ int cmd_distill(const std::vector<std::string>& args) {
 }
 
 int cmd_info(const std::vector<std::string>& args) {
-  const Parsed p = parse("info", args, {}, 1, 1);
+  const Parsed p = parse("tracemod info", args, {}, 1, 1);
   if (p.failed) return usage();
   // Sniff: binary raw traces start with "TMTR"; replay traces with '#'.
   std::ifstream in(p.pos[0], std::ios::binary);
@@ -491,12 +461,11 @@ int cmd_info(const std::vector<std::string>& args) {
 }
 
 int cmd_synth(const std::vector<std::string>& args) {
-  const Parsed p = parse("synth", args, {{"--seconds", true}}, 2, 2);
+  Parsed p = parse("tracemod synth", args, {{"--seconds", true}}, 2, 2);
   if (p.failed) return usage();
   double seconds = 300;
-  bool bad = false;
-  checked_number("synth", p, "--seconds", &seconds, &bad);
-  if (bad) return usage();
+  checked_number(p, "--seconds", &seconds);
+  if (p.failed) return usage();
   const sim::Duration total = sim::from_seconds(seconds);
   core::ReplayTrace trace;
   if (p.pos[0] == "wavelan") {
@@ -557,7 +526,7 @@ std::uint64_t streamed_record_count(const std::string& path,
 }
 
 int cmd_verify(const std::vector<std::string>& args) {
-  const Parsed p = parse("verify", args, {}, 1, 1);
+  const Parsed p = parse("tracemod verify", args, {}, 1, 1);
   if (p.failed) return usage();
   // Strict pass first: a clean trace needs no salvage.  Both passes
   // stream, so verification of a multi-GB corpus runs in constant memory.
@@ -581,26 +550,26 @@ int cmd_verify(const std::vector<std::string>& args) {
 }
 
 int cmd_corrupt(const std::vector<std::string>& args) {
-  const Parsed p = parse("corrupt", args,
-                         {{"--seed", true},
-                          {"--flips", true},
-                          {"--truncate", false},
-                          {"--drop", true},
-                          {"--dup", true},
-                          {"--range-begin", true},
-                          {"--range-end", true}},
-                         2, 2);
+  Parsed p = parse("tracemod corrupt", args,
+                   {{"--seed", true},
+                    {"--flips", true},
+                    {"--truncate", false},
+                    {"--drop", true},
+                    {"--dup", true},
+                    {"--range-begin", true},
+                    {"--range-end", true}},
+                   2, 2);
   if (p.failed) return usage();
-  double seed = 1, flips = 4, drop = 0, dup = 0;
+  std::uint64_t seed = 1;
+  double flips = 4, drop = 0, dup = 0;
   double range_begin = 0, range_end = 0;
-  bool bad = false;
-  checked_number("corrupt", p, "--seed", &seed, &bad);
-  checked_number("corrupt", p, "--flips", &flips, &bad);
-  checked_number("corrupt", p, "--drop", &drop, &bad);
-  checked_number("corrupt", p, "--dup", &dup, &bad);
-  checked_number("corrupt", p, "--range-begin", &range_begin, &bad);
-  checked_number("corrupt", p, "--range-end", &range_end, &bad);
-  if (bad) return usage();
+  checked_uint(p, "--seed", &seed);
+  checked_number(p, "--flips", &flips);
+  checked_number(p, "--drop", &drop);
+  checked_number(p, "--dup", &dup);
+  checked_number(p, "--range-begin", &range_begin);
+  checked_number(p, "--range-end", &range_end);
+  if (p.failed) return usage();
 
   // Record-level faults ride along a streaming copy: the input is never
   // resident, so a multi-GB corpus corrupts with flat memory.
@@ -612,7 +581,7 @@ int cmd_corrupt(const std::vector<std::string>& args) {
   trace::TraceStreamReader reader(in, {trace::ReadMode::kStrict, nullptr});
   const std::uint64_t expected = reader.report().records_expected;
 
-  trace::FaultInjector injector(sim::Rng(static_cast<std::uint64_t>(seed)));
+  trace::FaultInjector injector{sim::Rng(seed)};
   std::set<std::uint64_t> dropped;
   std::multiset<std::uint64_t> duplicated;
   if (expected > 0) {
@@ -662,31 +631,31 @@ int cmd_corrupt(const std::vector<std::string>& args) {
 
   std::printf(
       "wrote %s: %llu bytes, %llu records, %d byte flips%s, "
-      "%d dropped, %d duplicated (seed %.0f)\n",
+      "%d dropped, %d duplicated (seed %llu)\n",
       p.pos[1].c_str(), static_cast<unsigned long long>(size),
       static_cast<unsigned long long>(written), static_cast<int>(flips),
       p.has("--truncate") ? ", truncated" : "", static_cast<int>(drop),
-      static_cast<int>(dup), seed);
+      static_cast<int>(dup), static_cast<unsigned long long>(seed));
   return kExitOk;
 }
 
 int cmd_gen_corpus(const std::vector<std::string>& args) {
-  const Parsed p = parse("gen-corpus", args,
-                         {{"--seconds", true},
-                          {"--interval", true},
-                          {"--target-mb", true},
-                          {"--loss", true},
-                          {"--seed", true}},
-                         1, 1);
+  Parsed p = parse("tracemod gen-corpus", args,
+                   {{"--seconds", true},
+                    {"--interval", true},
+                    {"--target-mb", true},
+                    {"--loss", true},
+                    {"--seed", true}},
+                   1, 1);
   if (p.failed) return usage();
-  double seconds = 3600, interval = 1.0, target_mb = 0, loss = 0.01, seed = 1;
-  bool bad = false;
-  checked_number("gen-corpus", p, "--seconds", &seconds, &bad);
-  checked_number("gen-corpus", p, "--interval", &interval, &bad);
-  checked_number("gen-corpus", p, "--target-mb", &target_mb, &bad);
-  checked_number("gen-corpus", p, "--loss", &loss, &bad);
-  checked_number("gen-corpus", p, "--seed", &seed, &bad);
-  if (bad) return usage();
+  double seconds = 3600, interval = 1.0, target_mb = 0, loss = 0.01;
+  std::uint64_t seed = 1;
+  checked_number(p, "--seconds", &seconds);
+  checked_number(p, "--interval", &interval);
+  checked_number(p, "--target-mb", &target_mb);
+  checked_number(p, "--loss", &loss);
+  checked_uint(p, "--seed", &seed);
+  if (p.failed) return usage();
   if (seconds <= 0 || interval <= 0 || loss < 0 || loss > 1 ||
       target_mb < 0) {
     std::fprintf(stderr, "tracemod gen-corpus: invalid parameter value\n");
@@ -698,7 +667,7 @@ int cmd_gen_corpus(const std::vector<std::string>& args) {
   spec.group_interval = sim::from_seconds(interval);
   spec.target_bytes = static_cast<std::uint64_t>(target_mb * 1024.0 * 1024.0);
   spec.reply_loss = loss;
-  spec.seed = static_cast<std::uint64_t>(seed);
+  spec.seed = seed;
   const trace::CorpusInfo info = trace::generate_ping_corpus(p.pos[0], spec);
   std::printf(
       "wrote %s: %llu records (%llu probe groups, %llu replies dropped), "
@@ -711,39 +680,36 @@ int cmd_gen_corpus(const std::vector<std::string>& args) {
 }
 
 int cmd_audit(const std::vector<std::string>& args) {
-  const Parsed p = parse("audit", args,
-                         {{"--tick", true},
-                          {"--seed", true},
-                          {"--json", true},
-                          {"--baseline-seconds", true},
-                          {"--max-latency", true},
-                          {"--max-bandwidth", true},
-                          {"--max-loss", true},
-                          {"--max-ks", true},
-                          {"--min-within", true},
-                          {"--min-auditable", true}},
-                         1, 1);
+  Parsed p = parse("tracemod audit", args,
+                   {{"--tick", true},
+                    {"--seed", true},
+                    {"--json", true},
+                    {"--baseline-seconds", true},
+                    {"--max-latency", true},
+                    {"--max-bandwidth", true},
+                    {"--max-loss", true},
+                    {"--max-ks", true},
+                    {"--min-within", true},
+                    {"--min-auditable", true}},
+                   1, 1);
   if (p.failed) return usage();
-  double tick_ms = 10, seed = 1, baseline_s = 30;
-  bool bad = false;
-  checked_number("audit", p, "--tick", &tick_ms, &bad);
-  checked_number("audit", p, "--seed", &seed, &bad);
-  checked_number("audit", p, "--baseline-seconds", &baseline_s, &bad);
+  double tick_ms = 10, baseline_s = 30;
+  checked_number(p, "--tick", &tick_ms);
+  checked_number(p, "--baseline-seconds", &baseline_s);
 
   audit::AuditConfig cfg;
-  cfg.second_order.emulator.seed = static_cast<std::uint64_t>(seed);
+  checked_uint(p, "--seed", &cfg.second_order.emulator.seed);
   cfg.second_order.emulator.modulation.tick =
       sim::from_seconds(tick_ms * 1e-3);
   cfg.baseline_run = sim::from_seconds(baseline_s);
   audit::FidelityThresholds& th = cfg.thresholds;
-  checked_number("audit", p, "--max-latency", &th.max_latency_rel_err, &bad);
-  checked_number("audit", p, "--max-bandwidth", &th.max_bandwidth_rel_err,
-                 &bad);
-  checked_number("audit", p, "--max-loss", &th.max_loss_delta, &bad);
-  checked_number("audit", p, "--max-ks", &th.max_ks_rtt, &bad);
-  checked_number("audit", p, "--min-within", &th.min_within_tolerance, &bad);
-  checked_number("audit", p, "--min-auditable", &th.min_auditable, &bad);
-  if (bad) return usage();
+  checked_number(p, "--max-latency", &th.max_latency_rel_err);
+  checked_number(p, "--max-bandwidth", &th.max_bandwidth_rel_err);
+  checked_number(p, "--max-loss", &th.max_loss_delta);
+  checked_number(p, "--max-ks", &th.max_ks_rtt);
+  checked_number(p, "--min-within", &th.min_within_tolerance);
+  checked_number(p, "--min-auditable", &th.min_auditable);
+  if (p.failed) return usage();
 
   const core::ReplayTrace reference = core::ReplayTrace::load(p.pos[0]);
   const audit::FidelityReport report =
@@ -765,42 +731,22 @@ int cmd_audit(const std::vector<std::string>& args) {
   return report.passed() ? kExitOk : kExitAudit;
 }
 
-/// Parses a --benchmark value; returns false (and prints) on an unknown
-/// kind.  Shared by cmd_report and cmd_perf.
-bool parse_benchmark_kind(const Parsed& p, scenarios::BenchmarkKind* kind) {
-  std::string bm;
-  if (!p.str("--benchmark", &bm)) return true;
-  if (bm == "web") {
-    *kind = scenarios::BenchmarkKind::kWeb;
-  } else if (bm == "ftp-send") {
-    *kind = scenarios::BenchmarkKind::kFtpSend;
-  } else if (bm == "ftp-recv") {
-    *kind = scenarios::BenchmarkKind::kFtpRecv;
-  } else if (bm == "andrew") {
-    *kind = scenarios::BenchmarkKind::kAndrew;
-  } else {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", bm.c_str());
-    return false;
-  }
-  return true;
-}
-
 int cmd_report(const std::vector<std::string>& args) {
-  const Parsed p = parse("report", args,
-                         {{"--replay", true},
-                          {"--benchmark", true},
-                          {"--seed", true},
-                          {"--seconds", true},
-                          {"--audit", false},
-                          {"--perf", false}},
-                         1, 1);
+  Parsed p = parse("tracemod report", args,
+                   {{"--replay", true},
+                    {"--benchmark", true},
+                    {"--seed", true},
+                    {"--seconds", true},
+                    {"--audit", false},
+                    {"--perf", false}},
+                   1, 1);
   if (p.failed) return usage();
   const std::string prefix = p.pos[0];
-  double seed = 1, seconds = 120;
-  bool bad = false;
-  checked_number("report", p, "--seed", &seed, &bad);
-  checked_number("report", p, "--seconds", &seconds, &bad);
-  if (bad) return usage();
+  std::uint64_t seed = 1;
+  double seconds = 120;
+  checked_uint(p, "--seed", &seed);
+  checked_number(p, "--seconds", &seconds);
+  if (p.failed) return usage();
 
   core::ReplayTrace trace;
   std::string replay_path;
@@ -811,7 +757,10 @@ int cmd_report(const std::vector<std::string>& args) {
   }
 
   scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
-  if (!parse_benchmark_kind(p, &kind)) return usage();
+  std::string bm;
+  if (p.str("--benchmark", &bm) && !parse_benchmark(bm, &kind)) {
+    return usage();
+  }
 
   sim::TelemetryConfig tcfg;
   tcfg.enabled = true;
@@ -824,8 +773,7 @@ int cmd_report(const std::vector<std::string>& args) {
     std::optional<sim::perf::PerfSession> session;
     if (p.has("--perf")) session.emplace(profiler);
     outcome = scenarios::run_modulated_benchmark(
-        trace, kind, static_cast<std::uint64_t>(seed), sim::milliseconds(10),
-        0.0, tcfg);
+        trace, kind, seed, sim::milliseconds(10), 0.0, tcfg);
   }
   if (outcome.telemetry == nullptr) {
     std::fprintf(stderr, "telemetry capture failed\n");
@@ -845,7 +793,7 @@ int cmd_report(const std::vector<std::string>& args) {
   audit::FidelityReport fidelity;
   if (p.has("--audit")) {
     audit::AuditConfig acfg;
-    acfg.second_order.emulator.seed = static_cast<std::uint64_t>(seed) + 1700;
+    acfg.second_order.emulator.seed = seed + 1700;
     fidelity = audit::audit_trace(trace, acfg, prefix);
     audit_snap = std::make_shared<sim::TelemetrySnapshot>(
         audit::telemetry_snapshot(fidelity));
@@ -896,41 +844,39 @@ int cmd_report(const std::vector<std::string>& args) {
 }
 
 int cmd_campus(const std::vector<std::string>& args) {
-  const Parsed p = parse("campus", args,
-                         {{"--hosts", true},
-                          {"--cell", true},
-                          {"--threads", true},
-                          {"--seconds", true},
-                          {"--seed", true},
-                          {"--wall-budget", true},
-                          {"--json", true},
-                          {"--status", true}},
-                         0, 0);
+  Parsed p = parse("tracemod campus", args,
+                   {{"--hosts", true},
+                    {"--cell", true},
+                    {"--threads", true},
+                    {"--seconds", true},
+                    {"--seed", true},
+                    {"--wall-budget", true},
+                    {"--json", true},
+                    {"--status", true}},
+                   0, 0);
   if (p.failed) return usage();
-  double hosts = 1000, cell = 130.0, threads = 0, seconds = 30, seed = 42,
-         wall_budget = 0;
-  bool bad = false;
-  checked_number("campus", p, "--hosts", &hosts, &bad);
-  checked_number("campus", p, "--cell", &cell, &bad);
-  checked_number("campus", p, "--threads", &threads, &bad);
-  checked_number("campus", p, "--seconds", &seconds, &bad);
-  checked_number("campus", p, "--seed", &seed, &bad);
-  checked_number("campus", p, "--wall-budget", &wall_budget, &bad);
-  if (bad) return usage();
-  if (hosts < 1 || seconds <= 0 || threads < 0 || wall_budget < 0) {
+  double hosts = 1000, cell = 130.0, seconds = 30, wall_budget = 0;
+  scenarios::CampusConfig cfg;
+  checked_number(p, "--hosts", &hosts);
+  checked_number(p, "--cell", &cell);
+  checked_uint(p, "--threads", &cfg.threads);
+  checked_number(p, "--seconds", &seconds);
+  checked_uint(p, "--seed", &cfg.seed);
+  checked_number(p, "--wall-budget", &wall_budget);
+  if (p.failed) return usage();
+  if (hosts < 1 || seconds <= 0 || wall_budget < 0) {
     std::fprintf(stderr, "tracemod campus: invalid parameter value\n");
     return usage();
   }
 
-  scenarios::CampusConfig cfg;
   cfg.hosts = static_cast<std::size_t>(hosts);
   cfg.cell_size_m = cell;
-  cfg.threads = static_cast<unsigned>(threads);
   cfg.horizon = sim::from_seconds(seconds);
-  cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.watchdog.wall_budget_s = wall_budget;
   sim::status::StatusBoard board;
-  if (!arm_status_board("campus", p, "campus", &board)) return usage();
+  if (const int rc = arm_status(p, "campus", &board); rc != kExitOk) {
+    return rc;
+  }
   if (board.enabled()) cfg.watchdog.status = &board;
 
   const scenarios::CampusResult r = scenarios::run_campus(cfg);
@@ -986,33 +932,33 @@ int cmd_campus(const std::vector<std::string>& args) {
 }
 
 int cmd_perf(const std::vector<std::string>& args) {
-  const Parsed p = parse("perf", args,
-                         {{"--pipeline", true},
-                          {"--campus", false},
-                          {"--replay", true},
-                          {"--benchmark", true},
-                          {"--seed", true},
-                          {"--seconds", true},
-                          {"--hosts", true},
-                          {"--cell", true},
-                          {"--threads", true},
-                          {"--stride", true},
-                          {"--top", true},
-                          {"--status", true}},
-                         1, 1);
+  Parsed p = parse("tracemod perf", args,
+                   {{"--pipeline", true},
+                    {"--campus", false},
+                    {"--replay", true},
+                    {"--benchmark", true},
+                    {"--seed", true},
+                    {"--seconds", true},
+                    {"--hosts", true},
+                    {"--cell", true},
+                    {"--threads", true},
+                    {"--stride", true},
+                    {"--top", true},
+                    {"--status", true}},
+                   1, 1);
   if (p.failed) return usage();
   const std::string prefix = p.pos[0];
-  double seed = 1, seconds = 0, hosts = 1000, cell = 130.0, threads = 0,
-         stride = 1, top = 10;
-  bool bad = false;
-  checked_number("perf", p, "--seed", &seed, &bad);
-  checked_number("perf", p, "--seconds", &seconds, &bad);
-  checked_number("perf", p, "--hosts", &hosts, &bad);
-  checked_number("perf", p, "--cell", &cell, &bad);
-  checked_number("perf", p, "--threads", &threads, &bad);
-  checked_number("perf", p, "--stride", &stride, &bad);
-  checked_number("perf", p, "--top", &top, &bad);
-  if (bad) return usage();
+  std::uint64_t seed = 1;
+  unsigned threads = 0;
+  double seconds = 0, hosts = 1000, cell = 130.0, stride = 1, top = 10;
+  checked_uint(p, "--seed", &seed);
+  checked_number(p, "--seconds", &seconds);
+  checked_number(p, "--hosts", &hosts);
+  checked_number(p, "--cell", &cell);
+  checked_uint(p, "--threads", &threads);
+  checked_number(p, "--stride", &stride);
+  checked_number(p, "--top", &top);
+  if (p.failed) return usage();
   if (p.has("--campus") && p.has("--pipeline")) {
     std::fprintf(stderr,
                  "tracemod perf: --campus and --pipeline are exclusive\n");
@@ -1022,13 +968,24 @@ int cmd_perf(const std::vector<std::string>& args) {
     std::fprintf(stderr, "tracemod perf: invalid parameter value\n");
     return usage();
   }
+  std::string name;
+  const scenarios::Scenario* scenario = nullptr;
+  if (p.str("--pipeline", &name)) {
+    scenario = find_scenario(name, false);
+    if (scenario == nullptr) return usage();
+  }
+  scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
+  std::string bm;
+  if (p.str("--benchmark", &bm) && !parse_benchmark(bm, &kind)) {
+    return usage();
+  }
 
   sim::perf::PerfConfig pcfg;
   pcfg.sampling_stride = static_cast<std::uint32_t>(stride);
   sim::perf::PerfProfiler profiler(pcfg);
 
   sim::status::StatusBoard board;
-  if (!arm_status_board("perf", p, "perf", &board)) return usage();
+  if (const int rc = arm_status(p, "perf", &board); rc != kExitOk) return rc;
   scenarios::WatchdogConfig perf_watchdog;
   if (board.enabled()) perf_watchdog.status = &board;
 
@@ -1041,12 +998,12 @@ int cmd_perf(const std::vector<std::string>& args) {
     scenarios::CampusConfig cfg;
     cfg.hosts = static_cast<std::size_t>(hosts);
     cfg.cell_size_m = cell;
-    cfg.threads = static_cast<unsigned>(threads);
+    cfg.threads = threads;
     cfg.horizon = sim::from_seconds(seconds > 0 ? seconds : 30);
     // Match cmd_campus's default seed so `tracemod perf --campus` and
     // `tracemod campus` produce the same digest out of the box (the
     // virtual-time-identity check in CI diffs exactly that).
-    cfg.seed = p.has("--seed") ? static_cast<std::uint64_t>(seed) : 42;
+    if (p.has("--seed")) cfg.seed = seed;
     cfg.watchdog = perf_watchdog;
     scenarios::CampusResult r;
     {
@@ -1062,35 +1019,20 @@ int cmd_perf(const std::vector<std::string>& args) {
     extra = std::string("\"digest\": \"") + digest + "\"";
     std::printf("campus: %zu hosts, %s after %.1f virtual s, digest %s\n",
                 r.hosts, scenarios::to_string(r.status), r.virtual_s, digest);
-  } else if (p.has("--pipeline")) {
-    std::string name;
-    p.str("--pipeline", &name);
-    const scenarios::Scenario* scenario = nullptr;
-    static const auto all = scenarios::all_scenarios();
-    for (const auto& s : all) {
-      std::string lower = s.name;
-      for (char& c : lower) c = static_cast<char>(std::tolower(c));
-      if (lower == name) scenario = &s;
-    }
-    if (scenario == nullptr) {
-      std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
-      return usage();
-    }
-    scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
-    if (!parse_benchmark_kind(p, &kind)) return usage();
+  } else if (scenario != nullptr) {
     scenarios::BenchmarkOutcome outcome;
     {
       sim::perf::PerfSession session(profiler);
       board.set_phase("collect");
-      const trace::CollectedTrace collected = scenarios::collect_raw_trace(
-          *scenario, static_cast<std::uint64_t>(seed));
+      const trace::CollectedTrace collected =
+          scenarios::collect_raw_trace(*scenario, seed);
       board.set_phase("distill");
       core::Distiller distiller(core::DistillConfig{});
       const core::ReplayTrace replay = distiller.distill(collected);
       board.set_phase("modulated");
       outcome = scenarios::run_modulated_benchmark(
-          replay, kind, static_cast<std::uint64_t>(seed),
-          sim::milliseconds(10), 0.0, {}, sim::seconds(7200), perf_watchdog);
+          replay, kind, seed, sim::milliseconds(10), 0.0, {},
+          sim::seconds(7200), perf_watchdog);
     }
     workload = "pipeline-" + name + "-" + scenarios::to_string(kind);
     sim_s = sim::to_seconds(scenario->collection_duration) +
@@ -1108,15 +1050,13 @@ int cmd_perf(const std::vector<std::string>& args) {
       trace = core::ReplayTrace::wavelan_like(
           sim::from_seconds(seconds > 0 ? seconds : 120));
     }
-    scenarios::BenchmarkKind kind = scenarios::BenchmarkKind::kFtpRecv;
-    if (!parse_benchmark_kind(p, &kind)) return usage();
     scenarios::BenchmarkOutcome outcome;
     {
       sim::perf::PerfSession session(profiler);
       board.set_phase("modulated");
       outcome = scenarios::run_modulated_benchmark(
-          trace, kind, static_cast<std::uint64_t>(seed),
-          sim::milliseconds(10), 0.0, {}, sim::seconds(7200), perf_watchdog);
+          trace, kind, seed, sim::milliseconds(10), 0.0, {},
+          sim::seconds(7200), perf_watchdog);
     }
     workload = std::string("benchmark-") + scenarios::to_string(kind);
     sim_s = outcome.elapsed_s;
@@ -1164,6 +1104,269 @@ int cmd_perf(const std::vector<std::string>& args) {
   return exit_code;
 }
 
+/// "wean:web:live:0" or "wean:web:live:0:2"; "-" fields are wildcards.
+bool parse_poison(const std::string& spec,
+                  scenarios::InjectedTrialFault* out) {
+  const std::vector<std::string> parts = split(spec, ':');
+  if (parts.size() < 4 || parts.size() > 5) return false;
+  scenarios::InjectedTrialFault f;
+  if (parts[0] != "-") f.scenario = parts[0];
+  if (parts[1] != "-") f.benchmark = parts[1];
+  if (parts[2] != "-") {
+    if (parts[2] != "live" && parts[2] != "collect" &&
+        parts[2] != "modulated" && parts[2] != "ethernet" &&
+        parts[2] != "audit") {
+      return false;
+    }
+    f.phase = parts[2];
+  }
+  constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+  std::uint64_t v = 0;
+  if (parts[3] != "-") {
+    if (!parse_uint(parts[3], kMaxInt, &v)) return false;
+    f.trial = static_cast<int>(v);
+  }
+  if (parts.size() == 5) {
+    if (!parse_uint(parts[4], kMaxInt, &v) || v == 0) return false;
+    f.fail_attempts = static_cast<int>(v);
+  }
+  *out = f;
+  return true;
+}
+
+int cmd_sweep(const std::vector<std::string>& args) {
+  using namespace scenarios;
+  Parsed p = parse("tracemod sweep", args,
+                   Observers::declare({{"--threads", true},
+                                       {"--serial", false},
+                                       {"--trials", true},
+                                       {"--seed", true},
+                                       {"--scenarios", true},
+                                       {"--benchmarks", true},
+                                       {"--no-compensate", false},
+                                       {"--supervise", false},
+                                       {"--retries", true},
+                                       {"--retry-perturb", false},
+                                       {"--budget", true},
+                                       {"--wall-budget", true},
+                                       {"--poison", true},
+                                       {"--journal", true},
+                                       {"--resume", true},
+                                       {"--json", true}}),
+                   0, 0);
+  if (p.failed) return usage();
+  ExperimentConfig cfg;
+  SupervisionConfig& sup = cfg.supervision;
+  unsigned threads = 0;  // 0 = hardware concurrency
+  double budget_s = 0;
+  checked_uint(p, "--threads", &threads);
+  checked_uint(p, "--trials", &cfg.trials);
+  checked_uint(p, "--seed", &cfg.base_seed);
+  checked_uint(p, "--retries", &sup.max_retries);
+  if (checked_number(p, "--budget", &budget_s)) {
+    sup.virtual_budget = sim::from_seconds(budget_s);
+  }
+  checked_number(p, "--wall-budget", &sup.wall_budget_s);
+  if (p.failed || cfg.trials == 0) return usage();
+  if (p.has("--serial")) threads = 1;
+  cfg.compensate = !p.has("--no-compensate");
+  sup.perturb_retry_seed = p.has("--retry-perturb");
+  // Every supervision flag implies --supervise, and so does --status:
+  // per-trial progress accounting lives in the supervised path.
+  for (const char* flag : {"--supervise", "--retries", "--retry-perturb",
+                           "--budget", "--wall-budget", "--poison",
+                           "--journal", "--resume", "--status"}) {
+    if (p.has(flag)) sup.enabled = true;
+  }
+  if (const auto it = p.flags.find("--poison"); it != p.flags.end()) {
+    for (const std::string& spec : it->second) {
+      InjectedTrialFault fault;
+      if (!parse_poison(spec, &fault)) {
+        std::fprintf(stderr, "tracemod sweep: bad --poison spec '%s'\n",
+                     spec.c_str());
+        return usage();
+      }
+      sup.inject.push_back(fault);
+    }
+  }
+
+  std::vector<Scenario> scens = all_scenarios();
+  std::string list;
+  if (p.str("--scenarios", &list)) {
+    scens.clear();
+    for (const std::string& name : split(list, ',')) {
+      const Scenario* s = find_scenario(name, /*with_campus=*/true);
+      if (s == nullptr) return usage();
+      scens.push_back(*s);
+    }
+  }
+  std::vector<BenchmarkKind> kinds = {
+      BenchmarkKind::kWeb, BenchmarkKind::kFtpRecv, BenchmarkKind::kAndrew};
+  if (p.str("--benchmarks", &list)) {
+    kinds.clear();
+    for (const std::string& name : split(list, ',')) {
+      kinds.emplace_back();
+      if (!parse_benchmark(name, &kinds.back())) return usage();
+    }
+  }
+  std::string journal_path, resume_path, json_path;
+  p.str("--journal", &journal_path);
+  p.str("--resume", &resume_path);
+  p.str("--json", &json_path);
+  if (!journal_path.empty() && !resume_path.empty()) {
+    std::fprintf(stderr, "--journal and --resume are mutually exclusive "
+                         "(--resume keeps journaling to its own file)\n");
+    return usage();
+  }
+  if (!resume_path.empty() && (p.has("--audit") || p.has("--telemetry"))) {
+    std::fprintf(stderr, "--resume is incompatible with --audit and "
+                         "--telemetry (neither is journaled)\n");
+    return usage();
+  }
+
+  Observers obs;
+  if (const int rc = obs.arm(p, "sweep", &cfg); rc != kExitOk) return rc;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  if (cfg.compensate) {
+    cfg.compensation_vb = measure_compensation_vb();
+    std::printf("measured physical network Vb: %.3f us/byte\n",
+                cfg.compensation_vb * 1e6);
+  }
+
+  ParallelRunner runner(threads);
+  std::printf("sweep: %zu scenario(s) x %zu benchmark(s) x %d trial(s) on "
+              "%u thread(s)\n\n",
+              scens.size(), kinds.size(), cfg.trials,
+              runner.thread_count());
+
+  // Journal / resume plumbing.  Resume-specific notices go to stderr so a
+  // resumed run's stdout stays byte-comparable to an uninterrupted one.
+  SweepJournalWriter journal;
+  JournalReadResult resumed;
+  SupervisedSweepOptions opts;
+  const std::uint32_t fingerprint = sweep_fingerprint(cfg);
+  if (!journal_path.empty()) {
+    if (!journal.open(journal_path, fingerprint, /*fresh=*/true)) {
+      std::fprintf(stderr, "cannot write sweep journal '%s'\n",
+                   journal_path.c_str());
+      return kExitIo;
+    }
+    opts.journal = &journal;
+  } else if (!resume_path.empty()) {
+    resumed = read_sweep_journal(resume_path, fingerprint);
+    switch (resumed.status) {
+      case JournalStatus::kMissing:
+        std::fprintf(stderr, "resume: no journal at '%s'; running the full "
+                             "sweep\n", resume_path.c_str());
+        journal.open(resume_path, fingerprint, /*fresh=*/true);
+        break;
+      case JournalStatus::kClean:
+        journal.open(resume_path, fingerprint, /*fresh=*/false);
+        break;
+      case JournalStatus::kDroppedTail:
+        // The normal kill-mid-append shape: keep the intact prefix and
+        // rewrite the journal without the partial tail.
+        std::fprintf(stderr, "resume: %s; keeping %zu intact record(s)\n",
+                     resumed.message.c_str(), resumed.records.size());
+        if (journal.open(resume_path, fingerprint, /*fresh=*/true)) {
+          for (const auto& r : resumed.records) journal.append(r);
+        }
+        break;
+      case JournalStatus::kCorrupt:
+      case JournalStatus::kMismatch:
+        // A damaged or foreign journal must never skip work: warn, drop
+        // every record, and re-run the full sweep.
+        std::fprintf(stderr, "resume: journal '%s' unusable (%s: %s); "
+                             "re-running the full sweep\n",
+                     resume_path.c_str(), to_string(resumed.status),
+                     resumed.message.c_str());
+        resumed.records.clear();
+        journal.open(resume_path, fingerprint, /*fresh=*/true);
+        break;
+    }
+    if (!resumed.records.empty()) opts.resume = &resumed.records;
+    if (journal.is_open()) opts.journal = &journal;
+    std::fprintf(stderr, "resume: %zu journaled record(s) reused\n",
+                 resumed.records.size());
+  }
+
+  const auto result = sup.enabled
+                          ? runner.supervised_sweep(scens, kinds, cfg, opts)
+                          : runner.sweep(scens, kinds, cfg);
+
+  // Telemetry merges in table order (cells, then Ethernet baselines) with
+  // trial-ordered labels -- the same files regardless of thread count.
+  std::printf("%-11s %-9s | %18s %18s | %s\n", "scenario", "benchmark",
+              "real(s)", "modulated(s)", "check");
+  for (const auto& c : result.cells) {
+    const Summary r = summarize_elapsed(c.live);
+    const Summary m = summarize_elapsed(c.modulated);
+    std::printf("%-11s %-9s | %18s %18s | %s\n", c.scenario.c_str(),
+                to_string(c.kind), cell(r).c_str(), cell(m).c_str(),
+                check_label(r, m).c_str());
+    const std::string label = c.scenario + "/" + to_string(c.kind);
+    obs.add_telemetry(c.live, label + "/live");
+    obs.add_telemetry(c.modulated, label + "/mod");
+  }
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    const Summary eth = summarize_elapsed(result.ethernet[k]);
+    std::printf("%-11s %-9s | %18s %18s |\n", "Ethernet",
+                to_string(kinds[k]), cell(eth).c_str(), "-");
+    obs.add_telemetry(result.ethernet[k],
+                      std::string("ethernet/") + to_string(kinds[k]));
+  }
+
+  if (sup.enabled) {
+    const SupervisionReport& report = result.supervision;
+    std::printf("\nsupervision: %llu trial(s) failed, %llu retry attempt(s), "
+                "%llu timed out\n",
+                static_cast<unsigned long long>(report.trials_failed),
+                static_cast<unsigned long long>(report.trials_retried),
+                static_cast<unsigned long long>(report.trials_timed_out));
+    for (const TrialError& e : report.errors) {
+      std::printf("  %s\n", describe(e).c_str());
+    }
+  }
+
+  for (const auto& per_scenario : result.audits) {
+    obs.add_audits(per_scenario, "");
+  }
+  const int observed = obs.write_exports();
+  if (observed == kExitIo) return kExitIo;
+
+  if (!json_path.empty()) {
+    std::ostringstream out;
+    write_sweep_json(out, result, cfg, kinds);
+    if (!sim::io::write_artifact_or_complain(json_path, out.str())) {
+      return kExitIo;
+    }
+    std::printf("\nsweep json: -> %s\n", json_path.c_str());
+  }
+
+  journal.close();
+  if (journal.degraded()) {
+    std::fprintf(stderr,
+                 "warning: sweep journal degraded mid-run (%s); results are "
+                 "complete but this run is not resumable\n",
+                 journal.degraded_reason().c_str());
+  }
+
+  std::printf("\ntotal wall clock: %.2f s\n",
+              std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+  // Degraded cells outrank an audit breach: exit 5 says "every cell ran,
+  // but these trials carry error records" (the contract tracemod_cli.hpp
+  // pins as kExitDegraded).  A journal plane that gave up mid-run is the
+  // same grade of outcome: the table is good, the crash-safety is not.
+  const int exit_code = result.supervision.degraded() || journal.degraded()
+                            ? kExitDegraded
+                            : observed;
+  obs.status().finish(exit_code);
+  return exit_code;
+}
+
 void print_status_human(const sim::status::StatusSnapshot& s) {
   std::printf("%s", s.driver.c_str());
   if (!s.phase.empty()) std::printf(" [%s]", s.phase.c_str());
@@ -1207,14 +1410,13 @@ void print_status_human(const sim::status::StatusSnapshot& s) {
 }
 
 int cmd_status(const std::vector<std::string>& args) {
-  const Parsed p = parse(
-      "status", args,
-      {{"--json", false}, {"--follow", false}, {"--interval", true}}, 1, 1);
+  Parsed p = parse(
+"status", args,
+{{"--json", false}, {"--follow", false}, {"--interval", true}}, 1, 1);
   if (p.failed) return usage();
   double interval = 0.5;
-  bool bad = false;
-  checked_number("status", p, "--interval", &interval, &bad);
-  if (bad || interval <= 0) return usage();
+  checked_number(p, "--interval", &interval);
+  if (p.failed || interval <= 0) return usage();
   const bool as_json = p.has("--json");
   const bool follow = p.has("--follow");
 
@@ -1250,7 +1452,7 @@ int cmd_status(const std::vector<std::string>& args) {
 }
 
 int cmd_version(const std::vector<std::string>& args) {
-  const Parsed p = parse("version", args, {}, 0, 0);
+  const Parsed p = parse("tracemod version", args, {}, 0, 0);
   if (p.failed) return usage();
   std::printf("tracemod %s (%s build)\n", kToolVersion, build_type());
   std::printf(
@@ -1281,6 +1483,7 @@ int run(const std::vector<std::string>& args) {
     if (cmd == "campus") return cmd_campus(rest);
     if (cmd == "perf") return cmd_perf(rest);
     if (cmd == "status") return cmd_status(rest);
+    if (cmd == "sweep") return cmd_sweep(rest);
     if (cmd == "version" || cmd == "--version") return cmd_version(rest);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -7,9 +7,10 @@
 //   - I/O and trace-format failures return kExitIo;
 //   - `verify` returns kExitSalvage for damaged-but-salvageable traces;
 //   - `audit` returns kExitAudit when the fidelity verdict is breach or
-//     unauditable;
+//     unauditable; `sweep --audit` (and the fig benches' --audit) only
+//     when an audit breached;
 //   - kExitDegraded is returned by supervised sweeps that completed with
-//     degraded cells (tools/sweep.cpp: every cell ran, but at least one
+//     degraded cells (`tracemod sweep`: every cell ran, but at least one
 //     trial exhausted its retries and carries a TrialError record), by
 //     runs whose journal/checkpoint plane degraded after a write failure
 //     (the results are complete but no longer resumable; DESIGN.md
