@@ -7,7 +7,8 @@
 // modulated means is within the sum of their standard deviations.
 #include "observers.hpp"
 #include "report.hpp"
-#include "scenarios/parallel_runner.hpp"
+#include "scenarios/experiment.hpp"
+#include "sim/task_pool.hpp"
 
 #include "build_guard.hpp"
 
@@ -41,34 +42,29 @@ int main(int argc, char** argv) {
   if (armed != cli::kExitOk) return armed;
   bench::heading("Figure 6: Elapsed Times for World Wide Web Benchmark",
                  "mean (stddev) seconds over 4 trials");
-  sim::status::StatusBoard& status = obs.status();
-  status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
-  ParallelRunner runner;
   bench::rowf("%-11s | %18s %18s | %18s %18s | %s", "scenario", "real(s)",
               "modulated(s)", "paper real", "paper mod", "check");
 
-  for (const Scenario& s : all_scenarios()) {
-    status.set_phase(s.name);
-    const auto c = runner.experiment(s, BenchmarkKind::kWeb, cfg);
-    status.add_units_done();
-    obs.add_telemetry(c.live, s.name + "/live");
-    obs.add_telemetry(c.modulated, s.name + "/mod");
-    obs.add_audits(c.audits, s.name);
+  sim::TaskPool pool;
+  const SweepResult sweep =
+      run_sweep(&pool, all_scenarios(), {BenchmarkKind::kWeb}, cfg);
+  for (const CellResult& c : sweep.cells) {
+    obs.add_telemetry(c.live, c.scenario + "/live");
+    obs.add_telemetry(c.modulated, c.scenario + "/mod");
     const Summary r = summarize_elapsed(c.live);
     const Summary m = summarize_elapsed(c.modulated);
     const PaperRow* p = nullptr;
     for (const auto& row : kPaper) {
-      if (s.name == row.scenario) p = &row;
+      if (c.scenario == row.scenario) p = &row;
     }
     bench::rowf("%-11s | %18s %18s | %9.2f (%5.2f) %9.2f (%5.2f) | %s",
-                s.name.c_str(), cell(r).c_str(), cell(m).c_str(),
+                c.scenario.c_str(), cell(r).c_str(), cell(m).c_str(),
                 p->real_mean, p->real_sd, p->mod_mean, p->mod_sd,
                 check_label(r, m).c_str());
   }
-  status.set_phase("ethernet");
-  const auto eth_trials = runner.ethernet_trials(BenchmarkKind::kWeb, cfg);
-  status.add_units_done();
+  for (const auto& reports : sweep.audits) obs.add_audits(reports, "");
+  const std::vector<BenchmarkOutcome>& eth_trials = sweep.ethernet[0];
   obs.add_telemetry(eth_trials, "ethernet");
   const Summary eth = summarize_elapsed(eth_trials);
   bench::rowf("%-11s | %18s %18s | %9.2f (%5.2f) %18s |", "Ethernet",
@@ -77,6 +73,6 @@ int main(int argc, char** argv) {
       "\nExpected shape: all four scenarios within error; every wireless\n"
       "scenario slower than Ethernet; Chatterbox the most variable.");
   const int rc = obs.write_exports();
-  status.finish(rc);
+  obs.status().finish(rc);
   return rc;
 }

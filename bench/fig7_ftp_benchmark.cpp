@@ -7,7 +7,8 @@
 // receive land near the mean of the two real directions.
 #include "observers.hpp"
 #include "report.hpp"
-#include "scenarios/parallel_runner.hpp"
+#include "scenarios/experiment.hpp"
+#include "sim/task_pool.hpp"
 
 #include "build_guard.hpp"
 
@@ -40,49 +41,39 @@ int main(int argc, char** argv) {
   if (armed != cli::kExitOk) return armed;
   bench::heading("Figure 7: Elapsed Times for FTP Benchmark",
                  "10 MB disk-to-disk; mean (stddev) seconds over 4 trials");
-  sim::status::StatusBoard& status = obs.status();
-  status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
-  ParallelRunner runner;
   bench::rowf("%-11s %-5s | %16s %16s | %16s %16s | %s", "scenario", "dir",
               "real(s)", "modulated(s)", "paper real", "paper mod", "check");
 
-  for (const Scenario& s : all_scenarios()) {
-    status.set_phase(s.name);
-    const auto traces = runner.replay_traces(s, cfg);
-    // Traces are shared by both FTP directions; audit each trace once.
-    if (cfg.audit.enabled) {
-      obs.add_audits(runner.trace_audits(traces, cfg), s.name);
-    }
+  // Cells come scenario-major, send before recv; both directions share
+  // their scenario's traces, so each trace is audited once.
+  sim::TaskPool pool;
+  const SweepResult sweep =
+      run_sweep(&pool, all_scenarios(),
+                {BenchmarkKind::kFtpSend, BenchmarkKind::kFtpRecv}, cfg);
+  for (const CellResult& c : sweep.cells) {
+    const bool send = c.kind == BenchmarkKind::kFtpSend;
+    const std::string dir = send ? "send" : "recv";
     const PaperRow* p = nullptr;
     for (const auto& row : kPaper) {
-      if (s.name == row.scenario) p = &row;
+      if (c.scenario == row.scenario) p = &row;
     }
-    for (const bool send : {true, false}) {
-      const BenchmarkKind kind =
-          send ? BenchmarkKind::kFtpSend : BenchmarkKind::kFtpRecv;
-      const std::string dir = send ? "send" : "recv";
-      const auto live = runner.live_trials(s, kind, cfg);
-      const auto modulated = runner.modulated_trials(traces, kind, cfg);
-      obs.add_telemetry(live, s.name + "/" + dir + "/live");
-      obs.add_telemetry(modulated, s.name + "/" + dir + "/mod");
-      const Summary r = summarize_elapsed(live);
-      const Summary m = summarize_elapsed(modulated);
-      bench::rowf("%-11s %-5s | %16s %16s | %7.2f (%6.2f) %7.2f (%6.2f) | %s",
-                  s.name.c_str(), send ? "send" : "recv", cell(r).c_str(),
-                  cell(m).c_str(), send ? p->send_mean : p->recv_mean,
-                  send ? p->send_sd : p->recv_sd,
-                  send ? p->msend_mean : p->mrecv_mean,
-                  send ? p->msend_sd : p->mrecv_sd,
-                  check_label(r, m).c_str());
-    }
-    status.add_units_done();
+    obs.add_telemetry(c.live, c.scenario + "/" + dir + "/live");
+    obs.add_telemetry(c.modulated, c.scenario + "/" + dir + "/mod");
+    const Summary r = summarize_elapsed(c.live);
+    const Summary m = summarize_elapsed(c.modulated);
+    bench::rowf("%-11s %-5s | %16s %16s | %7.2f (%6.2f) %7.2f (%6.2f) | %s",
+                c.scenario.c_str(), dir.c_str(), cell(r).c_str(),
+                cell(m).c_str(), send ? p->send_mean : p->recv_mean,
+                send ? p->send_sd : p->recv_sd,
+                send ? p->msend_mean : p->mrecv_mean,
+                send ? p->msend_sd : p->mrecv_sd,
+                check_label(r, m).c_str());
   }
-  status.set_phase("ethernet");
+  for (const auto& reports : sweep.audits) obs.add_audits(reports, "");
   for (const bool send : {true, false}) {
-    const BenchmarkKind kind =
-        send ? BenchmarkKind::kFtpSend : BenchmarkKind::kFtpRecv;
-    const auto eth_trials = runner.ethernet_trials(kind, cfg);
+    const std::vector<BenchmarkOutcome>& eth_trials =
+        sweep.ethernet[send ? 0 : 1];
     obs.add_telemetry(eth_trials,
                       std::string("ethernet/") + (send ? "send" : "recv"));
     const Summary eth = summarize_elapsed(eth_trials);
@@ -90,12 +81,11 @@ int main(int argc, char** argv) {
                 send ? "send" : "recv", cell(eth).c_str(), "-",
                 send ? 20.50 : 18.83, send ? 0.08 : 0.17, "-");
   }
-  status.add_units_done();
   bench::rowf(
       "\nExpected shape: real send > real recv (asymmetric WaveLAN);\n"
       "modulated send ~ modulated recv, both near the mean of the real\n"
       "directions (the symmetry assumption, Section 5.3); Ethernet ~ 20 s.");
   const int rc = obs.write_exports();
-  status.finish(rc);
+  obs.status().finish(rc);
   return rc;
 }

@@ -9,7 +9,8 @@
 
 #include "observers.hpp"
 #include "report.hpp"
-#include "scenarios/parallel_runner.hpp"
+#include "scenarios/experiment.hpp"
+#include "sim/task_pool.hpp"
 
 #include "build_guard.hpp"
 
@@ -69,28 +70,24 @@ int main(int argc, char** argv) {
   if (armed != cli::kExitOk) return armed;
   bench::heading("Figure 8: Elapsed Times for Andrew Benchmark Phases",
                  "mean (stddev) seconds over 4 trials; NFS over UDP");
-  sim::status::StatusBoard& status = obs.status();
-  status.set_units("scenarios", static_cast<double>(all_scenarios().size() + 1));
   cfg.compensation_vb = measure_compensation_vb();
-  ParallelRunner runner;
   bench::rowf("%-11s %-5s %13s %15s %15s %15s %16s %16s", "scenario", "",
               "MakeDir(s)", "Copy(s)", "ScanDir(s)", "ReadAll(s)", "Make(s)",
               "Total(s)");
 
-  for (const Scenario& s : all_scenarios()) {
-    status.set_phase(s.name);
-    const auto c = runner.experiment(s, BenchmarkKind::kAndrew, cfg);
-    status.add_units_done();
-    obs.add_telemetry(c.live, s.name + "/live");
-    obs.add_telemetry(c.modulated, s.name + "/mod");
-    obs.add_audits(c.audits, s.name);
+  sim::TaskPool pool;
+  const SweepResult sweep =
+      run_sweep(&pool, all_scenarios(), {BenchmarkKind::kAndrew}, cfg);
+  for (const CellResult& c : sweep.cells) {
+    obs.add_telemetry(c.live, c.scenario + "/live");
+    obs.add_telemetry(c.modulated, c.scenario + "/mod");
     const PhaseSummary rp = summarize_phases(c.live);
     const PhaseSummary mp = summarize_phases(c.modulated);
-    print_row(s.name.c_str(), "Real", rp);
+    print_row(c.scenario.c_str(), "Real", rp);
     print_row("", "Mod.", mp);
     const PaperTotals* p = nullptr;
     for (const auto& row : kPaper) {
-      if (s.name == row.scenario) p = &row;
+      if (c.scenario == row.scenario) p = &row;
     }
     bench::rowf("%-11s paper totals: real %.2f (%.2f), mod %.2f (%.2f); "
                 "ours: %s  [scan/read under-delay: %s]",
@@ -101,9 +98,8 @@ int main(int argc, char** argv) {
                     ? "yes"
                     : "no");
   }
-  status.set_phase("ethernet");
-  const auto eth_trials = runner.ethernet_trials(BenchmarkKind::kAndrew, cfg);
-  status.add_units_done();
+  for (const auto& reports : sweep.audits) obs.add_audits(reports, "");
+  const std::vector<BenchmarkOutcome>& eth_trials = sweep.ethernet[0];
   obs.add_telemetry(eth_trials, "ethernet");
   const PhaseSummary eth = summarize_phases(eth_trials);
   print_row("Ethernet", "Real", eth);
@@ -115,6 +111,6 @@ int main(int argc, char** argv) {
       "Flagstaff diverges (modulated < real) because short NFS messages\n"
       "fall below the 10 ms scheduling threshold (Section 5.4).");
   const int rc = obs.write_exports();
-  status.finish(rc);
+  obs.status().finish(rc);
   return rc;
 }

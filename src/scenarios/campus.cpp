@@ -160,7 +160,7 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
   }
 
   if (cfg_.threads > 0) {
-    pool_ = std::make_unique<TaskPool>(cfg_.threads);
+    pool_ = std::make_unique<sim::TaskPool>(cfg_.threads);
     channel_->set_parallel_for(
         [this](std::size_t n, const std::function<void(std::size_t)>& body) {
           std::vector<std::function<void()>> tasks;

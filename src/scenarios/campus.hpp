@@ -29,9 +29,9 @@
 
 #include "net/ethernet.hpp"
 #include "scenarios/benchmarks.hpp"
-#include "scenarios/parallel_runner.hpp"
 #include "scenarios/scenario.hpp"
 #include "sim/sim_context.hpp"
+#include "sim/task_pool.hpp"
 #include "wireless/wavelan_device.hpp"
 #include "wireless/wavepoint.hpp"
 
@@ -132,7 +132,7 @@ class CampusWorld {
   std::vector<sim::Duration> app_offsets_;  // per-host first-tick jitter
   std::vector<std::uint64_t> tx_counts_;
   std::vector<std::uint64_t> rx_counts_;
-  std::unique_ptr<TaskPool> pool_;
+  std::unique_ptr<sim::TaskPool> pool_;
   bool done_ = false;
 };
 

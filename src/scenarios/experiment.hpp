@@ -63,8 +63,8 @@ double measure_compensation_vb();
 // Each trial builds a fresh world in its own SimContext from a seed derived
 // as base_seed + fixed-offset + trial, so a trial's outcome depends only on
 // the config -- never on which thread runs it or what ran before.  The
-// batch drivers below and the parallel engine (parallel_runner.hpp) both
-// fan out over these.
+// serial batch drivers below and the sweep engine (run_sweep in
+// supervisor.hpp) both fan out over these.
 
 /// One live benchmark trial on the wireless testbed (seed base_seed + t).
 BenchmarkOutcome run_live_trial(const Scenario& scenario, BenchmarkKind kind,

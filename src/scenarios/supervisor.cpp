@@ -10,12 +10,12 @@
 #include <utility>
 
 #include "scenarios/experiment.hpp"
-#include "scenarios/parallel_runner.hpp"
 #include "sim/crc32c.hpp"
 #include "sim/io/codec.hpp"
 #include "sim/json.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
+#include "sim/task_pool.hpp"
 #include "version.hpp"
 
 namespace tracemod::scenarios {
@@ -100,7 +100,7 @@ bool outcome_wall_stuck(const T&) { return false; }
 bool outcome_wall_stuck(const BenchmarkOutcome& o) { return o.wall_stuck; }
 
 /// The shared guard path: runs one trial phase with crash isolation and the
-/// bounded retry policy.  Serial and parallel engines both funnel through
+/// bounded retry policy.  Serial and parallel sweeps both funnel through
 /// here, which is what keeps their error records identical.
 template <typename T, typename Fn>
 Guarded<T> run_guarded_impl(const ExperimentConfig& cfg,
@@ -174,7 +174,7 @@ Guarded<T> run_guarded_impl(const ExperimentConfig& cfg,
   return g;
 }
 
-/// run_guarded_impl plus status accounting.  Serial and parallel engines
+/// run_guarded_impl plus status accounting.  Serial and parallel sweeps
 /// both funnel through here, so the status board sees identical counter
 /// streams from either; with status off this is one never-taken branch.
 template <typename T, typename Fn>
@@ -510,11 +510,13 @@ void SweepJournalWriter::close() {
   if (writer_.is_open()) (void)writer_.close();
 }
 
-// --- supervised sweep driver ------------------------------------------------
+// --- the sweep engine -------------------------------------------------------
 
 namespace {
 
-void run_tasks(TaskPool* pool, std::vector<std::function<void()>> tasks) {
+using Tasks = std::vector<std::function<void()>>;
+
+void run_tasks(sim::TaskPool* pool, Tasks tasks) {
   if (pool != nullptr) {
     pool->run_all(std::move(tasks));
   } else {
@@ -536,77 +538,6 @@ const JournalCellRecord* find_record(
   return nullptr;
 }
 
-struct RowTraces {
-  std::vector<Guarded<core::ReplayTrace>> traces;
-  std::vector<TrialError> errors;
-  std::uint64_t retried = 0;
-  bool collected = false;  ///< ran this session (vs. resumed/skipped)
-};
-
-/// Collects one scenario's replay traces under the guard (n parallel
-/// traversals), accumulating the row's collect errors in trial order.
-RowTraces collect_row(TaskPool* pool, const Scenario& scenario,
-                      const ExperimentConfig& cfg) {
-  const auto n = static_cast<std::size_t>(cfg.trials);
-  RowTraces row;
-  row.traces.resize(n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    tasks.push_back([&, t] {
-      row.traces[t] = guarded_replay_trace(scenario, cfg, static_cast<int>(t));
-    });
-  }
-  run_tasks(pool, std::move(tasks));
-  for (const auto& g : row.traces) {
-    if (g.error) row.errors.push_back(*g.error);
-    row.retried += static_cast<std::uint64_t>(g.retries);
-  }
-  row.collected = true;
-  return row;
-}
-
-/// Runs one cell's live + modulated trials (2n tasks, all independent
-/// worlds) against already-collected traces.  A trial whose trace failed to
-/// collect is skipped: its outcome stays default (completed == false) and
-/// the collect error already records the root cause.
-void run_cell_trials(TaskPool* pool, const Scenario& scenario,
-                     BenchmarkKind kind, const ExperimentConfig& cfg,
-                     const RowTraces& row, CellResult& cell) {
-  const auto n = static_cast<std::size_t>(cfg.trials);
-  cell.live.resize(n);
-  cell.modulated.resize(n);
-  std::vector<Guarded<BenchmarkOutcome>> live_g(n), mod_g(n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(2 * n);
-  for (std::size_t t = 0; t < n; ++t) {
-    tasks.push_back([&, t] {
-      live_g[t] = guarded_live_trial(scenario, kind, cfg, static_cast<int>(t));
-    });
-    if (!row.traces[t].error) {
-      tasks.push_back([&, t] {
-        mod_g[t] = guarded_modulated_trial(row.traces[t].value, kind, cfg,
-                                           static_cast<int>(t));
-      });
-    }
-  }
-  run_tasks(pool, std::move(tasks));
-  cell.traces.resize(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    cell.live[t] = std::move(live_g[t].value);
-    cell.modulated[t] = std::move(mod_g[t].value);
-    cell.traces[t] = row.traces[t].value;
-    cell.trials_retried += static_cast<std::uint64_t>(live_g[t].retries) +
-                           static_cast<std::uint64_t>(mod_g[t].retries);
-  }
-  for (const auto& g : live_g) {
-    if (g.error) cell.errors.push_back(*g.error);
-  }
-  for (const auto& g : mod_g) {
-    if (g.error) cell.errors.push_back(*g.error);
-  }
-}
-
 void restore_cell(const JournalCellRecord& rec, CellResult& cell) {
   cell.live = rec.live;
   cell.modulated = rec.modulated;
@@ -615,216 +546,336 @@ void restore_cell(const JournalCellRecord& rec, CellResult& cell) {
   cell.resumed = true;
 }
 
-}  // namespace
-
-SweepResult run_supervised_sweep(TaskPool* pool,
-                                 const std::vector<Scenario>& scenarios,
-                                 const std::vector<BenchmarkKind>& kinds,
-                                 const ExperimentConfig& cfg,
-                                 const SupervisedSweepOptions& opts) {
-  SweepResult result;
-  const auto n = static_cast<std::size_t>(cfg.trials);
-  const std::size_t ns = scenarios.size();
-  const std::size_t nk = kinds.size();
-  result.cells.resize(ns * nk);
-  result.ethernet.assign(nk, {});
-  if (cfg.audit.enabled) result.audits.assign(ns, {});
-  SupervisionReport& report = result.supervision;
-
-  // Status totals mirror the resume logic below exactly, so a resumed
-  // sweep's board counts only the work it will actually redo.
-  sim::status::StatusBoard* board =
-      cfg.status != nullptr && cfg.status->enabled() ? cfg.status : nullptr;
-  if (board != nullptr) {
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      bool missing = cfg.audit.enabled;
-      for (std::size_t k = 0; k < nk; ++k) {
-        if (find_record(opts.resume, false, false, scenarios[s].name,
-                        kinds[k]) == nullptr) {
-          missing = true;
-          total += 2 * n;  // live + modulated trials of the cell
-        }
-      }
-      if (missing) total += n;                 // collection traversals
-      if (cfg.audit.enabled) total += n;       // per-trace audits
-    }
-    for (std::size_t k = 0; k < nk; ++k) {
-      if (find_record(opts.resume, true, false, "", kinds[k]) == nullptr) {
-        total += n;                            // ethernet baseline trials
-      }
-    }
-    board->set_units("trials", static_cast<double>(total));
-    board->publish_now();
+/// Moves guarded values into `out` in trial order, appending their errors
+/// and retry attempts.
+template <typename T>
+void fold(std::vector<Guarded<T>>& guarded, std::vector<T>& out,
+          std::vector<TrialError>& errors, std::uint64_t& retried) {
+  out.resize(guarded.size());
+  for (std::size_t t = 0; t < guarded.size(); ++t) {
+    out[t] = std::move(guarded[t].value);
+    retried += static_cast<std::uint64_t>(guarded[t].retries);
+    if (guarded[t].error) errors.push_back(*guarded[t].error);
   }
-
-  for (std::size_t s = 0; s < ns; ++s) {
-    const Scenario& scenario = scenarios[s];
-    bool row_missing = false;
-    for (std::size_t k = 0; k < nk; ++k) {
-      if (find_record(opts.resume, false, false, scenario.name, kinds[k]) ==
-          nullptr) {
-        row_missing = true;
-      }
-    }
-    // Audits ride on freshly collected traces, so auditing forces a
-    // collection even for fully resumed rows (the sweep tool rejects
-    // resume + audit; this keeps the library deterministic regardless).
-    if (cfg.audit.enabled) row_missing = true;
-
-    RowTraces row;
-    row.traces.resize(n);
-    if (row_missing) {
-      if (board != nullptr) board->set_phase("collect:" + scenario.name);
-      row = collect_row(pool, scenario, cfg);
-      if (opts.journal != nullptr) {
-        JournalCellRecord rec;
-        rec.collect = true;
-        rec.scenario = scenario.name;
-        rec.errors = row.errors;
-        rec.trials_retried = row.retried;
-        opts.journal->append(rec);
-      }
-    } else if (const JournalCellRecord* rec = find_record(
-                   opts.resume, false, true, scenario.name, kinds.front())) {
-      // Fully resumed row: reuse the journaled collection accounting so
-      // the supervision summary matches the uninterrupted run.
-      row.errors = rec->errors;
-      row.retried = rec->trials_retried;
-    }
-    report.errors.insert(report.errors.end(), row.errors.begin(),
-                         row.errors.end());
-    report.trials_retried += row.retried;
-
-    for (std::size_t k = 0; k < nk; ++k) {
-      CellResult& cell = result.cells[s * nk + k];
-      cell.scenario = scenario.name;
-      cell.kind = kinds[k];
-      if (const JournalCellRecord* rec = find_record(
-              opts.resume, false, false, scenario.name, kinds[k])) {
-        restore_cell(*rec, cell);
-      } else {
-        if (board != nullptr) {
-          board->set_phase("bench:" + scenario.name + "/" +
-                           to_string(kinds[k]));
-        }
-        run_cell_trials(pool, scenario, kinds[k], cfg, row, cell);
-        if (opts.journal != nullptr) {
-          JournalCellRecord rec;
-          rec.scenario = cell.scenario;
-          rec.kind = cell.kind;
-          rec.live = cell.live;
-          rec.modulated = cell.modulated;
-          rec.errors = cell.errors;
-          rec.trials_retried = cell.trials_retried;
-          opts.journal->append(rec);
-        }
-      }
-      report.errors.insert(report.errors.end(), cell.errors.begin(),
-                           cell.errors.end());
-      report.trials_retried += cell.trials_retried;
-    }
-
-    if (cfg.audit.enabled) {
-      if (board != nullptr) board->set_phase("audit:" + scenario.name);
-      result.audits[s].resize(n);
-      std::vector<Guarded<audit::FidelityReport>> audit_g(n);
-      std::vector<std::function<void()>> tasks;
-      for (std::size_t t = 0; t < n; ++t) {
-        // A skipped audit (errored trace) is still accounted so a finished
-        // sweep reports units_done == units_total.
-        if (row.traces[t].error) {
-          if (board != nullptr) board->add_units_done(1);
-          continue;
-        }
-        tasks.push_back([&, t] {
-          audit_g[t] = guarded_trace_audit(
-              row.traces[t].value, cfg, static_cast<int>(t),
-              scenario.name + "/trial" + std::to_string(t));
-        });
-      }
-      run_tasks(pool, std::move(tasks));
-      for (std::size_t t = 0; t < n; ++t) {
-        result.audits[s][t] = std::move(audit_g[t].value);
-        report.trials_retried += static_cast<std::uint64_t>(audit_g[t].retries);
-        if (audit_g[t].error) report.errors.push_back(*audit_g[t].error);
-      }
-    }
-  }
-
-  if (board != nullptr) board->set_phase("ethernet");
-  for (std::size_t k = 0; k < nk; ++k) {
-    if (const JournalCellRecord* rec =
-            find_record(opts.resume, true, false, "", kinds[k])) {
-      result.ethernet[k] = rec->live;
-      report.errors.insert(report.errors.end(), rec->errors.begin(),
-                           rec->errors.end());
-      report.trials_retried += rec->trials_retried;
-      continue;
-    }
-    std::vector<Guarded<BenchmarkOutcome>> eth_g(n);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t t = 0; t < n; ++t) {
-      tasks.push_back([&, t] {
-        eth_g[t] = guarded_ethernet_trial(kinds[k], cfg, static_cast<int>(t));
-      });
-    }
-    run_tasks(pool, std::move(tasks));
-    JournalCellRecord rec;
-    rec.ethernet = true;
-    rec.kind = kinds[k];
-    result.ethernet[k].resize(n);
-    for (std::size_t t = 0; t < n; ++t) {
-      result.ethernet[k][t] = std::move(eth_g[t].value);
-      rec.trials_retried += static_cast<std::uint64_t>(eth_g[t].retries);
-      if (eth_g[t].error) rec.errors.push_back(*eth_g[t].error);
-    }
-    rec.live = result.ethernet[k];
-    report.errors.insert(report.errors.end(), rec.errors.begin(),
-                         rec.errors.end());
-    report.trials_retried += rec.trials_retried;
-    if (opts.journal != nullptr) opts.journal->append(rec);
-  }
-
-  report.trials_failed = report.errors.size();
-  tally_timed_out_trials(result);
-  if (board != nullptr) board->publish_now();
-  return result;
 }
 
-CellResult run_supervised_experiment(TaskPool* pool, const Scenario& scenario,
-                                     BenchmarkKind kind,
-                                     const ExperimentConfig& cfg) {
-  RowTraces row = collect_row(pool, scenario, cfg);
-  CellResult cell;
-  cell.scenario = scenario.name;
-  cell.kind = kind;
-  // Collection failures lead the cell's error list (root causes first).
-  cell.errors = row.errors;
-  cell.trials_retried = row.retried;
-  run_cell_trials(pool, scenario, kind, cfg, row, cell);
-  if (cfg.audit.enabled) {
-    const auto n = static_cast<std::size_t>(cfg.trials);
-    cell.audits.resize(n);
-    std::vector<Guarded<audit::FidelityReport>> audit_g(n);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (row.traces[t].error) continue;
-      tasks.push_back([&, t] {
-        audit_g[t] =
-            guarded_trace_audit(row.traces[t].value, cfg, static_cast<int>(t),
-                                "trial" + std::to_string(t));
-      });
-    }
-    run_tasks(pool, std::move(tasks));
-    for (std::size_t t = 0; t < n; ++t) {
-      cell.audits[t] = std::move(audit_g[t].value);
-      cell.trials_retried += static_cast<std::uint64_t>(audit_g[t].retries);
-      if (audit_g[t].error) cell.errors.push_back(*audit_g[t].error);
+/// One run of the trial matrix.  Every task writes only its own guarded
+/// slot, and the finish_* steps fold the slots into the result in matrix
+/// order, so neither the pool nor the batch plan can reorder a result, an
+/// error record or a journal record.
+class Sweep {
+ public:
+  Sweep(const std::vector<Scenario>& scenarios,
+        const std::vector<BenchmarkKind>& kinds, const ExperimentConfig& cfg,
+        const SweepOptions& opts);
+  // Pool tasks hold `this`.
+  Sweep(const Sweep&) = delete;
+  Sweep& operator=(const Sweep&) = delete;
+
+  SweepResult run(sim::TaskPool* pool);
+
+ private:
+  std::size_t cell(std::size_t s, std::size_t k) const { return s * nk_ + k; }
+  void count_units() const;
+  std::string rows(const char* half, std::size_t lo, std::size_t hi) const;
+  void phase_one(std::size_t s, Tasks& tasks);
+  void phase_two(std::size_t s, Tasks& tasks);
+  void ethernet(Tasks& tasks);
+  void finish_collect(std::size_t s);
+  void finish_row(std::size_t s);
+  void finish_ethernet();
+  void skip_unit() const {
+    if (board_ != nullptr) board_->add_units_done(1);
+  }
+  void journal(const JournalCellRecord& rec) const {
+    if (opts_.journal != nullptr) opts_.journal->append(rec);
+  }
+  void tally(const std::vector<TrialError>& errors, std::uint64_t retried) {
+    SupervisionReport& report = result_.supervision;
+    report.errors.insert(report.errors.end(), errors.begin(), errors.end());
+    report.trials_retried += retried;
+  }
+
+  const std::vector<Scenario>& scenarios_;
+  const std::vector<BenchmarkKind>& kinds_;
+  const ExperimentConfig& cfg_;
+  const SweepOptions& opts_;
+  const std::size_t n_;
+  const std::size_t nk_;
+  sim::status::StatusBoard* const board_;
+  /// Journal records that stand in for a cell / an Ethernet row.
+  std::vector<const JournalCellRecord*> cell_rec_;
+  std::vector<const JournalCellRecord*> eth_rec_;
+  /// Rows whose traversals this run performs: every row with a cell to run.
+  /// Audits ride on freshly collected traces, so auditing forces a
+  /// collection even for fully resumed rows (the sweep tool rejects resume
+  /// + audit; this keeps the library deterministic regardless).
+  std::vector<bool> collect_;
+  /// Per row: the collection's errors and retries as journaled.
+  std::vector<JournalCellRecord> collected_;
+  /// Guarded slots: traces_ and audits_ per [row][trial], live_ and mod_
+  /// per [cell][trial], eth_ per [kind][trial].
+  std::vector<std::vector<Guarded<core::ReplayTrace>>> traces_;
+  std::vector<std::vector<Guarded<audit::FidelityReport>>> audits_;
+  std::vector<std::vector<Guarded<BenchmarkOutcome>>> live_, mod_, eth_;
+  SweepResult result_;
+};
+
+Sweep::Sweep(const std::vector<Scenario>& scenarios,
+             const std::vector<BenchmarkKind>& kinds,
+             const ExperimentConfig& cfg, const SweepOptions& opts)
+    : scenarios_(scenarios),
+      kinds_(kinds),
+      cfg_(cfg),
+      opts_(opts),
+      n_(static_cast<std::size_t>(cfg.trials)),
+      nk_(kinds.size()),
+      board_(cfg.status != nullptr && cfg.status->enabled() ? cfg.status
+                                                            : nullptr),
+      cell_rec_(scenarios.size() * kinds.size()),
+      eth_rec_(kinds.size()),
+      collect_(scenarios.size(), cfg.audit.enabled),
+      collected_(scenarios.size()),
+      traces_(scenarios.size()),
+      audits_(scenarios.size()),
+      live_(scenarios.size() * kinds.size()),
+      mod_(scenarios.size() * kinds.size()),
+      eth_(kinds.size()) {
+  for (std::size_t s = 0; s < scenarios_.size(); ++s) {
+    for (std::size_t k = 0; k < nk_; ++k) {
+      cell_rec_[cell(s, k)] = find_record(opts_.resume, false, false,
+                                          scenarios_[s].name, kinds_[k]);
+      if (cell_rec_[cell(s, k)] == nullptr) collect_[s] = true;
     }
   }
-  return cell;
+  for (std::size_t k = 0; k < nk_; ++k) {
+    eth_rec_[k] = find_record(opts_.resume, true, false, "", kinds_[k]);
+  }
+  result_.cells.resize(scenarios_.size() * nk_);
+  result_.ethernet.assign(nk_, {});
+  if (cfg_.audit.enabled) result_.audits.assign(scenarios_.size(), {});
+}
+
+// Status totals mirror the resume logic exactly, so a resumed sweep's board
+// counts only the work it will actually redo.
+void Sweep::count_units() const {
+  if (board_ == nullptr) return;
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < scenarios_.size(); ++s) {
+    if (collect_[s]) total += n_;         // collection traversals
+    if (cfg_.audit.enabled) total += n_;  // per-trace audits
+    for (std::size_t k = 0; k < nk_; ++k) {
+      if (cell_rec_[cell(s, k)] == nullptr) total += 2 * n_;  // live + mod
+    }
+  }
+  for (std::size_t k = 0; k < nk_; ++k) {
+    if (eth_rec_[k] == nullptr) total += n_;  // ethernet baseline trials
+  }
+  board_->set_units("trials", static_cast<double>(total));
+  board_->publish_now();
+}
+
+/// "live:Wean" or "live:Wean..Chatterbox": one half of a batch's rows.
+std::string Sweep::rows(const char* half, std::size_t lo,
+                        std::size_t hi) const {
+  std::string label = std::string(half) + ":" + scenarios_[lo].name;
+  if (hi - lo > 1) label += ".." + scenarios_[hi - 1].name;
+  return label;
+}
+
+void Sweep::phase_one(std::size_t s, Tasks& tasks) {
+  const Scenario& scenario = scenarios_[s];
+  if (collect_[s]) {
+    traces_[s].resize(n_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      tasks.push_back([this, &scenario, s, t] {
+        traces_[s][t] =
+            guarded_replay_trace(scenario, cfg_, static_cast<int>(t));
+      });
+    }
+  }
+  for (std::size_t k = 0; k < nk_; ++k) {
+    const std::size_t c = cell(s, k);
+    if (cell_rec_[c] != nullptr) continue;
+    live_[c].resize(n_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      tasks.push_back([this, &scenario, c, k, t] {
+        live_[c][t] = guarded_live_trial(scenario, kinds_[k], cfg_,
+                                         static_cast<int>(t));
+      });
+    }
+  }
+}
+
+// A trial whose trace failed to collect is skipped: its outcome stays
+// default (completed == false) and the collect error already records the
+// root cause.  Skipped trials still count as done units, so a finished
+// sweep reports units_done == units_total.
+void Sweep::phase_two(std::size_t s, Tasks& tasks) {
+  for (std::size_t k = 0; k < nk_; ++k) {
+    const std::size_t c = cell(s, k);
+    if (cell_rec_[c] != nullptr) continue;
+    mod_[c].resize(n_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      if (traces_[s][t].error) {
+        skip_unit();
+        continue;
+      }
+      tasks.push_back([this, s, c, k, t] {
+        mod_[c][t] = guarded_modulated_trial(traces_[s][t].value, kinds_[k],
+                                             cfg_, static_cast<int>(t));
+      });
+    }
+  }
+  if (!cfg_.audit.enabled) return;
+  audits_[s].resize(n_);
+  for (std::size_t t = 0; t < n_; ++t) {
+    if (traces_[s][t].error) {
+      skip_unit();
+      continue;
+    }
+    tasks.push_back([this, s, t] {
+      audits_[s][t] = guarded_trace_audit(
+          traces_[s][t].value, cfg_, static_cast<int>(t),
+          scenarios_[s].name + "/trial" + std::to_string(t));
+    });
+  }
+}
+
+void Sweep::ethernet(Tasks& tasks) {
+  for (std::size_t k = 0; k < nk_; ++k) {
+    if (eth_rec_[k] != nullptr) continue;
+    eth_[k].resize(n_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      tasks.push_back([this, k, t] {
+        eth_[k][t] =
+            guarded_ethernet_trial(kinds_[k], cfg_, static_cast<int>(t));
+      });
+    }
+  }
+}
+
+void Sweep::finish_collect(std::size_t s) {
+  if (!collect_[s]) return;
+  JournalCellRecord& rec = collected_[s];
+  rec.collect = true;
+  rec.scenario = scenarios_[s].name;
+  for (const auto& g : traces_[s]) {
+    if (g.error) rec.errors.push_back(*g.error);
+    rec.trials_retried += static_cast<std::uint64_t>(g.retries);
+  }
+  journal(rec);
+}
+
+// Folds one row in the order SupervisionReport::errors promises: the
+// collection, then each cell's live and modulated trials, then the audits.
+void Sweep::finish_row(std::size_t s) {
+  const Scenario& scenario = scenarios_[s];
+  // A fully resumed row reuses its journaled collection accounting, so the
+  // supervision summary matches the uninterrupted run.
+  if (const JournalCellRecord* rec =
+          collect_[s] ? &collected_[s]
+                      : find_record(opts_.resume, false, true, scenario.name,
+                                    BenchmarkKind{})) {
+    tally(rec->errors, rec->trials_retried);
+  }
+
+  for (std::size_t k = 0; k < nk_; ++k) {
+    const std::size_t c = cell(s, k);
+    CellResult& cell = result_.cells[c];
+    cell.scenario = scenario.name;
+    cell.kind = kinds_[k];
+    if (cell_rec_[c] != nullptr) {
+      restore_cell(*cell_rec_[c], cell);
+    } else {
+      fold(live_[c], cell.live, cell.errors, cell.trials_retried);
+      fold(mod_[c], cell.modulated, cell.errors, cell.trials_retried);
+      cell.traces.resize(n_);
+      for (std::size_t t = 0; t < n_; ++t) {
+        cell.traces[t] = traces_[s][t].value;
+      }
+      JournalCellRecord rec;
+      rec.scenario = cell.scenario;
+      rec.kind = cell.kind;
+      rec.live = cell.live;
+      rec.modulated = cell.modulated;
+      rec.errors = cell.errors;
+      rec.trials_retried = cell.trials_retried;
+      journal(rec);
+    }
+    tally(cell.errors, cell.trials_retried);
+  }
+
+  if (cfg_.audit.enabled) {
+    fold(audits_[s], result_.audits[s], result_.supervision.errors,
+         result_.supervision.trials_retried);
+  }
+}
+
+void Sweep::finish_ethernet() {
+  for (std::size_t k = 0; k < nk_; ++k) {
+    JournalCellRecord rec;
+    if (eth_rec_[k] != nullptr) {
+      rec = *eth_rec_[k];
+    } else {
+      rec.ethernet = true;
+      rec.kind = kinds_[k];
+      fold(eth_[k], rec.live, rec.errors, rec.trials_retried);
+      journal(rec);
+    }
+    result_.ethernet[k] = rec.live;
+    tally(rec.errors, rec.trials_retried);
+  }
+}
+
+SweepResult Sweep::run(sim::TaskPool* pool) {
+  count_units();
+  // The batch plan (supervisor.hpp).  A journal makes every row a group, so
+  // each finished row is journaled before the next batch starts; without
+  // one the whole matrix is a single group, which keeps the pool full.
+  const std::size_t ns = scenarios_.size();
+  const std::size_t group =
+      opts_.journal != nullptr ? 1 : std::max<std::size_t>(ns, 1);
+  const std::size_t groups = (ns + group - 1) / group;
+  auto lo = [&](std::size_t g) { return g * group; };
+  auto hi = [&](std::size_t g) { return std::min(ns, (g + 1) * group); };
+  for (std::size_t b = 0; b <= groups; ++b) {
+    Tasks tasks;
+    std::string phase;
+    if (b > 0) {
+      for (std::size_t s = lo(b - 1); s < hi(b - 1); ++s) phase_two(s, tasks);
+      phase = rows("modulated", lo(b - 1), hi(b - 1));
+    }
+    if (b < groups) {
+      for (std::size_t s = lo(b); s < hi(b); ++s) phase_one(s, tasks);
+      phase += (phase.empty() ? "" : " ") + rows("live", lo(b), hi(b));
+    }
+    if (b == 0) ethernet(tasks);
+    if (board_ != nullptr) board_->set_phase(phase);
+    run_tasks(pool, std::move(tasks));
+    if (b > 0) {
+      for (std::size_t s = lo(b - 1); s < hi(b - 1); ++s) finish_row(s);
+    }
+    if (b < groups) {
+      for (std::size_t s = lo(b); s < hi(b); ++s) finish_collect(s);
+    }
+  }
+  // Ethernet rows ran in the first batch but fold (and journal) last, where
+  // the error order and the journal's record order put them.
+  finish_ethernet();
+  result_.supervision.trials_failed = result_.supervision.errors.size();
+  tally_timed_out_trials(result_);
+  if (board_ != nullptr) board_->publish_now();
+  return std::move(result_);
+}
+
+}  // namespace
+
+SweepResult run_sweep(sim::TaskPool* pool,
+                      const std::vector<Scenario>& scenarios,
+                      const std::vector<BenchmarkKind>& kinds,
+                      const ExperimentConfig& cfg, const SweepOptions& opts) {
+  return Sweep(scenarios, kinds, cfg, opts).run(pool);
 }
 
 // --- sweep JSON -------------------------------------------------------------

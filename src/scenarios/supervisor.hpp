@@ -41,7 +41,6 @@ class TaskPool;  // sim/task_pool.hpp
 namespace tracemod::scenarios {
 
 struct ExperimentConfig;  // experiment.hpp (which includes this header)
-using sim::TaskPool;
 
 // --- error taxonomy ---------------------------------------------------------
 
@@ -183,7 +182,7 @@ Guarded<audit::FidelityReport> guarded_trace_audit(
     const core::ReplayTrace& trace, const ExperimentConfig& cfg, int trial,
     const std::string& label);
 
-// --- result containers (shared by serial and parallel engines) --------------
+// --- result containers -----------------------------------------------------
 
 /// One benchmark x scenario cell of the paper's evaluation.
 struct CellResult {
@@ -192,15 +191,13 @@ struct CellResult {
   std::vector<BenchmarkOutcome> live;
   std::vector<core::ReplayTrace> traces;
   std::vector<BenchmarkOutcome> modulated;
-  /// One fidelity report per trace when cfg.audit.enabled; else empty.
-  std::vector<audit::FidelityReport> audits;
   /// This cell's unrecovered failures (live errors in trial order, then
   /// modulated errors in trial order); empty unless supervision ran.
   std::vector<TrialError> errors;
   /// Retry attempts consumed by this cell's trials.
   std::uint64_t trials_retried = 0;
   /// True when the cell was reconstructed from a sweep journal rather than
-  /// executed (traces/audits/telemetry are not journaled and stay empty).
+  /// executed (traces and telemetry are not journaled and stay empty).
   bool resumed = false;
 };
 
@@ -310,9 +307,9 @@ class SweepJournalWriter {
 /// journal-rewrite after a dropped tail).
 std::string encode_journal_record(const JournalCellRecord& record);
 
-// --- supervised sweep driver ------------------------------------------------
+// --- the sweep engine -------------------------------------------------------
 
-struct SupervisedSweepOptions {
+struct SweepOptions {
   /// Completed cells/rows are appended here as they finish (may be null).
   SweepJournalWriter* journal = nullptr;
   /// Records from a previous aborted run; matching cells/rows are skipped
@@ -321,23 +318,29 @@ struct SupervisedSweepOptions {
   const std::vector<JournalCellRecord>* resume = nullptr;
 };
 
-/// The full supervised trial matrix.  pool == nullptr runs the identical
-/// task lists serially in deterministic order; the guard path is shared, so
-/// serial and parallel runs produce identical results and identical error
-/// records.  With cfg.supervision.enabled == false, behaves like the
-/// unsupervised engine except that per-task exceptions still surface (the
-/// task pool rethrows a combined error).
-SweepResult run_supervised_sweep(TaskPool* pool,
-                                 const std::vector<Scenario>& scenarios,
-                                 const std::vector<BenchmarkKind>& kinds,
-                                 const ExperimentConfig& cfg,
-                                 const SupervisedSweepOptions& opts = {});
-
-/// One supervised cell (collection + live + modulated [+ audits]); the
-/// cell's errors include its collection failures.
-CellResult run_supervised_experiment(TaskPool* pool, const Scenario& scenario,
-                                     BenchmarkKind kind,
-                                     const ExperimentConfig& cfg);
+/// The full trial matrix -- every benchmark on every scenario plus the
+/// Ethernet baselines -- and the only code that runs it, supervised or not
+/// (with supervision off the guard is one transparent attempt, so a task's
+/// exception propagates and the pool rethrows it).  Collection traversals
+/// are per scenario (traces are benchmark-independent, as in the paper) and
+/// shared by that scenario's cells.
+///
+/// Batch plan: the scenario rows are cut into groups, and each batch runs
+/// one group's phase one (collection traversals and live trials; the first
+/// batch also carries every Ethernet baseline) next to the previous group's
+/// phase two (modulated trials and audits).  With no journal the whole
+/// matrix is one group (two batches); with opts.journal each row is a
+/// group, so every finished row is journaled before the next batch starts.
+///
+/// pool == nullptr runs the identical batches serially.  Results are
+/// folded in matrix order whatever the pool or grouping, so serial,
+/// parallel, journaled and resumed runs give identical results, error
+/// records (SupervisionReport::errors order) and journal record order.
+SweepResult run_sweep(sim::TaskPool* pool,
+                      const std::vector<Scenario>& scenarios,
+                      const std::vector<BenchmarkKind>& kinds,
+                      const ExperimentConfig& cfg,
+                      const SweepOptions& opts = {});
 
 /// Writes the sweep's machine-readable result (schema "tracemod-sweep-v1",
 /// documented in EXPERIMENTS.md): per-cell outcome summaries with the

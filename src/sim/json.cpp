@@ -1,5 +1,6 @@
 #include "sim/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 namespace tracemod::sim {
@@ -29,6 +30,9 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_double(double v) {
+  // JSON has no NaN or Infinity, and a value read from a file (a TMST
+  // snapshot) may be either, so they become null to keep the document valid.
+  if (!std::isfinite(v)) return "null";
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;

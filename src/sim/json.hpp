@@ -11,7 +11,8 @@ namespace tracemod::sim {
 /// backslash, \n \r \t, and any other control character as \u00XX.
 std::string json_escape(const std::string& s);
 
-/// Formats a double with %.17g, which round-trips every finite value.
+/// Formats a double with %.17g, which round-trips every finite value; NaN
+/// and +/-Inf, which JSON cannot represent, are written as null.
 std::string json_double(double v);
 
 }  // namespace tracemod::sim

@@ -1,11 +1,10 @@
 // A minimal fixed-size thread pool for fanning out independent units of
-// work: the experiment engine's trial matrix (scenarios/parallel_runner.hpp)
-// and the streaming distiller's corpus windows (core/stream_distiller.hpp).
+// work: the sweep engine's trial matrix (scenarios/supervisor.hpp) and the
+// streaming distiller's corpus windows (core/stream_distiller.hpp).
 // Tasks must be independent of each other -- no task may block on another.
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -45,20 +44,5 @@ class TaskPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
-
-/// out[i] = fn(i), computed on the pool; results land in index order no
-/// matter which thread finishes first.
-template <typename T>
-std::vector<T> parallel_index_map(TaskPool& pool, std::size_t n,
-                                  std::function<T(std::size_t)> fn) {
-  std::vector<T> out(n);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.push_back([&out, &fn, i] { out[i] = fn(i); });
-  }
-  pool.run_all(std::move(tasks));
-  return out;
-}
 
 }  // namespace tracemod::sim

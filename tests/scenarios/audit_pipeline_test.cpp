@@ -7,8 +7,9 @@
 #include <sstream>
 
 #include "audit/auditor.hpp"
-#include "scenarios/parallel_runner.hpp"
+#include "scenarios/experiment.hpp"
 #include "sim/metric_names.hpp"
+#include "sim/task_pool.hpp"
 
 namespace tracemod::scenarios {
 namespace {
@@ -23,11 +24,13 @@ ExperimentConfig quick_config(bool audit) {
 TEST(AuditPipeline, EnablingAuditsDoesNotPerturbAnyTrialResult) {
   // Audit worlds are separate SimContexts; every virtual-time result must
   // be bit-identical with auditing on or off.
-  ParallelRunner runner(4);
-  const auto off =
-      runner.experiment(wean(), BenchmarkKind::kWeb, quick_config(false));
-  const auto on =
-      runner.experiment(wean(), BenchmarkKind::kWeb, quick_config(true));
+  sim::TaskPool pool(4);
+  const std::vector<Scenario> sc = {wean()};
+  const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb};
+  const SweepResult off_sweep = run_sweep(&pool, sc, kinds, quick_config(false));
+  const SweepResult on_sweep = run_sweep(&pool, sc, kinds, quick_config(true));
+  const CellResult& off = off_sweep.cells.at(0);
+  const CellResult& on = on_sweep.cells.at(0);
 
   ASSERT_EQ(off.live.size(), on.live.size());
   ASSERT_EQ(off.modulated.size(), on.modulated.size());
@@ -48,22 +51,28 @@ TEST(AuditPipeline, EnablingAuditsDoesNotPerturbAnyTrialResult) {
   }
 
   // And the audits themselves only exist when asked for.
-  EXPECT_TRUE(off.audits.empty());
-  ASSERT_EQ(on.audits.size(), on.traces.size());
-  for (std::size_t t = 0; t < on.audits.size(); ++t) {
-    EXPECT_EQ(on.audits[t].label, "trial" + std::to_string(t));
-    EXPECT_GT(on.audits[t].scores.windows.size(), 0u);
+  EXPECT_TRUE(off_sweep.audits.empty());
+  ASSERT_EQ(on_sweep.audits.size(), 1u);
+  const auto& audits = on_sweep.audits[0];
+  ASSERT_EQ(audits.size(), on.traces.size());
+  for (std::size_t t = 0; t < audits.size(); ++t) {
+    EXPECT_EQ(audits[t].label, "Wean/trial" + std::to_string(t));
+    EXPECT_GT(audits[t].scores.windows.size(), 0u);
   }
 }
 
 TEST(AuditPipeline, SerialAndParallelAuditBatchesAgree) {
   const ExperimentConfig cfg = quick_config(true);
-  ParallelRunner runner(4);
-  const auto traces = runner.replay_traces(wean(), cfg);
-  ASSERT_EQ(traces.size(), 2u);
+  const auto serial =
+      run_trace_audits(collect_replay_traces(wean(), cfg), cfg, "Wean");
+  ASSERT_EQ(serial.size(), 2u);
 
-  const auto serial = run_trace_audits(traces, cfg, "wean");
-  const auto parallel = runner.trace_audits(traces, cfg, "wean");
+  // A sweep with no benchmark still collects and audits every row.
+  sim::TaskPool pool(8);
+  const SweepResult sweep = run_sweep(&pool, {wean()}, {}, cfg);
+  EXPECT_TRUE(sweep.cells.empty());
+  ASSERT_EQ(sweep.audits.size(), 1u);
+  const auto& parallel = sweep.audits[0];
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t t = 0; t < serial.size(); ++t) {
     EXPECT_EQ(serial[t].label, parallel[t].label);

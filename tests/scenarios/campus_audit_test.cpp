@@ -11,6 +11,7 @@
 
 #include "audit/auditor.hpp"
 #include "scenarios/campus.hpp"
+#include "scenarios/experiment.hpp"
 #include "scenarios/supervisor.hpp"
 
 namespace tracemod::scenarios {
@@ -38,7 +39,7 @@ TEST(CampusAudit, SupervisedSweepVerdictsAreNeverBreach) {
   const std::vector<Scenario> sc = {campus_with_interferers()};
   const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb};
   const SweepResult result =
-      run_supervised_sweep(nullptr, sc, kinds, audited_config());
+      run_sweep(nullptr, sc, kinds, audited_config());
 
   ASSERT_EQ(result.cells.size(), 1u);
   EXPECT_TRUE(result.cells.front().errors.empty());
@@ -59,8 +60,8 @@ TEST(CampusAudit, AuditedCampusSweepIsDeterministic) {
   const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb};
   const ExperimentConfig cfg = audited_config();
 
-  const SweepResult a = run_supervised_sweep(nullptr, sc, kinds, cfg);
-  const SweepResult b = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const SweepResult a = run_sweep(nullptr, sc, kinds, cfg);
+  const SweepResult b = run_sweep(nullptr, sc, kinds, cfg);
   ASSERT_EQ(a.cells.size(), b.cells.size());
   ASSERT_EQ(a.audits.size(), b.audits.size());
   ASSERT_EQ(a.audits[0].size(), b.audits[0].size());

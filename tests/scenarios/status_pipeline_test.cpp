@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "scenarios/campus.hpp"
+#include "scenarios/experiment.hpp"
 #include "scenarios/supervisor.hpp"
 
 namespace tracemod::scenarios {
@@ -72,12 +73,12 @@ TEST(StatusPipeline, SupervisedSweepTrialsAreBitIdenticalWithStatusOn) {
   cfg.compensation_vb = measure_compensation_vb();
   cfg.supervision.enabled = true;
 
-  const SweepResult off = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const SweepResult off = run_sweep(nullptr, sc, kinds, cfg);
 
   sim::status::StatusBoard board;
   ASSERT_TRUE(board.configure(board_config("sweep.status")));
   cfg.status = &board;
-  const SweepResult on = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const SweepResult on = run_sweep(nullptr, sc, kinds, cfg);
 
   ASSERT_EQ(off.cells.size(), on.cells.size());
   for (std::size_t i = 0; i < off.cells.size(); ++i) {
@@ -129,13 +130,40 @@ TEST(StatusPipeline, DegradedSweepCountsItsErrorsOnTheBoard) {
   sim::status::StatusBoard board;
   ASSERT_TRUE(board.configure(board_config("degraded.status")));
   cfg.status = &board;
-  const SweepResult result = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const SweepResult result = run_sweep(nullptr, sc, kinds, cfg);
   ASSERT_TRUE(result.supervision.degraded());
 
   const sim::status::StatusSnapshot snap = board.peek();
   EXPECT_EQ(snap.errors, result.supervision.trials_failed);
   EXPECT_EQ(snap.retries, result.supervision.trials_retried);
   // A failed trial still counts as a finished unit; the sweep completed.
+  EXPECT_EQ(snap.units_done, snap.units_total);
+}
+
+TEST(StatusPipeline, TrialsSkippedByAFailedCollectionStillCount) {
+  const std::vector<Scenario> sc = {wean()};
+  const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb};
+  ExperimentConfig cfg;
+  cfg.trials = 2;
+  cfg.compensation_vb = measure_compensation_vb();
+  cfg.supervision.enabled = true;
+  cfg.audit.enabled = true;
+  InjectedTrialFault fault;
+  fault.phase = "collect";
+  fault.trial = 1;
+  cfg.supervision.inject.push_back(fault);
+
+  sim::status::StatusBoard board;
+  ASSERT_TRUE(board.configure(board_config("skipped.status")));
+  cfg.status = &board;
+  const SweepResult result = run_sweep(nullptr, sc, kinds, cfg);
+  ASSERT_EQ(result.supervision.errors.size(), 1u);
+  EXPECT_FALSE(result.cells[0].modulated[1].completed);
+
+  // The lost trace's modulated trial and audit never ran, but the pre-pass
+  // counted them, so they are marked done with it.
+  const sim::status::StatusSnapshot snap = board.peek();
+  EXPECT_EQ(snap.errors, 1u);
   EXPECT_EQ(snap.units_done, snap.units_total);
 }
 

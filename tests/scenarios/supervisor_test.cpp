@@ -16,12 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "scenarios/parallel_runner.hpp"
+#include "scenarios/experiment.hpp"
 #include "sim/crc32c.hpp"
 #include "sim/io/fault_plan.hpp"
 #include "sim/io/file_sink.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
+#include "sim/task_pool.hpp"
 #include "trace/fault_injector.hpp"
 
 namespace tracemod::scenarios {
@@ -88,11 +89,11 @@ TEST(SupervisorGuard, PoisonedTrialIsIsolatedFromItsSiblings) {
   const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb};
 
   const auto clean =
-      run_supervised_sweep(nullptr, sc, kinds, supervised_config());
+      run_sweep(nullptr, sc, kinds, supervised_config());
 
   auto cfg = supervised_config();
   cfg.supervision.inject.push_back(poison_live_trial0());
-  const auto poisoned = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const auto poisoned = run_sweep(nullptr, sc, kinds, cfg);
 
   // Exactly one structured error, with full identity: taxonomy, derived
   // seed of the failing attempt, and matrix position.
@@ -127,9 +128,9 @@ TEST(SupervisorGuard, SerialAndParallelAgreeOnResultsAndErrors) {
   auto cfg = supervised_config();
   cfg.supervision.inject.push_back(poison_live_trial0());
 
-  const auto serial = run_supervised_sweep(nullptr, sc, kinds, cfg);
-  ParallelRunner runner(4);
-  const auto parallel = runner.sweep(sc, kinds, cfg);  // delegates when enabled
+  const auto serial = run_sweep(nullptr, sc, kinds, cfg);
+  sim::TaskPool pool(4);
+  const auto parallel = run_sweep(&pool, sc, kinds, cfg);
 
   ASSERT_EQ(parallel.supervision.errors.size(), 1u);
   expect_identical_sweeps(serial, parallel);
@@ -141,11 +142,11 @@ TEST(SupervisorGuard, SupervisionWithoutFaultsMatchesUnsupervisedRun) {
 
   auto unsupervised = supervised_config();
   unsupervised.supervision.enabled = false;
-  ParallelRunner runner(1);
-  const auto seed_behaviour = runner.sweep(sc, kinds, unsupervised);
+  sim::TaskPool pool(1);
+  const auto seed_behaviour = run_sweep(&pool, sc, kinds, unsupervised);
 
   const auto supervised =
-      run_supervised_sweep(nullptr, sc, kinds, supervised_config());
+      run_sweep(nullptr, sc, kinds, supervised_config());
 
   EXPECT_TRUE(supervised.supervision.errors.empty());
   expect_identical_sweeps(seed_behaviour, supervised);
@@ -156,14 +157,14 @@ TEST(SupervisorGuard, RetryWithIdenticalSeedRecoversFlakyTrial) {
   const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb};
 
   const auto clean =
-      run_supervised_sweep(nullptr, sc, kinds, supervised_config());
+      run_sweep(nullptr, sc, kinds, supervised_config());
 
   auto cfg = supervised_config();
   cfg.supervision.max_retries = 1;
   auto fault = poison_live_trial0();
   fault.fail_attempts = 1;  // flaky: fails once, then succeeds
   cfg.supervision.inject.push_back(fault);
-  const auto recovered = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const auto recovered = run_sweep(nullptr, sc, kinds, cfg);
 
   // The retry consumed one attempt and recovered; the rerun used the
   // identical derived seed, so outcomes are bit-identical to a run that
@@ -185,7 +186,7 @@ TEST(SupervisorGuard, RetryExhaustionRecordsEveryAttempt) {
   cfg.supervision.max_retries = 1;
   cfg.supervision.inject.push_back(poison_live_trial0());  // always fails
 
-  const auto result = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const auto result = run_sweep(nullptr, sc, kinds, cfg);
   ASSERT_EQ(result.supervision.errors.size(), 1u);
   EXPECT_EQ(result.supervision.errors.front().attempts, 2);
   EXPECT_EQ(result.supervision.trials_failed, 1u);
@@ -249,7 +250,7 @@ TEST(SupervisorGuard, VirtualBudgetExpiryIsRecordedAndCounted) {
   auto cfg = supervised_config(/*trials=*/1);
   cfg.supervision.virtual_budget = sim::seconds(1);  // web needs ~180 s
 
-  const auto result = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const auto result = run_sweep(nullptr, sc, kinds, cfg);
 
   // Live, modulated, and Ethernet worlds all blow the 1 s budget: each is
   // flagged on the outcome, recorded as a kTimedOut error, and counted.
@@ -589,15 +590,15 @@ TEST(SweepJournal, ResumedSweepReproducesTheUninterruptedRun) {
                                             BenchmarkKind::kFtpRecv};
   const auto cfg = supervised_config(/*trials=*/1);
 
-  const auto uninterrupted = run_supervised_sweep(nullptr, sc, kinds, cfg);
+  const auto uninterrupted = run_sweep(nullptr, sc, kinds, cfg);
 
   // First run journals everything, as if it were then killed.
   const std::string path = tmp("resume.journal");
   SweepJournalWriter writer;
   ASSERT_TRUE(writer.open(path, sweep_fingerprint(cfg), /*fresh=*/true));
-  SupervisedSweepOptions journal_opts;
+  SweepOptions journal_opts;
   journal_opts.journal = &writer;
-  run_supervised_sweep(nullptr, sc, kinds, cfg, journal_opts);
+  run_sweep(nullptr, sc, kinds, cfg, journal_opts);
 
   // Resume from a prefix of the journal: the collect row and the first
   // cell survive the "kill"; the second cell and the Ethernet rows rerun.
@@ -605,14 +606,94 @@ TEST(SweepJournal, ResumedSweepReproducesTheUninterruptedRun) {
   ASSERT_EQ(read.status, JournalStatus::kClean);
   ASSERT_GE(read.records.size(), 2u);
   read.records.resize(2);
-  SupervisedSweepOptions resume_opts;
+  SweepOptions resume_opts;
   resume_opts.resume = &read.records;
-  const auto resumed = run_supervised_sweep(nullptr, sc, kinds, cfg,
-                                            resume_opts);
+  const auto resumed = run_sweep(nullptr, sc, kinds, cfg, resume_opts);
 
   EXPECT_TRUE(resumed.cells[0].resumed);
   EXPECT_FALSE(resumed.cells[1].resumed);
   expect_identical_sweeps(uninterrupted, resumed);
+}
+
+// --- batch plan -------------------------------------------------------------
+
+std::string audit_json(const SweepResult& result) {
+  std::ostringstream out;
+  for (const auto& row : result.audits) {
+    for (const audit::FidelityReport& r : row) audit::write_fidelity_json(out, r);
+  }
+  return out.str();
+}
+
+TEST(SweepBatches, SerialParallelAndJournaledRunsAgree) {
+  // The pool picks the interleaving and an attached journal picks one-row
+  // batches; neither may change a result, an error's place in the report,
+  // a retry count, an audit, or the journal's record order.
+  const std::vector<Scenario> sc = {wean(), porter()};
+  const std::vector<BenchmarkKind> kinds = {BenchmarkKind::kWeb,
+                                            BenchmarkKind::kFtpRecv};
+  auto cfg = supervised_config();
+  cfg.audit.enabled = true;
+  cfg.supervision.inject.push_back(poison_live_trial0());  // row 1
+  InjectedTrialFault collect;
+  collect.scenario = "porter";  // row 2
+  collect.phase = "collect";
+  collect.trial = 1;
+  cfg.supervision.inject.push_back(collect);
+
+  const std::uint32_t fp = sweep_fingerprint(cfg);
+  auto run = [&](sim::TaskPool* pool, const std::string& journal) {
+    SweepJournalWriter writer;
+    SweepOptions opts;
+    if (!journal.empty()) {
+      EXPECT_TRUE(writer.open(tmp(journal), fp, /*fresh=*/true));
+      opts.journal = &writer;
+    }
+    SweepResult result = run_sweep(pool, sc, kinds, cfg, opts);
+    writer.close();
+    return result;
+  };
+  sim::TaskPool pool(4);
+  const SweepResult serial = run(nullptr, "");
+  const SweepResult parallel = run(&pool, "");
+  const SweepResult serial_journaled = run(nullptr, "batches_serial.journal");
+  const SweepResult parallel_journaled =
+      run(&pool, "batches_parallel.journal");
+
+  // Matrix order: row 1's live error, then row 2's collect error.
+  ASSERT_EQ(serial.supervision.errors.size(), 2u);
+  EXPECT_EQ(serial.supervision.errors[0].scenario, "Wean");
+  EXPECT_EQ(serial.supervision.errors[0].phase, "live");
+  EXPECT_EQ(serial.supervision.errors[1].scenario, "Porter");
+  EXPECT_EQ(serial.supervision.errors[1].phase, "collect");
+  ASSERT_EQ(serial.audits.size(), 2u);
+  for (const SweepResult* other :
+       {&parallel, &serial_journaled, &parallel_journaled}) {
+    expect_identical_sweeps(serial, *other);
+    EXPECT_EQ(audit_json(serial), audit_json(*other));
+  }
+
+  // Each row is journaled whole (collection, then its cells) before the
+  // next; the Ethernet rows come last.
+  std::vector<std::vector<JournalCellRecord>> journals;
+  for (const char* name :
+       {"batches_serial.journal", "batches_parallel.journal"}) {
+    const JournalReadResult read = read_sweep_journal(tmp(name), fp);
+    ASSERT_EQ(read.status, JournalStatus::kClean) << read.message;
+    journals.push_back(read.records);
+  }
+  const std::vector<JournalCellRecord>& recs = journals[0];
+  ASSERT_EQ(recs.size(), 8u);
+  for (std::size_t i : {0u, 3u}) {
+    EXPECT_TRUE(recs[i].collect);
+    EXPECT_EQ(recs[i].scenario, i == 0 ? "Wean" : "Porter");
+  }
+  for (std::size_t i : {1u, 2u, 4u, 5u}) {
+    EXPECT_FALSE(recs[i].collect || recs[i].ethernet);
+  }
+  EXPECT_TRUE(recs[6].ethernet && recs[7].ethernet);
+  expect_record_prefix(journals[1], recs);
+  EXPECT_EQ(journals[1].size(), recs.size());
 }
 
 }  // namespace

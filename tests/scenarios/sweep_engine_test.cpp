@@ -1,8 +1,7 @@
-// The parallel engine's contract: same config, any thread count, identical
-// results.  Trials are isolated SimContexts with derived seeds, so the
-// parallel matrix must be byte-for-byte the serial matrix.
-#include "scenarios/parallel_runner.hpp"
-
+// The sweep engine's contract: same config, any thread count, identical
+// results.  Trials are isolated SimContexts with derived seeds, so a
+// run_sweep on a wide pool must be byte-for-byte the serial helpers of
+// experiment.hpp, which stay as the reference.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,10 +9,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "scenarios/experiment.hpp"
 #include "scenarios/live_testbed.hpp"
+#include "sim/task_pool.hpp"
 
 namespace tracemod::scenarios {
 namespace {
+
+using sim::TaskPool;
 
 /// Exact equality on purpose: the determinism claim is bit-identity, so
 /// EXPECT_NEAR would hide exactly the bugs this test exists to catch.
@@ -119,22 +122,21 @@ TEST(TaskPool, EveryExceptionIsCollectedIntoTheCombinedError) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(ParallelRunner, IndexMapLandsResultsInOrder) {
+/// One run_sweep on an 8-thread pool: the engine under test.
+SweepResult parallel_sweep(const std::vector<Scenario>& scenarios,
+                           const std::vector<BenchmarkKind>& kinds,
+                           const ExperimentConfig& cfg) {
   TaskPool pool(8);
-  const auto out = parallel_index_map<std::size_t>(
-      pool, 100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 100u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
+  return run_sweep(&pool, scenarios, kinds, cfg);
 }
 
-TEST(ParallelRunner, LiveTrialsMatchSerialBitForBit) {
+TEST(SweepEngine, LiveTrialsMatchSerialBitForBit) {
   const auto cfg = small_config();
   const auto scenario = wean();
   const auto serial = run_live_trials(scenario, BenchmarkKind::kFtpRecv, cfg);
 
-  ParallelRunner runner(8);
-  const auto parallel =
-      runner.live_trials(scenario, BenchmarkKind::kFtpRecv, cfg);
+  const auto sweep = parallel_sweep({scenario}, {BenchmarkKind::kFtpRecv}, cfg);
+  const auto& parallel = sweep.cells.at(0).live;
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -142,13 +144,13 @@ TEST(ParallelRunner, LiveTrialsMatchSerialBitForBit) {
   }
 }
 
-TEST(ParallelRunner, ReplayTracesMatchSerialBitForBit) {
+TEST(SweepEngine, ReplayTracesMatchSerialBitForBit) {
   const auto cfg = small_config();
   const auto scenario = porter();
   const auto serial = collect_replay_traces(scenario, cfg);
 
-  ParallelRunner runner(8);
-  const auto parallel = runner.replay_traces(scenario, cfg);
+  const auto sweep = parallel_sweep({scenario}, {BenchmarkKind::kWeb}, cfg);
+  const auto& parallel = sweep.cells.at(0).traces;
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -156,7 +158,7 @@ TEST(ParallelRunner, ReplayTracesMatchSerialBitForBit) {
   }
 }
 
-TEST(ParallelRunner, FullExperimentMatchesSerialPipeline) {
+TEST(SweepEngine, FullExperimentMatchesSerialPipeline) {
   const auto cfg = small_config();
   const auto scenario = wean();
 
@@ -166,8 +168,9 @@ TEST(ParallelRunner, FullExperimentMatchesSerialPipeline) {
   const auto serial_mod =
       run_modulated_trials(serial_traces, BenchmarkKind::kWeb, cfg);
 
-  ParallelRunner runner(8);
-  const auto c = runner.experiment(scenario, BenchmarkKind::kWeb, cfg);
+  const auto sweep = parallel_sweep({scenario}, {BenchmarkKind::kWeb}, cfg);
+  ASSERT_EQ(sweep.cells.size(), 1u);
+  const CellResult& c = sweep.cells[0];
 
   ASSERT_EQ(c.live.size(), serial_live.size());
   ASSERT_EQ(c.traces.size(), serial_traces.size());
@@ -179,18 +182,21 @@ TEST(ParallelRunner, FullExperimentMatchesSerialPipeline) {
   }
 }
 
-TEST(ParallelRunner, EthernetTrialsMatchSerialBitForBit) {
+TEST(SweepEngine, EthernetTrialsMatchSerialBitForBit) {
   const auto cfg = small_config();
   const auto serial = run_ethernet_trials(BenchmarkKind::kFtpSend, cfg);
-  ParallelRunner runner(8);
-  const auto parallel = runner.ethernet_trials(BenchmarkKind::kFtpSend, cfg);
+  // No scenario rows: the sweep is the Ethernet baseline alone.
+  const auto sweep = parallel_sweep({}, {BenchmarkKind::kFtpSend}, cfg);
+  EXPECT_TRUE(sweep.cells.empty());
+  ASSERT_EQ(sweep.ethernet.size(), 1u);
+  const auto& parallel = sweep.ethernet[0];
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i]);
   }
 }
 
-TEST(ParallelRunner, ConcurrentLiveTestbedsHaveIndependentPacketIds) {
+TEST(SweepEngine, ConcurrentLiveTestbedsHaveIndependentPacketIds) {
   // Two worlds, one per thread: each must stamp the same dense id
   // sequence it would alone, regardless of interleaving.
   auto drive = [](std::uint64_t seed) {

@@ -6,8 +6,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "scenarios/parallel_runner.hpp"
+#include "scenarios/experiment.hpp"
 #include "sim/metric_names.hpp"
+#include "sim/task_pool.hpp"
 #include "sim/telemetry.hpp"
 
 namespace tracemod::scenarios {
@@ -148,8 +149,10 @@ TEST(TelemetryPipeline, SerialAndParallelRunsExportIdentically) {
   cfg.telemetry = enabled_telemetry();
 
   const auto serial = run_live_trials(wean(), BenchmarkKind::kWeb, cfg);
-  ParallelRunner runner(4);
-  const auto parallel = runner.live_trials(wean(), BenchmarkKind::kWeb, cfg);
+  sim::TaskPool pool(8);
+  const SweepResult sweep =
+      run_sweep(&pool, {wean()}, {BenchmarkKind::kWeb}, cfg);
+  const auto& parallel = sweep.cells.at(0).live;
   ASSERT_EQ(serial.size(), parallel.size());
 
   const auto serial_labels = labeled_telemetry(serial, "wean/web");

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,6 +150,30 @@ TEST(StatusFormat, UnknownEtaAndUnfinishedExitCodeAreJsonNull) {
   const std::string json = out.str();
   EXPECT_NE(json.find("\"eta_seconds\": null"), std::string::npos);
   EXPECT_NE(json.find("\"exit_code\": null"), std::string::npos);
+}
+
+TEST(StatusFormat, NonFiniteNumbersAreJsonNull) {
+  // A status file comes from outside the process: a CRC-valid snapshot can
+  // still carry NaN or Inf, which JSON cannot spell.
+  StatusSnapshot s = sample_snapshot();
+  s.sim_per_wall = std::numeric_limits<double>::quiet_NaN();
+  s.wall_seconds = std::numeric_limits<double>::infinity();
+  const std::string path = tmp("nonfinite.status");
+  const std::vector<std::uint8_t> bytes = encode_status(s);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const StatusReadResult read = read_status_file(path);
+  ASSERT_EQ(read.status, StatusReadStatus::kOk) << read.message;
+  std::ostringstream out;
+  write_status_json(out, read.snapshot);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"sim_per_wall\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"wall_seconds\": null"), std::string::npos) << json;
+  EXPECT_EQ(json.find(": nan"), std::string::npos) << json;
+  EXPECT_EQ(json.find(": inf"), std::string::npos) << json;
 }
 
 TEST(StatusBoardContract, DisabledBoardIsInert) {

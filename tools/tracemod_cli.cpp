@@ -127,11 +127,11 @@
 #include "observers.hpp"
 #include "scenarios/campus.hpp"
 #include "scenarios/experiment.hpp"
-#include "scenarios/parallel_runner.hpp"
 #include "sim/io/durable.hpp"
 #include "sim/perf/perf.hpp"
 #include "sim/perf/report.hpp"
 #include "sim/status/status.hpp"
+#include "sim/task_pool.hpp"
 #include "trace/fault_injector.hpp"
 #include "trace/stream_reader.hpp"
 #include "trace/synthetic_corpus.hpp"
@@ -1234,17 +1234,16 @@ int cmd_sweep(const std::vector<std::string>& args) {
                 cfg.compensation_vb * 1e6);
   }
 
-  ParallelRunner runner(threads);
+  sim::TaskPool pool(threads);
   std::printf("sweep: %zu scenario(s) x %zu benchmark(s) x %d trial(s) on "
               "%u thread(s)\n\n",
-              scens.size(), kinds.size(), cfg.trials,
-              runner.thread_count());
+              scens.size(), kinds.size(), cfg.trials, pool.thread_count());
 
   // Journal / resume plumbing.  Resume-specific notices go to stderr so a
   // resumed run's stdout stays byte-comparable to an uninterrupted one.
   SweepJournalWriter journal;
   JournalReadResult resumed;
-  SupervisedSweepOptions opts;
+  SweepOptions opts;
   const std::uint32_t fingerprint = sweep_fingerprint(cfg);
   if (!journal_path.empty()) {
     if (!journal.open(journal_path, fingerprint, /*fresh=*/true)) {
@@ -1291,9 +1290,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
                  resumed.records.size());
   }
 
-  const auto result = sup.enabled
-                          ? runner.supervised_sweep(scens, kinds, cfg, opts)
-                          : runner.sweep(scens, kinds, cfg);
+  const SweepResult result = run_sweep(&pool, scens, kinds, cfg, opts);
 
   // Telemetry merges in table order (cells, then Ethernet baselines) with
   // trial-ordered labels -- the same files regardless of thread count.
