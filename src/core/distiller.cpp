@@ -2,18 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <stdexcept>
+#include <variant>
 
-#include "sim/assert.hpp"
 #include "sim/perf/perf.hpp"
 
 namespace tracemod::core {
 
+namespace {
+
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+  std::int64_t q = a / b;
+  if (a % b != 0 && (a < 0) != (b < 0)) --q;
+  return q;
+}
+
+}  // namespace
+
+void validate_distill_config(const DistillConfig& cfg) {
+  if (cfg.window <= sim::Duration::zero() ||
+      cfg.step <= sim::Duration::zero()) {
+    throw std::invalid_argument(
+        "distill: window and step must be positive durations");
+  }
+}
+
+Distiller::Distiller(DistillConfig cfg) : cfg_(cfg) {
+  validate_distill_config(cfg_);
+}
+
 std::vector<EchoGroup> reconstruct_echo_groups(
     const std::vector<EchoSent>& sent, const std::vector<EchoReply>& replies) {
-  std::map<std::uint16_t, const EchoReply*> reply_by_seq;
-  for (const auto& r : replies) reply_by_seq[r.icmp_seq] = &r;
-
   // Identify the workload's two packet sizes: the smallest observed size is
   // stage 1, the largest is stage 2.
   if (sent.size() < 3) return {};
@@ -23,6 +42,24 @@ std::vector<EchoGroup> reconstruct_echo_groups(
     s_large = std::max(s_large, static_cast<double>(e.ip_bytes));
   }
   if (s_small >= s_large) return {};  // degenerate workload
+
+  // Replies by sequence number, in a flat table keyed by the distance (mod
+  // 2^16) from the first sent echo and sized to the largest key a sent echo
+  // uses: a short trace pays for its own echoes, not for 65,536 slots.  A
+  // reply keyed past every sent echo is dropped; the last reply for a
+  // sequence number wins.
+  const std::uint16_t base = sent.front().icmp_seq;
+  const auto key = [base](std::uint16_t seq) {
+    return static_cast<std::uint16_t>(seq - base);
+  };
+  std::size_t slots = 0;
+  for (const auto& e : sent) {
+    slots = std::max<std::size_t>(slots, key(e.icmp_seq) + 1u);
+  }
+  std::vector<const EchoReply*> reply_by_key(slots, nullptr);
+  for (const auto& r : replies) {
+    if (key(r.icmp_seq) < slots) reply_by_key[key(r.icmp_seq)] = &r;
+  }
 
   std::vector<EchoGroup> groups;
   for (std::size_t i = 0; i + 2 < sent.size(); ++i) {
@@ -35,15 +72,9 @@ std::vector<EchoGroup> reconstruct_echo_groups(
     if (e2.icmp_seq != static_cast<std::uint16_t>(e1.icmp_seq + 1)) continue;
     if (e3.icmp_seq != static_cast<std::uint16_t>(e1.icmp_seq + 2)) continue;
 
-    const auto* r1 = reply_by_seq.count(e1.icmp_seq)
-                         ? reply_by_seq[e1.icmp_seq]
-                         : nullptr;
-    const auto* r2 = reply_by_seq.count(e2.icmp_seq)
-                         ? reply_by_seq[e2.icmp_seq]
-                         : nullptr;
-    const auto* r3 = reply_by_seq.count(e3.icmp_seq)
-                         ? reply_by_seq[e3.icmp_seq]
-                         : nullptr;
+    const EchoReply* r1 = reply_by_key[key(e1.icmp_seq)];
+    const EchoReply* r2 = reply_by_key[key(e2.icmp_seq)];
+    const EchoReply* r3 = reply_by_key[key(e3.icmp_seq)];
     if (r1 == nullptr || r2 == nullptr || r3 == nullptr) continue;
 
     EchoGroup g;
@@ -154,6 +185,95 @@ double window_loss_over_replies(const std::vector<EchoReply>& replies,
   return loss_from_gap(b, seq_lo, seq_hi, previous, max_loss);
 }
 
+std::size_t step_count(sim::TimePoint t0, sim::TimePoint t_end,
+                       sim::Duration step) {
+  if (t_end <= t0) return 0;
+  const std::int64_t d = (t_end - t0).count();
+  const std::int64_t s = step.count();
+  return static_cast<std::size_t>(d / s + (d % s != 0 ? 1 : 0));
+}
+
+StepWindows::StepWindows(sim::TimePoint t0, const DistillConfig& cfg)
+    : begin_((t0 + cfg.step / 2 - cfg.window / 2).time_since_epoch().count()),
+      end_((t0 + cfg.step / 2 + cfg.window / 2).time_since_epoch().count()),
+      step_(cfg.step.count()) {}
+
+// Window j holds t when begin + j*step <= t < end + j*step, that is when
+// floor((t - end) / step) < j <= floor((t - begin) / step).
+std::int64_t StepWindows::first(sim::TimePoint t) const {
+  return floor_div(t.time_since_epoch().count() - end_, step_) + 1;
+}
+
+std::int64_t StepWindows::last(sim::TimePoint t) const {
+  return floor_div(t.time_since_epoch().count() - begin_, step_);
+}
+
+double LossLattice::loss(std::size_t j, double previous,
+                         double max_loss) const {
+  if (replies == 0 || echoes_sent == 0) return previous;
+  return loss_from_gap(in_window[j], seq_lo[j], seq_hi[j], previous,
+                       max_loss);
+}
+
+LatticeBuilder::LatticeBuilder(sim::TimePoint t0, const DistillConfig& cfg,
+                               std::int64_t max_steps)
+    : windows_(t0, cfg), max_steps_(max_steps) {}
+
+void LatticeBuilder::add_reply(sim::TimePoint at, std::uint16_t seq) {
+  ++replies_;
+  const std::int64_t first = windows_.first(at);
+  const std::int64_t last = windows_.last(at);
+  // Before every window after `last` (all of them when last < 0), and at or
+  // past the end of every window before `first` (all of them when first is
+  // past the trace's steps).
+  const std::int64_t lo_slot = std::max<std::int64_t>(last + 1, 0);
+  const std::int64_t hi_slot = std::min(first - 1, max_steps_ - 1);
+  const std::int64_t in_last = std::min(last, max_steps_ - 1);
+  grow(std::min(lo_slot + 1, max_steps_));
+  for (std::int64_t j = std::max<std::int64_t>(first, 0); j <= in_last; ++j) {
+    ++in_window_[static_cast<std::size_t>(j)];
+  }
+  if (lo_slot < max_steps_) {
+    auto& lo = cand_lo_[static_cast<std::size_t>(lo_slot)];
+    lo = std::max<std::int64_t>(lo, seq);
+  }
+  if (hi_slot >= 0) {
+    auto& hi = cand_hi_[static_cast<std::size_t>(hi_slot)];
+    hi = std::min<std::int64_t>(hi, seq);
+  }
+}
+
+LossLattice LatticeBuilder::finalize(std::size_t steps,
+                                     std::uint64_t echoes_sent) && {
+  grow(static_cast<std::int64_t>(steps));
+  LossLattice out;
+  out.replies = replies_;
+  out.echoes_sent = echoes_sent;
+  in_window_.resize(steps);
+  out.in_window = std::move(in_window_);
+  out.seq_lo.resize(steps);
+  out.seq_hi.resize(steps);
+  std::int64_t run_lo = -1;
+  for (std::size_t j = 0; j < steps; ++j) {
+    run_lo = std::max(run_lo, cand_lo_[j]);
+    out.seq_lo[j] = run_lo;
+  }
+  std::int64_t run_hi = static_cast<std::int64_t>(echoes_sent);
+  for (std::size_t j = cand_hi_.size(); j-- > 0;) {
+    run_hi = std::min(run_hi, cand_hi_[j]);
+    if (j < steps) out.seq_hi[j] = run_hi;
+  }
+  return out;
+}
+
+void LatticeBuilder::grow(std::int64_t n) {
+  if (n <= static_cast<std::int64_t>(in_window_.size())) return;
+  const auto size = static_cast<std::size_t>(n);
+  in_window_.resize(size, 0);
+  cand_lo_.resize(size, std::numeric_limits<std::int64_t>::min());
+  cand_hi_.resize(size, std::numeric_limits<std::int64_t>::max());
+}
+
 ReplayTrace assemble_replay(
     const DistillConfig& cfg,
     const std::vector<Distiller::Estimate>& estimates, sim::TimePoint t0,
@@ -161,43 +281,49 @@ ReplayTrace assemble_replay(
     const std::function<double(sim::TimePoint, sim::TimePoint, double)>&
         window_loss,
     Distiller::Stats* stats) {
+  validate_distill_config(cfg);
   struct WindowResult {
     bool have_delay = false;
-    double f = 0, vb = 0, vr = 0;
+    double f = 0, vb = 0, vr = 0;  ///< sums, then averages
+    std::size_t n = 0;
   };
-  std::vector<WindowResult> wins;
-  std::vector<double> losses;
+  const std::size_t steps = step_count(t0, t_end, cfg.step);
+  std::vector<WindowResult> wins(steps);
 
+  const StepWindows windows(t0, cfg);
+  const auto last_step = static_cast<std::int64_t>(steps) - 1;
+  for (const Distiller::Estimate& e : estimates) {
+    const std::int64_t last = std::min(windows.last(e.at), last_step);
+    for (std::int64_t j = std::max<std::int64_t>(windows.first(e.at), 0);
+         j <= last; ++j) {
+      WindowResult& w = wins[static_cast<std::size_t>(j)];
+      w.f += e.latency_s;
+      w.vb += e.per_byte_bottleneck;
+      w.vr += e.per_byte_residual;
+      ++w.n;
+    }
+  }
+
+  std::vector<double> losses(steps);
   double prev_loss = 0.0;
-  for (sim::TimePoint step_start = t0; step_start < t_end;
-       step_start += cfg.step) {
+  sim::TimePoint step_start = t0;
+  for (std::size_t j = 0; j < steps; ++j, step_start += cfg.step) {
     const sim::TimePoint mid = step_start + cfg.step / 2;
     const sim::TimePoint w_begin = mid - cfg.window / 2;
     const sim::TimePoint w_end = mid + cfg.window / 2;
 
-    WindowResult w;
-    double f_sum = 0, vb_sum = 0, vr_sum = 0;
-    std::size_t n = 0;
-    for (const Distiller::Estimate& e : estimates) {
-      if (e.at >= w_begin && e.at < w_end) {
-        f_sum += e.latency_s;
-        vb_sum += e.per_byte_bottleneck;
-        vr_sum += e.per_byte_residual;
-        ++n;
-      }
-    }
-    if (n > 0) {
+    WindowResult& w = wins[j];
+    if (w.n > 0) {
       w.have_delay = true;
-      w.f = f_sum / static_cast<double>(n);
-      w.vb = vb_sum / static_cast<double>(n);
-      w.vr = vr_sum / static_cast<double>(n);
+      w.f /= static_cast<double>(w.n);
+      w.vb /= static_cast<double>(w.n);
+      w.vr /= static_cast<double>(w.n);
     } else {
       ++stats->windows_empty;
     }
-    wins.push_back(w);
 
     prev_loss = window_loss(w_begin, w_end, prev_loss);
-    losses.push_back(prev_loss);
+    losses[j] = prev_loss;
   }
 
   // Fill windows with no delay estimate (deep outages) from neighbours:
@@ -229,11 +355,14 @@ ReplayTrace Distiller::distill(const trace::CollectedTrace& trace) {
   stats_ = Stats{};
   std::vector<EchoSent> sent;
   std::vector<EchoReply> replies;
-  for (const auto& e : trace.echoes_sent()) {
-    sent.push_back(EchoSent{e.icmp_seq, e.ip_bytes});
-  }
-  for (const auto& r : trace.echo_replies()) {
-    replies.push_back(EchoReply{r.at, r.rtt(), r.icmp_seq});
+  for (const trace::TraceRecord& rec : trace.records) {
+    const auto* p = std::get_if<trace::PacketRecord>(&rec);
+    if (p == nullptr) continue;
+    if (is_echo_sent(*p)) {
+      sent.push_back(EchoSent{p->icmp_seq, p->ip_bytes});
+    } else if (is_echo_reply(*p)) {
+      replies.push_back(EchoReply{p->at, p->rtt(), p->icmp_seq});
+    }
   }
 
   const auto groups = reconstruct_echo_groups(sent, replies);
@@ -242,13 +371,17 @@ ReplayTrace Distiller::distill(const trace::CollectedTrace& trace) {
   if (trace.records.empty()) return ReplayTrace{};
   const sim::TimePoint t0 = trace::record_time(trace.records.front());
   const sim::TimePoint t_end = trace::record_time(trace.records.back());
-  const std::uint64_t echoes_total = sent.size();
+  const std::size_t steps = step_count(t0, t_end, cfg_.step);
 
+  LatticeBuilder lattice(t0, cfg_, static_cast<std::int64_t>(steps));
+  for (const EchoReply& r : replies) lattice.add_reply(r.at, r.icmp_seq);
+  const LossLattice loss = std::move(lattice).finalize(steps, sent.size());
+
+  std::size_t step = 0;
   return assemble_replay(
       cfg_, estimates_, t0, t_end,
-      [&](sim::TimePoint w_begin, sim::TimePoint w_end, double prev) {
-        return window_loss_over_replies(replies, echoes_total, w_begin, w_end,
-                                        prev, cfg_.max_loss);
+      [&](sim::TimePoint, sim::TimePoint, double prev) {
+        return loss.loss(step++, prev, cfg_.max_loss);
       },
       &stats_);
 }

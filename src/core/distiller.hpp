@@ -17,11 +17,14 @@
 // The pipeline stages are free functions over compact echo projections so
 // the in-memory Distiller and the corpus-scale streaming distiller
 // (stream_distiller.hpp) run the exact same arithmetic in the exact same
-// order -- that is what makes their outputs bit-identical.
+// order -- that is what makes their outputs bit-identical.  Every stage is
+// linear in the trace: each estimate and each reply is visited once and
+// touches only the step windows that hold it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -35,6 +38,10 @@ struct DistillConfig {
   sim::Duration step = sim::seconds(1);
   double max_loss = 0.99;  ///< cap so modulation never fully blackholes
 };
+
+/// Throws std::invalid_argument unless window and step are positive (a
+/// zero step would never advance the output).
+void validate_distill_config(const DistillConfig& cfg);
 
 // --- compact echo projections -----------------------------------------------
 //
@@ -89,7 +96,8 @@ class Distiller {
     std::size_t windows_empty = 0;     ///< windows with no delay estimate
   };
 
-  explicit Distiller(DistillConfig cfg = {}) : cfg_(cfg) {}
+  /// Throws std::invalid_argument on a non-positive window or step.
+  explicit Distiller(DistillConfig cfg = {});
 
   /// Runs the full single-pass distillation.
   ReplayTrace distill(const trace::CollectedTrace& trace);
@@ -125,16 +133,86 @@ std::vector<Distiller::Estimate> estimate_delay_parameters(
 double loss_from_gap(std::int64_t in_window, std::int64_t seq_lo,
                      std::int64_t seq_hi, double previous, double max_loss);
 
-/// Per-step-window loss over a reply projection (the in-memory stage 5).
+/// Stage 5 for one step window by a scan of every reply.  The reference
+/// the loss lattice below must reproduce (tests, perfbench's staged check);
+/// the distillers use the lattice.
 double window_loss_over_replies(const std::vector<EchoReply>& replies,
                                 std::uint64_t echoes_sent_total,
                                 sim::TimePoint w_begin, sim::TimePoint w_end,
                                 double previous, double max_loss);
 
-/// Stage 4 + assembly: slide the window over the estimates, average per
-/// step, fill empty windows from neighbours, and pair each step with the
-/// loss the callback reports.  The callback is invoked once per step in
-/// step order with (w_begin, w_end, previous_loss).
+/// Output steps of a trace whose records span [t0, t_end]: one per step
+/// started before t_end.
+std::size_t step_count(sim::TimePoint t0, sim::TimePoint t_end,
+                       sim::Duration step);
+
+/// The step windows of a trace that starts at t0.  Window j spans
+/// [begin + j*step, end + j*step), where begin and end are
+/// t0 + step/2 -/+ window/2 with each half truncated separately -- the
+/// same integers assemble_replay's chrono arithmetic gives.
+class StepWindows {
+ public:
+  StepWindows(sim::TimePoint t0, const DistillConfig& cfg);
+
+  /// The windows that hold time t are exactly first(t) <= j <= last(t);
+  /// neither bound is clamped to the trace's steps.
+  std::int64_t first(sim::TimePoint t) const;
+  std::int64_t last(sim::TimePoint t) const;
+
+ private:
+  std::int64_t begin_, end_, step_;
+};
+
+/// Stage 5's integer inputs for every output step: the replies inside step
+/// j's window, and the sequence numbers of the last reply before it and the
+/// first reply at or after its end.
+struct LossLattice {
+  std::uint64_t replies = 0;      ///< replies the lattice was built from
+  std::uint64_t echoes_sent = 0;  ///< seq_hi when no reply follows a window
+  std::vector<std::int64_t> in_window;
+  std::vector<std::int64_t> seq_lo;  ///< -1 when no reply precedes a window
+  std::vector<std::int64_t> seq_hi;
+
+  /// Step j's loss; equals window_loss_over_replies over the same replies.
+  double loss(std::size_t j, double previous, double max_loss) const;
+};
+
+/// Builds the loss lattice in one pass over the replies, in any time order.
+/// A reply counts into in_window for every window that holds it, is a
+/// seq_lo candidate for every later window and a seq_hi candidate for every
+/// earlier one.  Each candidate is recorded once, at the nearest such step
+/// (clamped to the trace's steps); finalize()'s prefix-max and suffix-min
+/// sweeps spread it to the rest.
+class LatticeBuilder {
+ public:
+  /// `max_steps` bounds the lattice when the step count is known up front
+  /// (the in-memory distiller); a streaming scan learns it only at the end.
+  LatticeBuilder(sim::TimePoint t0, const DistillConfig& cfg,
+                 std::int64_t max_steps =
+                     std::numeric_limits<std::int64_t>::max());
+
+  void add_reply(sim::TimePoint at, std::uint16_t seq);
+
+  /// The lattice for the first `steps` windows (steps <= max_steps).
+  LossLattice finalize(std::size_t steps, std::uint64_t echoes_sent) &&;
+
+ private:
+  void grow(std::int64_t n);
+
+  StepWindows windows_;
+  std::int64_t max_steps_;
+  std::uint64_t replies_ = 0;
+  std::vector<std::int64_t> in_window_;
+  std::vector<std::int64_t> cand_lo_;
+  std::vector<std::int64_t> cand_hi_;
+};
+
+/// Stage 4 + assembly: average the estimates over each step window, fill
+/// empty windows from neighbours, and pair each step with the loss the
+/// callback reports.  The callback is invoked once per step in step order
+/// with (w_begin, w_end, previous_loss).  Each estimate is added, in index
+/// order, to the windows that hold it, so every window sums the same
+/// addends in the same order as a scan of all estimates would.
 ReplayTrace assemble_replay(
     const DistillConfig& cfg, const std::vector<Distiller::Estimate>& estimates,
     sim::TimePoint t0, sim::TimePoint t_end,

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,13 +60,8 @@ struct Plan {
   bool any_records = false;
   std::int64_t t0 = 0;
   std::int64_t t_end = 0;
-  std::uint64_t echoes_total = 0;
-  std::uint64_t replies_total = 0;
   std::uint64_t records_streamed = 0;
-  // Finalized integer loss lattice, one entry per output step.
-  std::vector<std::int64_t> loss_b;
-  std::vector<std::int64_t> loss_lo;
-  std::vector<std::int64_t> loss_hi;
+  LossLattice loss;  ///< final after pass 1, one entry per output step
   std::vector<WindowPlan> windows;
 };
 
@@ -83,87 +77,11 @@ std::uint64_t retained_bytes_of(const WindowPlan& w) {
   return w.sent * sizeof(EchoSent) + w.replies * sizeof(EchoReply);
 }
 
-std::int64_t floor_div(std::int64_t a, std::int64_t b) {
-  std::int64_t q = a / b;
-  if (a % b != 0 && (a < 0) != (b < 0)) --q;
-  return q;
-}
-
 // ===========================================================================
-// Pass 1: one streaming scan producing the plan.
-//
-// The loss lattice is built incrementally.  For step j the in-memory
-// distiller classifies every reply against w_begin_j = A + j*step and
-// w_end_j = B + j*step (A, B fixed by t0 and the config, both halves
-// truncated separately, matching assemble_replay's chrono arithmetic):
-//   at <  w_begin_j  -> candidate for seq_lo_j   (j >  jb)
-//   at >= w_end_j    -> candidate for seq_hi_j   (j <= j1)
-//   otherwise        -> counts into b_j          (j1 < j <= jb)
-// where jb = floor((t-A)/step), j1 = floor((t-B)/step).  The three ranges
-// partition the step axis, so recording one candidate (at jb+1 for lo, at
-// j1 for hi) plus a prefix-max / suffix-min sweep at the end reproduces
-// the in-memory integers exactly.
+// Pass 1: one streaming scan producing the plan.  Every reply goes into the
+// shared loss lattice (core/distiller.hpp) as it streams past, so loss
+// needs no second look at the replies.
 // ===========================================================================
-
-class LatticeBuilder {
- public:
-  LatticeBuilder(std::int64_t t0, sim::Duration window, sim::Duration step) {
-    const std::int64_t hs = (step / 2).count();
-    const std::int64_t hw = (window / 2).count();
-    a_ = t0 + hs - hw;
-    b_ = t0 + hs + hw;
-    step_ = step.count();
-  }
-
-  void add_reply(std::int64_t t, std::uint16_t seq) {
-    const std::int64_t jb = floor_div(t - a_, step_);
-    const std::int64_t j1 = floor_div(t - b_, step_);
-    grow(std::max(jb + 2, j1 + 1));
-    for (std::int64_t j = std::max<std::int64_t>(j1 + 1, 0); j <= jb; ++j) {
-      ++b_count_[static_cast<std::size_t>(j)];
-    }
-    if (jb + 1 >= 0) {
-      auto& lo = cand_lo_[static_cast<std::size_t>(jb + 1)];
-      lo = std::max<std::int64_t>(lo, seq);
-    }
-    if (j1 >= 0) {
-      auto& hi = cand_hi_[static_cast<std::size_t>(j1)];
-      hi = std::min<std::int64_t>(hi, seq);
-    }
-  }
-
-  void finalize(std::size_t steps, std::uint64_t echoes_total, Plan* plan) {
-    grow(static_cast<std::int64_t>(steps));
-    plan->loss_b.assign(steps, 0);
-    plan->loss_lo.assign(steps, -1);
-    plan->loss_hi.assign(steps, static_cast<std::int64_t>(echoes_total));
-    std::int64_t run_lo = -1;
-    for (std::size_t j = 0; j < steps; ++j) {
-      run_lo = std::max(run_lo, cand_lo_[j]);
-      plan->loss_lo[j] = run_lo;
-      plan->loss_b[j] = b_count_[j];
-    }
-    std::int64_t run_hi = static_cast<std::int64_t>(echoes_total);
-    for (std::size_t j = cand_hi_.size(); j-- > 0;) {
-      run_hi = std::min(run_hi, cand_hi_[j]);
-      if (j < steps) plan->loss_hi[j] = run_hi;
-    }
-  }
-
- private:
-  void grow(std::int64_t n) {
-    if (n <= static_cast<std::int64_t>(b_count_.size())) return;
-    const auto sz = static_cast<std::size_t>(n);
-    b_count_.resize(sz, 0);
-    cand_lo_.resize(sz, std::numeric_limits<std::int64_t>::min());
-    cand_hi_.resize(sz, std::numeric_limits<std::int64_t>::max());
-  }
-
-  std::int64_t a_, b_, step_;
-  std::vector<std::int64_t> b_count_;
-  std::vector<std::int64_t> cand_lo_;
-  std::vector<std::int64_t> cand_hi_;
-};
 
 std::uint64_t file_size_of(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -185,6 +103,7 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
   plan.file_size = reader.stream_size().value_or(0);
 
   std::optional<LatticeBuilder> lattice;
+  std::uint64_t echoes_sent = 0;
   WindowPlan cur;
   bool window_open = false;
   sim::TimePoint window_first{};
@@ -207,7 +126,7 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
     if (!plan.any_records) {
       plan.any_records = true;
       plan.t0 = t.time_since_epoch().count();
-      lattice.emplace(plan.t0, cfg.distill.window, cfg.distill.step);
+      lattice.emplace(t, cfg.distill);
     }
     plan.t_end = t.time_since_epoch().count();
 
@@ -234,11 +153,10 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
     } else if (const auto* p = std::get_if<trace::PacketRecord>(&rec)) {
       if (is_echo_sent(*p)) {
         ++cur.sent;
-        ++plan.echoes_total;
+        ++echoes_sent;
       } else if (is_echo_reply(*p)) {
         ++cur.replies;
-        ++plan.replies_total;
-        lattice->add_reply(t.time_since_epoch().count(), p->icmp_seq);
+        lattice->add_reply(t, p->icmp_seq);
       }
     }
   }
@@ -253,19 +171,12 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
   plan.report = reader.report();
   if (plan.file_size == 0) plan.file_size = reader.next_frame_offset();
 
-  // Output step count, matching assemble_replay's loop bound.
-  std::size_t steps = 0;
-  if (plan.any_records && plan.t_end > plan.t0) {
-    const std::int64_t d = plan.t_end - plan.t0;
-    const std::int64_t s = cfg.distill.step.count();
-    steps = static_cast<std::size_t>((d + s - 1) / s);
-  }
   if (lattice) {
-    lattice->finalize(steps, plan.echoes_total, &plan);
-  } else {
-    plan.loss_b.assign(steps, 0);
-    plan.loss_lo.assign(steps, -1);
-    plan.loss_hi.assign(steps, 0);
+    const std::size_t steps =
+        step_count(sim::TimePoint{sim::Duration{plan.t0}},
+                   sim::TimePoint{sim::Duration{plan.t_end}},
+                   cfg.distill.step);
+    plan.loss = std::move(*lattice).finalize(steps, echoes_sent);
   }
   return plan;
 }
@@ -337,14 +248,15 @@ std::string encode_plan(const Plan& plan) {
   put<std::uint8_t>(p, plan.any_records ? 1 : 0);
   put<std::int64_t>(p, plan.t0);
   put<std::int64_t>(p, plan.t_end);
-  put<std::uint64_t>(p, plan.echoes_total);
-  put<std::uint64_t>(p, plan.replies_total);
+  const LossLattice& loss = plan.loss;
+  put<std::uint64_t>(p, loss.echoes_sent);
+  put<std::uint64_t>(p, loss.replies);
   put<std::uint64_t>(p, plan.records_streamed);
-  put<std::uint64_t>(p, plan.loss_b.size());
-  for (std::size_t j = 0; j < plan.loss_b.size(); ++j) {
-    put<std::int64_t>(p, plan.loss_b[j]);
-    put<std::int64_t>(p, plan.loss_lo[j]);
-    put<std::int64_t>(p, plan.loss_hi[j]);
+  put<std::uint64_t>(p, loss.in_window.size());
+  for (std::size_t j = 0; j < loss.in_window.size(); ++j) {
+    put<std::int64_t>(p, loss.in_window[j]);
+    put<std::int64_t>(p, loss.seq_lo[j]);
+    put<std::int64_t>(p, loss.seq_hi[j]);
   }
   put<std::uint64_t>(p, plan.windows.size());
   for (const WindowPlan& w : plan.windows) {
@@ -376,18 +288,19 @@ bool decode_plan(std::string_view payload, Plan* plan) {
   plan->any_records = c.get<std::uint8_t>() != 0;
   plan->t0 = c.get<std::int64_t>();
   plan->t_end = c.get<std::int64_t>();
-  plan->echoes_total = c.get<std::uint64_t>();
-  plan->replies_total = c.get<std::uint64_t>();
+  LossLattice& loss = plan->loss;
+  loss.echoes_sent = c.get<std::uint64_t>();
+  loss.replies = c.get<std::uint64_t>();
   plan->records_streamed = c.get<std::uint64_t>();
   const auto steps = c.get<std::uint64_t>();
   if (!c.ok() || !c.fits(steps, 24)) return false;
-  plan->loss_b.resize(steps);
-  plan->loss_lo.resize(steps);
-  plan->loss_hi.resize(steps);
+  loss.in_window.resize(steps);
+  loss.seq_lo.resize(steps);
+  loss.seq_hi.resize(steps);
   for (std::uint64_t j = 0; j < steps; ++j) {
-    plan->loss_b[j] = c.get<std::int64_t>();
-    plan->loss_lo[j] = c.get<std::int64_t>();
-    plan->loss_hi[j] = c.get<std::int64_t>();
+    loss.in_window[j] = c.get<std::int64_t>();
+    loss.seq_lo[j] = c.get<std::int64_t>();
+    loss.seq_hi[j] = c.get<std::int64_t>();
   }
   const auto windows = c.get<std::uint64_t>();
   if (!c.ok() || !c.fits(windows, 42)) return false;
@@ -764,16 +677,11 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
   if (plan.any_records) {
     const sim::TimePoint t0{sim::Duration{plan.t0}};
     const sim::TimePoint t_end{sim::Duration{plan.t_end}};
-    std::size_t j = 0;
+    std::size_t step = 0;
     result.replay = assemble_replay(
         cfg_.distill, estimates, t0, t_end,
         [&](sim::TimePoint, sim::TimePoint, double prev) {
-          const std::size_t step_index = j++;
-          if (plan.replies_total == 0 || plan.echoes_total == 0) return prev;
-          return loss_from_gap(plan.loss_b[step_index],
-                               plan.loss_lo[step_index],
-                               plan.loss_hi[step_index], prev,
-                               cfg_.distill.max_loss);
+          return plan.loss.loss(step++, prev, cfg_.distill.max_loss);
         },
         &result.distill_stats);
   }
@@ -784,7 +692,7 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
   st.checkpoint_degraded = journaling && journal.degraded();
   st.windows_total = n_windows;
   st.records_streamed = plan.records_streamed;
-  st.steps = plan.loss_b.size();
+  st.steps = plan.loss.in_window.size();
   for (const WindowSummary& s : result.windows) {
     if (s.damaged) ++st.windows_damaged;
     if (s.shed) ++st.windows_shed;

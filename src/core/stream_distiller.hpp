@@ -152,7 +152,10 @@ std::size_t probe_checkpoint_journal(const char* data, std::size_t size);
 
 class StreamDistiller {
  public:
-  explicit StreamDistiller(StreamDistillConfig cfg = {}) : cfg_(cfg) {}
+  /// Throws std::invalid_argument on a non-positive window or step.
+  explicit StreamDistiller(StreamDistillConfig cfg = {}) : cfg_(cfg) {
+    validate_distill_config(cfg_.distill);
+  }
 
   /// Distills a v2 (or v1) trace file.  Throws trace::TraceFormatError on
   /// an unusable header and std::runtime_error on I/O failure; all other

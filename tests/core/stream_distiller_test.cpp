@@ -96,6 +96,58 @@ TEST(StreamDistiller, BitIdenticalToInMemoryOnCleanTrace) {
   std::filesystem::remove(path);
 }
 
+TEST(StreamDistiller, BitIdenticalToInMemoryWhenAReplyPrecedesTheFirstRecord) {
+  // 31 probe groups from t0 = 100 s, every other group losing its third
+  // reply, and a stray reply logged right after the first record but timed
+  // at 50 s: before every step window, so it bounds the sequence gap of
+  // every one of them.
+  trace::CollectedTrace t;
+  std::uint16_t seq = 0;
+  const auto add = [&](double at_s, std::uint32_t bytes, double rtt_s,
+                       bool replied) {
+    trace::PacketRecord echo;
+    echo.at = sim::kEpoch + sim::from_seconds(at_s);
+    echo.dir = trace::PacketDirection::kOutgoing;
+    echo.protocol = net::Protocol::kIcmp;
+    echo.icmp_kind = trace::IcmpKind::kEcho;
+    echo.icmp_seq = seq++;
+    echo.ip_bytes = bytes;
+    t.records.emplace_back(echo);
+    if (t.records.size() == 1) {
+      trace::PacketRecord early = echo;
+      early.dir = trace::PacketDirection::kIncoming;
+      early.icmp_kind = trace::IcmpKind::kEchoReply;
+      early.at = sim::kEpoch + sim::seconds(50);
+      early.echo_origin = early.at - sim::milliseconds(2);
+      t.records.emplace_back(early);
+    }
+    if (!replied) return;
+    trace::PacketRecord reply = echo;
+    reply.dir = trace::PacketDirection::kIncoming;
+    reply.icmp_kind = trace::IcmpKind::kEchoReply;
+    reply.echo_origin = echo.at;
+    reply.at = echo.at + sim::from_seconds(rtt_s);
+    t.records.emplace_back(reply);
+  };
+  for (int g = 0; g < 31; ++g) {
+    add(100.0 + g, 60, 0.0034, true);
+    add(100.001 + g, 1052, 0.0130, true);
+    add(100.002 + g, 1052, 0.0172, g % 2 != 0);
+  }
+  const std::string path = tmp("early_reply.tmtr");
+  trace::save_trace(path, t);
+
+  const std::string reference = in_memory_reference(path);
+  for (const unsigned threads : {1u, 4u}) {
+    StreamDistillConfig cfg;
+    cfg.threads = threads;
+    const auto streamed = stream_distill(path, cfg);
+    EXPECT_EQ(streamed.status, DistillStatus::kOk);
+    EXPECT_EQ(serialize(streamed.replay), reference) << threads << " threads";
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(StreamDistiller, BitIdenticalToInMemorySalvageOnDamagedTrace) {
   const std::string path = make_corpus("damaged.tmtr");
   trace::FaultInjector inject{sim::Rng(9)};

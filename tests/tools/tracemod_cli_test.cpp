@@ -302,6 +302,42 @@ TEST(TracemodCli, DistillStatusRequiresTheStreamingPath) {
             kExitUsage);
 }
 
+TEST(TracemodCli, DistillRejectsANonPositiveOrNonFiniteWindowOrStep) {
+  // Rejected before the input is opened (a missing input would exit 2).
+  // 1e-10 s truncates to 0 ns on the simulator's clock.
+  const std::string in = tmp("nonexistent.trace");
+  const std::string out = tmp("never.replay");
+  for (const std::string flag : {"--step", "--window"}) {
+    for (const std::string value : {"0", "-5", "nan", "inf", "1e-10"}) {
+      EXPECT_EQ(run({"distill", in, out, flag, value}), kExitUsage)
+          << flag << " " << value;
+      EXPECT_EQ(run({"distill", in, out, flag, value, "--stream"}),
+                kExitUsage)
+          << flag << " " << value << " --stream";
+    }
+  }
+}
+
+TEST(TracemodCli, DistillAcceptsAZeroCorpusWindow) {
+  // --corpus-window 0 gives every record its own window; the replay is the
+  // same as with the default 60 s windows.
+  const std::string in = tmp("corpus_window.trace");
+  const std::string plain = tmp("corpus_window_default.replay");
+  const std::string zero = tmp("corpus_window_zero.replay");
+  ASSERT_EQ(run({"gen-corpus", in, "--seconds", "90", "--loss", "0.1"}),
+            kExitOk);
+  ASSERT_EQ(run({"distill", in, plain, "--stream"}), kExitOk);
+  ASSERT_EQ(run({"distill", in, zero, "--stream", "--corpus-window", "0"}),
+            kExitOk);
+  auto slurp = [](const std::string& path) {
+    std::ifstream f(path);
+    return std::string((std::istreambuf_iterator<char>(f)),
+                       std::istreambuf_iterator<char>());
+  };
+  ASSERT_FALSE(slurp(plain).empty());
+  EXPECT_EQ(slurp(plain), slurp(zero));
+}
+
 TEST(TracemodCli, CampusStatusOffDigestMatchesStatusOn) {
   // The zero-perturbation contract at the CLI surface: --status must not
   // move the campus digest.

@@ -256,6 +256,23 @@ int cmd_collect(const std::vector<std::string>& args) {
   return kExitOk;
 }
 
+/// A distillation window or step in seconds: finite, positive, and still
+/// at least 1 ns on the simulator's clock.  Zero or NaN would never
+/// advance the output, and a negative window would drop every tuple.
+void checked_period(Parsed& p, const std::string& name, sim::Duration* out) {
+  double v = 0;
+  if (!checked_number(p, name, &v)) return;
+  // !(v > 0) also catches NaN; the cap keeps the nanosecond count in range.
+  if (!(v > 0.0 && v < 9.2e9) || sim::from_seconds(v) <= sim::Duration{}) {
+    std::string text;
+    p.str(name, &text);
+    reject_value(p, name, "a positive number of seconds (at least 1 ns)",
+                 text);
+    return;
+  }
+  *out = sim::from_seconds(v);
+}
+
 /// The streaming-distillation path of cmd_distill: bounded memory,
 /// checkpoints, and the 0/3/5 exit-code contract.
 int cmd_distill_stream(Parsed& p, const core::DistillConfig& dcfg) {
@@ -375,9 +392,8 @@ int cmd_distill(const std::vector<std::string>& args) {
     return usage();
   }
   core::DistillConfig cfg;
-  double v = 0;
-  if (checked_number(p, "--window", &v)) cfg.window = sim::from_seconds(v);
-  if (checked_number(p, "--step", &v)) cfg.step = sim::from_seconds(v);
+  checked_period(p, "--window", &cfg.window);
+  checked_period(p, "--step", &cfg.step);
   if (p.failed) return usage();
   if (p.has("--stream")) return cmd_distill_stream(p, cfg);
   trace::TraceReadOptions ropts;
