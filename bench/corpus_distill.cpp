@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   if (cmdline.failed) return cli::kExitUsage;
 
   bench::heading("Corpus distillation: wall time and RSS at production volume",
-                 "streaming two-pass distiller, " + std::to_string(mb) +
+                 "streaming one-read distiller, " + std::to_string(mb) +
                      " MB synthetic corpus");
 
   const std::string corpus_path =

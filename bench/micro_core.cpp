@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the core machinery: distillation
-// throughput, modulation-layer per-packet cost, event-loop dispatch, and
-// trace-format round-trips.  These bound the overhead the methodology adds
+// throughput, modulation-layer per-packet cost, event-loop dispatch,
+// trace-format round-trips, and the CRC32C every framed format checks.  These bound the overhead the methodology adds
 // to an experiment, the paper's "cheap to compute" model constraint
 // (Section 3.2.1).
 #include <benchmark/benchmark.h>
@@ -12,6 +12,7 @@
 #include "core/distiller.hpp"
 #include "core/emulator.hpp"
 #include "scenarios/live_testbed.hpp"
+#include "sim/crc32c.hpp"
 #include "trace/ping.hpp"
 #include "trace/trace_io.hpp"
 #include "version.hpp"
@@ -113,6 +114,27 @@ void BM_TraceFormatRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(collected.records.size()));
 }
 BENCHMARK(BM_TraceFormatRoundTrip)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32c(benchmark::State& state,
+               std::uint32_t (*crc)(const void*, std::size_t,
+                                    std::uint32_t)) {
+  // The dispatched entry point against the portable table path, in one
+  // run: CI gates their ratio, which runner speed cancels out of.
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  std::uint32_t sum = 0;
+  for (auto _ : state) {
+    sum = crc(buf.data(), buf.size(), sum);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &sim::crc32c)
+    ->Arg(64)->Arg(4096)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Crc32c, table, &sim::detail::crc32c_table)
+    ->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_LiveWirelessSecond(benchmark::State& state) {
   // Wall-clock cost of simulating one second of a busy live scenario.

@@ -221,8 +221,21 @@ LatticeBuilder::LatticeBuilder(sim::TimePoint t0, const DistillConfig& cfg,
 
 void LatticeBuilder::add_reply(sim::TimePoint at, std::uint16_t seq) {
   ++replies_;
-  const std::int64_t first = windows_.first(at);
   const std::int64_t last = windows_.last(at);
+  // A streaming build holds a reply whose seq_lo slot, one past its last
+  // window, lies beyond the slots the replies so far pay for.
+  const std::int64_t paid =
+      kDenseBaseSlots +
+      kDenseSlotsPerReply * static_cast<std::int64_t>(replies_);
+  if (max_steps_ == kUnbounded && last + 2 > paid) {
+    held_.push_back(HeldReply{at, seq});
+    return;
+  }
+  place(windows_.first(at), last, seq);
+}
+
+void LatticeBuilder::place(std::int64_t first, std::int64_t last,
+                           std::uint16_t seq) {
   // Before every window after `last` (all of them when last < 0), and at or
   // past the end of every window before `first` (all of them when first is
   // past the trace's steps).
@@ -245,6 +258,12 @@ void LatticeBuilder::add_reply(sim::TimePoint at, std::uint16_t seq) {
 
 LossLattice LatticeBuilder::finalize(std::size_t steps,
                                      std::uint64_t echoes_sent) && {
+  // The step count now caps every held reply: its candidates past the
+  // last step fold into the last slot or drop, as in a capped build.
+  max_steps_ = static_cast<std::int64_t>(steps);
+  for (const HeldReply& r : held_) {
+    place(windows_.first(r.at), windows_.last(r.at), r.seq);
+  }
   grow(static_cast<std::int64_t>(steps));
   LossLattice out;
   out.replies = replies_;

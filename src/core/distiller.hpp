@@ -183,13 +183,24 @@ struct LossLattice {
 /// earlier one.  Each candidate is recorded once, at the nearest such step
 /// (clamped to the trace's steps); finalize()'s prefix-max and suffix-min
 /// sweeps spread it to the rest.
+///
+/// Without a step count (a streaming scan), the dense slots grow only as
+/// far as the replies so far pay for: a base of kDenseBaseSlots plus
+/// kDenseSlotsPerReply per reply.  A reply whose slots lie past that --
+/// one implausible far-future timestamp, or the first replies after a long
+/// gap -- is held as-is and placed by finalize(), once the step count is
+/// known; past the last step only its seq_hi candidate still matters.  So
+/// a streaming build never sizes the lattice by a timestamp alone: memory
+/// stays within c * (replies + steps).
 class LatticeBuilder {
  public:
+  static constexpr std::int64_t kUnbounded =
+      std::numeric_limits<std::int64_t>::max();
+
   /// `max_steps` bounds the lattice when the step count is known up front
   /// (the in-memory distiller); a streaming scan learns it only at the end.
   LatticeBuilder(sim::TimePoint t0, const DistillConfig& cfg,
-                 std::int64_t max_steps =
-                     std::numeric_limits<std::int64_t>::max());
+                 std::int64_t max_steps = kUnbounded);
 
   void add_reply(sim::TimePoint at, std::uint16_t seq);
 
@@ -197,6 +208,17 @@ class LatticeBuilder {
   LossLattice finalize(std::size_t steps, std::uint64_t echoes_sent) &&;
 
  private:
+  static constexpr std::int64_t kDenseBaseSlots = std::int64_t{1} << 16;
+  static constexpr std::int64_t kDenseSlotsPerReply = 16;
+
+  struct HeldReply {
+    sim::TimePoint at;
+    std::uint16_t seq;
+  };
+
+  /// Records the candidates of a reply held by windows first..last in the
+  /// dense slots, growing them.
+  void place(std::int64_t first, std::int64_t last, std::uint16_t seq);
   void grow(std::int64_t n);
 
   StepWindows windows_;
@@ -205,6 +227,7 @@ class LatticeBuilder {
   std::vector<std::int64_t> in_window_;
   std::vector<std::int64_t> cand_lo_;
   std::vector<std::int64_t> cand_hi_;
+  std::vector<HeldReply> held_;  ///< replies too far out to place yet
 };
 
 /// Stage 4 + assembly: average the estimates over each step window, fill

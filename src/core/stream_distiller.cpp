@@ -6,11 +6,9 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
-#include <thread>
 #include <variant>
 
 #include "sim/crc32c.hpp"
@@ -18,7 +16,6 @@
 #include "sim/metric_names.hpp"
 #include "sim/perf/perf.hpp"
 #include "sim/sim_context.hpp"
-#include "sim/task_pool.hpp"
 #include "trace/stream_reader.hpp"
 
 namespace tracemod::core {
@@ -40,7 +37,7 @@ constexpr std::uint8_t kFrameWindow = 2;
 using sim::io::put;
 
 // ===========================================================================
-// Plan: everything pass 1 learns about the corpus.
+// Plan: everything the scan learns about the corpus.
 // ===========================================================================
 
 struct WindowPlan {
@@ -61,16 +58,15 @@ struct Plan {
   std::int64_t t0 = 0;
   std::int64_t t_end = 0;
   std::uint64_t records_streamed = 0;
-  LossLattice loss;  ///< final after pass 1, one entry per output step
+  LossLattice loss;  ///< final after the scan, one entry per output step
   std::vector<WindowPlan> windows;
 };
 
-/// Exactly-sized echo buffers for one corpus window (or one journal frame).
+/// Echo projections: of one window (a journal frame), or of every window a
+/// scan kept, in index order.
 struct WindowData {
-  std::unique_ptr<EchoSent[]> sent;
-  std::size_t n_sent = 0;
-  std::unique_ptr<EchoReply[]> replies;
-  std::size_t n_reply = 0;
+  std::vector<EchoSent> sent;
+  std::vector<EchoReply> replies;
 };
 
 std::uint64_t retained_bytes_of(const WindowPlan& w) {
@@ -78,7 +74,8 @@ std::uint64_t retained_bytes_of(const WindowPlan& w) {
 }
 
 // ===========================================================================
-// Pass 1: one streaming scan producing the plan.  Every reply goes into the
+// The scan: one streaming read that produces the plan and keeps every
+// window's echo projections the budget allows.  Every reply goes into the
 // shared loss lattice (core/distiller.hpp) as it streams past, so loss
 // needs no second look at the replies.
 // ===========================================================================
@@ -89,16 +86,22 @@ std::uint64_t file_size_of(const std::string& path) {
   return static_cast<std::uint64_t>(in.tellg());
 }
 
-Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
+struct Scan {
+  Plan plan;
+  WindowData kept;  ///< the kept windows' projections, in index order
+};
+
+Scan scan_corpus(const std::string& path, const StreamDistillConfig& cfg) {
   sim::perf::PerfScope perf_scope(sim::perf::Domain::kDistill,
-                                  "distill.pass1");
+                                  "distill.scan");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open for reading: " + path);
   trace::TraceReadOptions opts;
   opts.mode = trace::ReadMode::kSalvage;
   trace::TraceStreamReader reader(in, opts);
 
-  Plan plan;
+  Scan scan;
+  Plan& plan = scan.plan;
   plan.header_bytes = reader.header_bytes();
   plan.file_size = reader.stream_size().value_or(0);
 
@@ -107,6 +110,41 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
   WindowPlan cur;
   bool window_open = false;
   sim::TimePoint window_first{};
+  // The MemoryBudget shed rule, in window-index order: a window sheds when
+  // it alone exceeds bytes/max_inflight or when it would push the retained
+  // total past bytes.  It looks only at earlier windows, so applying it as
+  // each window closes decides exactly what a pass over the finished plan
+  // would; and it is monotone in a window's need, so a growing window that
+  // would shed stops accumulating at once.
+  const std::uint64_t budget = cfg.budget.bytes;
+  const std::uint64_t window_cap =
+      budget / std::max(1u, cfg.budget.max_inflight);
+  std::uint64_t retained = 0;
+  const auto sheds = [&](std::uint64_t need) {
+    return budget != 0 && (need > window_cap || retained + need > budget);
+  };
+  // The open window's projections go straight to the end of scan.kept,
+  // from these marks on, while it is kept.
+  WindowData& kept = scan.kept;
+  std::size_t sent_mark = 0, reply_mark = 0;
+  bool open_kept = true;
+  // Called once cur counts a new echo.
+  const auto keep_echo = [&] {
+    if (open_kept && sheds(retained_bytes_of(cur))) {
+      open_kept = false;
+      kept.sent.resize(sent_mark);
+      kept.replies.resize(reply_mark);
+    }
+    return open_kept;
+  };
+  const auto close_window = [&] {
+    cur.shed = !open_kept;
+    if (open_kept) retained += retained_bytes_of(cur);
+    plan.windows.push_back(cur);
+    sent_mark = kept.sent.size();
+    reply_mark = kept.replies.size();
+    open_kept = true;
+  };
 
   sim::status::StatusBoard* board =
       cfg.status != nullptr && cfg.status->enabled() ? cfg.status : nullptr;
@@ -141,7 +179,7 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
       // (including any damaged bytes a preceding marker accounts for)
       // belongs to the window being closed.
       cur.end = reader.record_frame_offset();
-      plan.windows.push_back(cur);
+      close_window();
       cur = WindowPlan{};
       cur.begin = reader.record_frame_offset();
       window_first = t;
@@ -154,15 +192,21 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
       if (is_echo_sent(*p)) {
         ++cur.sent;
         ++echoes_sent;
+        if (keep_echo()) {
+          kept.sent.push_back(EchoSent{p->icmp_seq, p->ip_bytes});
+        }
       } else if (is_echo_reply(*p)) {
         ++cur.replies;
         lattice->add_reply(t, p->icmp_seq);
+        if (keep_echo()) {
+          kept.replies.push_back(EchoReply{p->at, p->rtt(), p->icmp_seq});
+        }
       }
     }
   }
   if (window_open) {
     cur.end = reader.next_frame_offset();
-    plan.windows.push_back(cur);
+    close_window();
   }
   if (board != nullptr && plan.records_streamed > reported) {
     board->add_records_streamed(plan.records_streamed - reported);
@@ -178,27 +222,7 @@ Plan run_pass1(const std::string& path, const StreamDistillConfig& cfg) {
                    cfg.distill.step);
     plan.loss = std::move(*lattice).finalize(steps, echoes_sent);
   }
-  return plan;
-}
-
-/// Decides which windows keep their echo buffers, in window-index order so
-/// the plan is identical for every thread count and schedule.
-void apply_shed_plan(const MemoryBudget& budget, Plan* plan,
-                     std::uint64_t* retained_out) {
-  std::uint64_t retained = 0;
-  const unsigned inflight = std::max(1u, budget.max_inflight);
-  const std::uint64_t window_cap =
-      budget.bytes == 0 ? 0 : budget.bytes / inflight;
-  for (WindowPlan& w : plan->windows) {
-    const std::uint64_t need = retained_bytes_of(w);
-    if (budget.bytes != 0 &&
-        (need > window_cap || retained + need > budget.bytes)) {
-      w.shed = true;
-      continue;
-    }
-    retained += need;
-  }
-  *retained_out = retained;
+  return scan;
 }
 
 // ===========================================================================
@@ -316,19 +340,21 @@ bool decode_plan(std::string_view payload, Plan* plan) {
   return c.ok();
 }
 
-std::string encode_window(std::uint64_t index, const WindowData& data) {
+std::string encode_window(std::uint64_t index,
+                          std::span<const EchoSent> sent,
+                          std::span<const EchoReply> replies) {
   std::string p;
   put<std::uint64_t>(p, index);
-  put<std::uint64_t>(p, data.n_sent);
-  for (std::size_t i = 0; i < data.n_sent; ++i) {
-    put<std::uint16_t>(p, data.sent[i].icmp_seq);
-    put<std::uint32_t>(p, data.sent[i].ip_bytes);
+  put<std::uint64_t>(p, sent.size());
+  for (const EchoSent& e : sent) {
+    put<std::uint16_t>(p, e.icmp_seq);
+    put<std::uint32_t>(p, e.ip_bytes);
   }
-  put<std::uint64_t>(p, data.n_reply);
-  for (std::size_t i = 0; i < data.n_reply; ++i) {
-    put<std::int64_t>(p, data.replies[i].at.time_since_epoch().count());
-    put<std::int64_t>(p, data.replies[i].rtt.count());
-    put<std::uint16_t>(p, data.replies[i].icmp_seq);
+  put<std::uint64_t>(p, replies.size());
+  for (const EchoReply& r : replies) {
+    put<std::int64_t>(p, r.at.time_since_epoch().count());
+    put<std::int64_t>(p, r.rtt.count());
+    put<std::uint16_t>(p, r.icmp_seq);
   }
   return p;
 }
@@ -339,21 +365,18 @@ bool decode_window(std::string_view payload, std::uint64_t* index,
   *index = c.get<std::uint64_t>();
   const auto n_sent = c.get<std::uint64_t>();
   if (!c.ok() || !c.fits(n_sent, 6)) return false;
-  data->n_sent = static_cast<std::size_t>(n_sent);
-  data->sent = std::make_unique<EchoSent[]>(data->n_sent);
-  for (std::size_t i = 0; i < data->n_sent; ++i) {
-    data->sent[i].icmp_seq = c.get<std::uint16_t>();
-    data->sent[i].ip_bytes = c.get<std::uint32_t>();
+  data->sent.resize(static_cast<std::size_t>(n_sent));
+  for (EchoSent& e : data->sent) {
+    e.icmp_seq = c.get<std::uint16_t>();
+    e.ip_bytes = c.get<std::uint32_t>();
   }
   const auto n_reply = c.get<std::uint64_t>();
   if (!c.ok() || !c.fits(n_reply, 18)) return false;
-  data->n_reply = static_cast<std::size_t>(n_reply);
-  data->replies = std::make_unique<EchoReply[]>(data->n_reply);
-  for (std::size_t i = 0; i < data->n_reply; ++i) {
-    data->replies[i].at =
-        sim::TimePoint{sim::Duration{c.get<std::int64_t>()}};
-    data->replies[i].rtt = sim::Duration{c.get<std::int64_t>()};
-    data->replies[i].icmp_seq = c.get<std::uint16_t>();
+  data->replies.resize(static_cast<std::size_t>(n_reply));
+  for (EchoReply& r : data->replies) {
+    r.at = sim::TimePoint{sim::Duration{c.get<std::int64_t>()}};
+    r.rtt = sim::Duration{c.get<std::int64_t>()};
+    r.icmp_seq = c.get<std::uint16_t>();
   }
   return c.ok();
 }
@@ -368,8 +391,8 @@ class JournalWriter {
  public:
   void open(const std::string& path, std::uint32_t fingerprint,
             sim::io::FaultPlan* plan) {
-    // Window frames land at task-pool cadence; periodic fdatasync bounds
-    // the resumable-progress loss without a sync per window.
+    // Window frames land back to back; periodic fdatasync bounds the
+    // resumable-progress loss without a sync per window.
     sim::io::AppendJournalWriter::Options options;
     options.plan = plan;
     const sim::io::IoResult r = writer_.open_fresh(
@@ -380,14 +403,12 @@ class JournalWriter {
   void append(std::uint8_t type, const std::string& payload) {
     std::string frame;
     sim::io::append_frame(frame, type, payload);
-    std::lock_guard<std::mutex> lock(mu_);
     if (!writer_.is_open()) return;
     const sim::io::IoResult r = writer_.append(frame);
     if (!r.ok) note_degraded();
   }
 
   void close() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (!writer_.is_open()) return;
     const sim::io::IoResult r = writer_.close();
     if (!r.ok) note_degraded();
@@ -403,7 +424,6 @@ class JournalWriter {
   }
 
   sim::io::AppendJournalWriter writer_;
-  std::mutex mu_;
 };
 
 /// Tolerant journal read: header + fingerprint gate, then every frame that
@@ -447,71 +467,25 @@ JournalContents read_journal(const std::string& path,
   return parse_journal_bytes(bytes, &fingerprint);
 }
 
-// ===========================================================================
-// Pass 2: per-window echo extraction from the window's byte range.
-// ===========================================================================
+/// Whether a journal window frame is window `w` intact: the plan keeps the
+/// window and the frame has its shape.
+bool holds(const WindowPlan& w, const WindowData& frame) {
+  return !w.shed && frame.sent.size() == w.sent &&
+         frame.replies.size() == w.replies;
+}
 
-/// std::istream view over [offset, offset+length) of a file, so a window
-/// task re-reads exactly its frames and nothing else.
-class BoundedFileBuf : public std::streambuf {
- public:
-  BoundedFileBuf(const std::string& path, std::uint64_t offset,
-                 std::uint64_t length)
-      : in_(path, std::ios::binary), remaining_(length) {
-    if (in_) in_.seekg(static_cast<std::streamoff>(offset));
-  }
-  bool ok() const { return static_cast<bool>(in_); }
-
- protected:
-  int_type underflow() override {
-    if (remaining_ == 0) return traits_type::eof();
-    const auto want = static_cast<std::streamsize>(
-        std::min<std::uint64_t>(sizeof(buf_), remaining_));
-    in_.read(buf_, want);
-    const auto got = in_.gcount();
-    if (got <= 0) return traits_type::eof();
-    remaining_ -= static_cast<std::uint64_t>(got);
-    setg(buf_, buf_, buf_ + got);
-    return traits_type::to_int_type(buf_[0]);
-  }
-
- private:
-  std::ifstream in_;
-  std::uint64_t remaining_;
-  char buf_[64 * 1024];
-};
-
-/// Re-reads one window's byte range and extracts its echo projections into
-/// exactly-sized buffers (capacities come from the pass-1 plan, so there
-/// is no growth and no over-allocation).  Returns false on a plan/parse
-/// mismatch, which the caller treats as a shed window -- never an abort.
-bool extract_window(const std::string& path, const WindowPlan& w,
-                    WindowData* out) {
-  BoundedFileBuf buf(path, w.begin, w.end - w.begin);
-  if (!buf.ok()) return false;
-  std::istream in(&buf);
-  trace::TraceStreamReader reader(
-      in, trace::TraceStreamReader::FrameRange{}, w.begin);
-
-  out->n_sent = 0;
-  out->n_reply = 0;
-  out->sent = std::make_unique<EchoSent[]>(static_cast<std::size_t>(w.sent));
-  out->replies =
-      std::make_unique<EchoReply[]>(static_cast<std::size_t>(w.replies));
-
-  trace::TraceRecord rec;
-  while (reader.next(&rec)) {
-    const auto* p = std::get_if<trace::PacketRecord>(&rec);
-    if (p == nullptr) continue;
-    if (is_echo_sent(*p)) {
-      if (out->n_sent >= w.sent) return false;
-      out->sent[out->n_sent++] = EchoSent{p->icmp_seq, p->ip_bytes};
-    } else if (is_echo_reply(*p)) {
-      if (out->n_reply >= w.replies) return false;
-      out->replies[out->n_reply++] = EchoReply{p->at, p->rtt(), p->icmp_seq};
+/// Whether a journal holds its plan and every window the plan keeps.
+bool is_whole(const JournalContents& journal) {
+  if (!journal.have_plan) return false;
+  const std::vector<WindowPlan>& windows = journal.plan.windows;
+  for (std::size_t k = 0; k < windows.size(); ++k) {
+    if (windows[k].shed) continue;
+    const auto it = journal.windows.find(k);
+    if (it == journal.windows.end() || !holds(windows[k], it->second)) {
+      return false;
     }
   }
-  return out->n_sent == w.sent && out->n_reply == w.replies;
+  return true;
 }
 
 }  // namespace
@@ -532,119 +506,81 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
   const std::uint32_t fingerprint =
       journaling ? journal_fingerprint(path, file_size, cfg_) : 0;
 
-  // Reuse a killed run's plan and intact windows when asked to.
+  // Reuse a killed run's journal when asked to.  A journal that holds the
+  // plan and every window the plan keeps stands in for the read.  Anything
+  // less, and the corpus is scanned afresh: the journal then only marks
+  // the windows it held as resumed.
   JournalContents resumed;
   if (journaling && cfg_.resume) {
     resumed = read_journal(cfg_.checkpoint_path, fingerprint);
   }
-
-  Plan plan;
-  if (resumed.have_plan) {
-    plan = std::move(resumed.plan);
+  Scan scan;
+  const bool whole = is_whole(resumed);
+  if (whole) {
+    scan.plan = std::move(resumed.plan);
+    for (auto& [index, data] : resumed.windows) {  // in index order
+      if (index >= scan.plan.windows.size() ||
+          !holds(scan.plan.windows[index], data)) {
+        continue;
+      }
+      scan.kept.sent.insert(scan.kept.sent.end(), data.sent.begin(),
+                            data.sent.end());
+      scan.kept.replies.insert(scan.kept.replies.end(), data.replies.begin(),
+                               data.replies.end());
+      data = WindowData{};
+    }
   } else {
-    plan = run_pass1(path, cfg_);
-    std::uint64_t retained = 0;
-    apply_shed_plan(cfg_.budget, &plan, &retained);
+    scan = scan_corpus(path, cfg_);
+  }
+  const Plan& plan = scan.plan;
+  const std::size_t n_windows = plan.windows.size();
+
+  sim::status::StatusBoard* board =
+      cfg_.status != nullptr && cfg_.status->enabled() ? cfg_.status
+                                                       : nullptr;
+  if (board != nullptr) {
+    // Every window is settled once the scan (or the journal) is in hand.
+    board->set_units("windows", static_cast<double>(n_windows));
+    for (const WindowPlan& w : plan.windows) {
+      if (w.shed) {
+        board->add_windows_shed(1);
+      } else {
+        board->add_windows_distilled(1);
+      }
+    }
+    board->add_units_done(n_windows);
+    board->set_phase("distill");
   }
 
-  // The journal is rewritten fresh on every run: header, plan, then the
-  // window frames we can vouch for, with newly computed windows appended
-  // as they finish.  A kill at any point leaves a valid prefix.
+  // The journal is rewritten fresh on every run: header, plan, then every
+  // kept window in index order -- a function of the input and config
+  // alone.  A kill at any point leaves a valid prefix.
   JournalWriter journal;
   if (journaling) {
     journal.open(cfg_.checkpoint_path, fingerprint,
                  cfg_.checkpoint_fault_plan);
     journal.append(kFramePlan, encode_plan(plan));
-  }
-
-  const std::size_t n_windows = plan.windows.size();
-  std::vector<WindowData> window_data(n_windows);
-  std::vector<std::uint8_t> window_ok(n_windows, 0);
-  std::vector<std::uint8_t> window_resumed(n_windows, 0);
-
-  // Adopt journal windows whose shape matches the plan.
-  for (auto& [index, data] : resumed.windows) {
-    if (index >= n_windows) continue;
-    const WindowPlan& w = plan.windows[index];
-    if (w.shed || data.n_sent != w.sent || data.n_reply != w.replies) {
-      continue;
-    }
-    window_data[index] = std::move(data);
-    window_ok[index] = 1;
-    window_resumed[index] = 1;
-    if (journaling) {
-      journal.append(kFrameWindow,
-                     encode_window(index, window_data[index]));
-    }
-  }
-
-  // Pass 2: every remaining non-shed window, fanned out.  Extraction is
-  // deterministic byte-range parsing, so scheduling cannot change results.
-  sim::status::StatusBoard* board =
-      cfg_.status != nullptr && cfg_.status->enabled() ? cfg_.status
-                                                       : nullptr;
-  if (board != nullptr) {
-    board->set_units("windows", static_cast<double>(n_windows));
-    // Windows the plan shed and windows adopted from the journal are
-    // already settled; account them up front so done reaches total.
+    std::size_t sent_at = 0, reply_at = 0;  // a window's place in kept
     for (std::size_t k = 0; k < n_windows; ++k) {
-      if (plan.windows[k].shed) {
-        board->add_windows_shed(1);
-        board->add_units_done(1);
-      } else if (window_ok[k]) {
-        board->add_windows_distilled(1);
-        board->add_units_done(1);
-      }
+      const WindowPlan& w = plan.windows[k];
+      if (w.shed) continue;
+      journal.append(
+          kFrameWindow,
+          encode_window(k, std::span(scan.kept.sent).subspan(sent_at, w.sent),
+                        std::span(scan.kept.replies)
+                            .subspan(reply_at, w.replies)));
+      sent_at += w.sent;
+      reply_at += w.replies;
     }
-    board->set_phase("distill");
-  }
-  {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t k = 0; k < n_windows; ++k) {
-      if (plan.windows[k].shed || window_ok[k]) continue;
-      tasks.push_back([&, k, board] {
-        if (extract_window(path, plan.windows[k], &window_data[k])) {
-          window_ok[k] = 1;
-          if (journaling) {
-            journal.append(kFrameWindow, encode_window(k, window_data[k]));
-          }
-        }
-        if (board != nullptr) {
-          if (window_ok[k]) {
-            board->add_windows_distilled(1);
-          } else {
-            board->add_windows_shed(1);
-          }
-          board->add_units_done(1);
-          board->maybe_publish();
-        }
-      });
-    }
-    unsigned threads = cfg_.threads == 0
-                           ? std::thread::hardware_concurrency()
-                           : cfg_.threads;
-    threads = std::max(1u, std::min(threads,
-                                    std::max(1u, cfg_.budget.max_inflight)));
-    sim::TaskPool pool(threads);
-    pool.run_all(std::move(tasks));
   }
 
-  // Merge, in window-index order, through the exact in-memory pipeline.
+  // Merge, in window-index order, through the exact in-memory pipeline:
+  // the kept arrays hold the kept windows in index order already.
   if (board != nullptr) board->set_phase("merge");
   StreamDistillResult result;
   result.read_report = plan.report;
-
-  std::uint64_t retained_sent = 0, retained_replies = 0;
-  for (std::size_t k = 0; k < n_windows; ++k) {
-    if (window_ok[k]) {
-      retained_sent += window_data[k].n_sent;
-      retained_replies += window_data[k].n_reply;
-    }
-  }
-  std::vector<EchoSent> sent;
-  std::vector<EchoReply> replies;
-  sent.reserve(static_cast<std::size_t>(retained_sent));
-  replies.reserve(static_cast<std::size_t>(retained_replies));
+  const std::vector<EchoSent> sent = std::move(scan.kept.sent);
+  const std::vector<EchoReply> replies = std::move(scan.kept.replies);
 
   result.windows.reserve(n_windows);
   for (std::size_t k = 0; k < n_windows; ++k) {
@@ -656,17 +592,13 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
     s.sent_echoes = w.sent;
     s.replies = w.replies;
     s.damaged = w.damaged;
-    s.shed = w.shed || (!window_ok[k]);
-    s.resumed = window_resumed[k] != 0;
+    s.shed = w.shed;
+    // A whole journal supplied every kept window; after a scan, only the
+    // journal's intact frames count.
+    const auto it = resumed.windows.find(k);
+    s.resumed = whole ? !w.shed
+                      : it != resumed.windows.end() && holds(w, it->second);
     result.windows.push_back(s);
-
-    if (window_ok[k]) {
-      WindowData& d = window_data[k];
-      sent.insert(sent.end(), d.sent.get(), d.sent.get() + d.n_sent);
-      replies.insert(replies.end(), d.replies.get(),
-                     d.replies.get() + d.n_reply);
-      d = WindowData{};  // free the arena as soon as it is merged
-    }
   }
 
   const auto groups = reconstruct_echo_groups(sent, replies);
@@ -699,7 +631,7 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
     if (s.resumed) ++st.windows_resumed;
   }
   st.retained_bytes =
-      retained_sent * sizeof(EchoSent) + retained_replies * sizeof(EchoReply);
+      sent.size() * sizeof(EchoSent) + replies.size() * sizeof(EchoReply);
 
   if (st.windows_shed > 0) {
     result.status = DistillStatus::kDegraded;

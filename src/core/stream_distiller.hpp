@@ -2,47 +2,47 @@
 // (ROADMAP item 5: multi-GB traces, faster than real time, salvage
 // semantics and auditor verdicts intact).
 //
-// Two passes over the file, neither of which slurps it:
+// One read of the file, which never slurps it:
 //
-//   Pass 1 (serial scan, flat RSS): stream every record once through
+//   Scan (serial, flat RSS): stream every record once through
 //   trace::TraceStreamReader in salvage mode.  Produces the *plan*: the
 //   corpus partitioned into byte-range windows (a new window starts at the
 //   first frame whose record time is a span past the window's first), the
 //   global damage report, per-window record/echo counts, and the complete
 //   integer loss lattice -- for every output step, the reply count inside
 //   the step window and the sequence gap around it.  Loss is therefore
-//   final after pass 1: it never depends on which windows later shed their
-//   buffers, so budget pressure can never fabricate a loss spike.
+//   final after the scan: it never depends on which windows shed their
+//   buffers, so budget pressure can never fabricate a loss spike.  The
+//   same scan appends every echo's compact projection (core::EchoSent /
+//   core::EchoReply) to one pair of arrays, in file order, and truncates
+//   a window's share away if the budget sheds it.
 //
-//   Pass 2 (parallel over sim::TaskPool): each window independently
-//   re-reads its byte range (headerless frame-range mode) and extracts the
-//   compact echo projections (core::EchoSent / core::EchoReply) into an
-//   exactly-sized arena allocation.  Window extraction is deterministic
-//   byte-range parsing, so results are identical however windows are
-//   scheduled -- serial and parallel runs merge the same bytes.
+//   Merge (serial): the arrays hold the kept windows in index order
+//   already, so they feed the exact shared pipeline from distiller.hpp
+//   as they are -- same arithmetic, same order, bit-identical to
+//   core::Distiller on the same records.
 //
-//   Merge (serial): concatenate window projections in index order and run
-//   the exact shared pipeline from distiller.hpp -- same arithmetic, same
-//   order, bit-identical to core::Distiller on the same records.
-//
-// MemoryBudget: per-window arena sizes are known after pass 1, so the shed
-// plan is decided up front, deterministically, in window-index order --
-// independent of thread count and scheduling.  A window is shed when it
+// MemoryBudget: the shed rule is decided as each window closes, in
+// window-index order, from earlier windows only.  A window is shed when it
 // alone exceeds budget/max_inflight or when cumulative retained bytes
-// exceed the budget; shedding drops the window's delay contribution
-// (neighbour-filled, like any deep outage) but keeps its loss summaries,
-// and the run degrades to DistillStatus::kDegraded instead of throwing
-// bad_alloc.
+// would exceed the budget; a window sure to shed stops accumulating at
+// once, so the projections kept never exceed the budget.  Shedding drops
+// the window's delay contribution (neighbour-filled, like any deep outage)
+// but keeps its loss summaries, and the run degrades to
+// DistillStatus::kDegraded instead of throwing bad_alloc.
 //
-// Checkpoints: with a journal path configured, the plan and every finished
+// Checkpoints: with a journal path configured, the plan and every kept
 // window are appended to a CRC-framed TMDJ journal (the TMSJ idiom from
-// scenario supervision).  A killed run re-validates the journal against a
-// fingerprint of the input and config, reuses the plan and intact windows,
-// recomputes the rest, and produces byte-identical output -- the journal
-// stores only integers, so there is no round-trip drift.
+// scenario supervision), in index order once the scan ends.  A killed run
+// re-validates the journal against a fingerprint of the input and config.
+// A journal holding the plan and every kept window replaces the scan; any
+// other journal is only credited: the corpus is scanned afresh, and the
+// windows the journal held are reported as resumed.  Either way the output
+// is byte-identical -- the journal stores only integers, so there is no
+// round-trip drift.
 //
 // Damage containment: a corrupted region becomes LostRecords markers in
-// pass 1 (stream_reader salvage), which mark their windows damaged; those
+// the scan (stream_reader salvage), which mark their windows damaged; those
 // windows surface as audit::Verdict::kUnauditable through
 // audit::window_verdict, never as a breach, and never abort the corpus.
 #pragma once
@@ -57,7 +57,6 @@
 
 namespace tracemod::sim {
 class MetricsRegistry;
-class TaskPool;
 }
 namespace tracemod::sim::io {
 class FaultPlan;
@@ -65,11 +64,12 @@ class FaultPlan;
 
 namespace tracemod::core {
 
-/// Hard cap on the echo projections retained across windows.  Zero bytes
-/// means unlimited.  max_inflight is the shed granularity (a single window
-/// may not hold more than bytes/max_inflight) and the parallelism cap; it
-/// is part of the shed plan, so runs with different thread counts shed the
-/// same windows.
+/// Cap on the echo projections retained across windows.  Zero bytes means
+/// unlimited.  max_inflight is the shed granularity: a single window may
+/// not hold more than bytes/max_inflight.  The scan applies the shed rule
+/// as each window closes.  The projections kept stay within bytes, but they
+/// live in two geometrically growing arrays, so the memory those allocate
+/// can reach about twice bytes (three times while one of them grows).
 struct MemoryBudget {
   std::uint64_t bytes = 0;
   unsigned max_inflight = 8;
@@ -77,11 +77,11 @@ struct MemoryBudget {
 
 struct StreamDistillConfig {
   DistillConfig distill;
-  /// Target time span of one corpus window (byte-range re-read unit).
+  /// Target time span of one corpus window (shed and journal unit).
   sim::Duration span = sim::seconds(60);
   MemoryBudget budget;
-  /// Worker threads for pass 2; 0 picks hardware concurrency.  Output is
-  /// identical for every value.
+  /// Unused: every run reads the file once on the calling thread.  Kept
+  /// only because perfbench/ still sets it.
   unsigned threads = 0;
   /// CRC-framed checkpoint journal; empty disables checkpointing.
   std::string checkpoint_path;
@@ -94,9 +94,9 @@ struct StreamDistillConfig {
   sim::io::FaultPlan* checkpoint_fault_plan = nullptr;
   /// Optional distill.* counters (sim/metric_names.hpp).
   sim::MetricsRegistry* metrics = nullptr;
-  /// Live status board (sim/status/status.hpp): pass 1 publishes records
-  /// streamed, pass 2 per-window progress.  Null (default) adds no code to
-  /// the pipeline; the distilled output is identical either way.
+  /// Live status board (sim/status/status.hpp): the scan publishes records
+  /// streamed, then every window settles at once.  Null (default) adds no
+  /// code to the pipeline; the distilled output is identical either way.
   sim::status::StatusBoard* status = nullptr;
 };
 
@@ -136,7 +136,7 @@ struct StreamDistillStats {
 
 struct StreamDistillResult {
   ReplayTrace replay;
-  trace::TraceReadReport read_report;  ///< pass-1 global salvage report
+  trace::TraceReadReport read_report;  ///< the scan's global salvage report
   std::vector<WindowSummary> windows;
   Distiller::Stats distill_stats;
   StreamDistillStats stats;

@@ -40,15 +40,6 @@ TraceStreamReader::TraceStreamReader(std::istream& in,
   read_header();
 }
 
-TraceStreamReader::TraceStreamReader(std::istream& in, FrameRange,
-                                     std::uint64_t base_offset)
-    : in_(&in), headerless_(true), base_(base_offset),
-      header_bytes_(base_offset) {
-  opts_.mode = ReadMode::kSalvage;
-  report_.mode = ReadMode::kSalvage;
-  report_.version = kTraceFormatVersion;
-}
-
 void TraceStreamReader::read_header() {
   // Header: magic | version | schema table | record count.  The header must
   // be intact even for salvage: without it there is no trustworthy record
@@ -156,8 +147,7 @@ void TraceStreamReader::emit_good(TraceRecord rec,
 
 void TraceStreamReader::finish() {
   if (done_) return;
-  if (strict() && !headerless_ &&
-      report_.records_read < report_.records_expected) {
+  if (strict() && report_.records_read < report_.records_expected) {
     throw TraceFormatError("unexpected end of stream", abs(),
                            last_record_index_);
   }
@@ -165,9 +155,8 @@ void TraceStreamReader::finish() {
   // its tail (or the count field itself is damaged) -- either way the
   // reader delivered less than promised, which salvage must report.  This
   // also catches truncation that lands exactly on a frame boundary.
-  if (!strict() && !headerless_ &&
-      report_.records_read + report_.records_skipped <
-          report_.records_expected) {
+  if (!strict() && report_.records_read + report_.records_skipped <
+                       report_.records_expected) {
     report_.truncated = true;
   }
   flush_damage();
@@ -214,8 +203,7 @@ bool TraceStreamReader::next(TraceRecord* out) {
 
 void TraceStreamReader::parse_frames() {
   while (pending_.empty() && !done_) {
-    if (strict() && !headerless_ &&
-        report_.records_read >= report_.records_expected) {
+    if (strict() && report_.records_read >= report_.records_expected) {
       finish();
       break;
     }

@@ -12,8 +12,7 @@
 //
 // The reader also reports the absolute byte offset of every record's frame,
 // which is what lets the streaming distiller (core/stream_distiller.hpp)
-// partition a corpus into re-readable byte-range windows and re-scan any
-// window later via the headerless frame-range mode.
+// partition a corpus into byte-range windows.
 //
 // TraceStreamWriter is the append-side dual: it writes the container header
 // with a zero record count, appends framed records one at a time, and
@@ -41,14 +40,6 @@ class TraceStreamReader {
   /// even in salvage mode, exactly like read_trace_ex.
   explicit TraceStreamReader(std::istream& in,
                              const TraceReadOptions& options = {});
-
-  /// Headerless frame-range mode: parse frames starting at the stream's
-  /// current position, which must be a frame boundary `base_offset` bytes
-  /// into the original file.  Always salvage; no expected-count
-  /// bookkeeping.  This is how a distillation window is re-read from its
-  /// checkpointed byte range.
-  struct FrameRange {};
-  TraceStreamReader(std::istream& in, FrameRange, std::uint64_t base_offset);
 
   TraceStreamReader(const TraceStreamReader&) = delete;
   TraceStreamReader& operator=(const TraceStreamReader&) = delete;
@@ -107,7 +98,6 @@ class TraceStreamReader {
 
   std::istream* in_;
   TraceReadOptions opts_;
-  bool headerless_ = false;
   bool done_ = false;
   bool stream_exhausted_ = false;
 

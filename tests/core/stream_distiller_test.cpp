@@ -1,15 +1,16 @@
 // The streaming-distillation contract (core/stream_distiller.hpp,
-// DESIGN.md section 12): the windowed two-pass pipeline is bit-identical
-// to the in-memory distiller -- clean or damaged, serial or parallel;
+// DESIGN.md section 12): the windowed one-read pipeline is bit-identical
+// to the in-memory distiller -- clean or damaged, at any thread count;
 // damage spanning a window boundary marks both windows and never aborts;
-// a damaged or torn checkpoint journal costs only the affected windows a
-// re-distillation while the output stays byte-identical; budget shedding
+// a whole checkpoint journal replaces the read, and a damaged or torn one
+// costs a rescan while the output stays byte-identical; budget shedding
 // degrades delay but never perturbs loss; and every window maps onto an
 // audit verdict that is pass or unauditable, never a breach.
 #include "core/stream_distiller.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include "core/distiller.hpp"
 #include "sim/crc32c.hpp"
 #include "sim/io/fault_plan.hpp"
+#include "sim/perf/alloc_telemetry.hpp"
 #include "sim/random.hpp"
 #include "trace/fault_injector.hpp"
 #include "trace/stream_reader.hpp"
@@ -67,6 +69,59 @@ StreamDistillResult stream_distill(const std::string& path,
                                    StreamDistillConfig cfg = {}) {
   StreamDistiller distiller(cfg);
   return distiller.distill_file(path);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Appends `groups` probe groups (small, large, large echo, each with its
+/// reply), one per second from `start_s`; with `lose_every` = k > 0, every
+/// k-th group loses its last reply.
+void add_probe_groups(trace::CollectedTrace* t, double start_s, int groups,
+                      std::uint16_t* seq, int lose_every = 0) {
+  const std::uint32_t sizes[3] = {60, 1052, 1052};
+  const double rtts[3] = {0.0034, 0.0130, 0.0172};
+  for (int g = 0; g < groups; ++g) {
+    for (int i = 0; i < 3; ++i) {
+      trace::PacketRecord echo;
+      echo.at = sim::kEpoch + sim::from_seconds(start_s + g + 0.001 * i);
+      echo.dir = trace::PacketDirection::kOutgoing;
+      echo.protocol = net::Protocol::kIcmp;
+      echo.icmp_kind = trace::IcmpKind::kEcho;
+      echo.icmp_seq = (*seq)++;
+      echo.ip_bytes = sizes[i];
+      t->records.emplace_back(echo);
+      if (lose_every > 0 && g % lose_every == 0 && i == 2) continue;
+      trace::PacketRecord reply = echo;
+      reply.dir = trace::PacketDirection::kIncoming;
+      reply.icmp_kind = trace::IcmpKind::kEchoReply;
+      reply.echo_origin = echo.at;
+      reply.at = echo.at + sim::from_seconds(rtts[i]);
+      t->records.emplace_back(reply);
+    }
+  }
+}
+
+/// The MemoryBudget shed rule as one pass over the finished window sizes:
+/// the reference the scan's online shedding must reproduce.
+std::vector<bool> up_front_shed_plan(const MemoryBudget& budget,
+                                     const std::vector<WindowSummary>& ws) {
+  std::vector<bool> shed;
+  std::uint64_t retained = 0;
+  const unsigned inflight = std::max(1u, budget.max_inflight);
+  const std::uint64_t window_cap =
+      budget.bytes == 0 ? 0 : budget.bytes / inflight;
+  for (const WindowSummary& w : ws) {
+    const std::uint64_t need =
+        w.sent_echoes * sizeof(EchoSent) + w.replies * sizeof(EchoReply);
+    shed.push_back(budget.bytes != 0 &&
+                   (need > window_cap || retained + need > budget.bytes));
+    if (!shed.back()) retained += need;
+  }
+  return shed;
 }
 
 TEST(StreamDistiller, BitIdenticalToInMemoryOnCleanTrace) {
@@ -276,6 +331,42 @@ TEST(StreamDistiller, TruncatedJournalResumesByteIdentical) {
   std::filesystem::remove(journal);
 }
 
+TEST(StreamDistiller, WholeJournalStandsInForTheRead) {
+  // A journal holding the plan and every kept window replaces the scan: a
+  // resume then reads nothing of the corpus past the fingerprinted leading
+  // bytes.  Damage beyond them makes that visible -- until the journal
+  // lacks a window, which sends the run back to the corpus.
+  const std::string path = make_corpus("whole.tmtr");
+  const std::string journal = tmp("whole.tmdj");
+
+  StreamDistillConfig cfg;
+  cfg.checkpoint_path = journal;
+  const auto first = stream_distill(path, cfg);
+  ASSERT_EQ(first.status, DistillStatus::kOk);
+  ASSERT_GE(first.stats.windows_total, 2u);
+
+  const std::uint64_t size = std::filesystem::file_size(path);
+  ASSERT_GT(size, 8192u);
+  trace::FaultInjector inject{sim::Rng(5)};
+  inject.flip_file_range(path, 8, size / 2, size);
+
+  cfg.resume = true;
+  const auto adopted = stream_distill(path, cfg);
+  EXPECT_EQ(adopted.status, DistillStatus::kOk);
+  EXPECT_EQ(adopted.stats.windows_resumed, adopted.stats.windows_total);
+  EXPECT_EQ(serialize(adopted.replay), serialize(first.replay));
+
+  std::filesystem::resize_file(journal,
+                               std::filesystem::file_size(journal) - 15);
+  const auto rescanned = stream_distill(path, cfg);
+  EXPECT_EQ(rescanned.status, DistillStatus::kSalvaged);
+  EXPECT_GT(rescanned.stats.windows_damaged, 0u);
+  EXPECT_EQ(serialize(rescanned.replay), in_memory_reference(path));
+
+  std::filesystem::remove(path);
+  std::filesystem::remove(journal);
+}
+
 TEST(StreamDistiller, CheckpointEnospcDegradesResumabilityNeverTheOutput) {
   // The disk fills while the checkpoint journal is being written.  The
   // degradation contract: the run keeps computing and its output is
@@ -335,7 +426,6 @@ TEST(StreamDistiller, CheckpointCrashAtEverySyscallNeverChangesTheOutput) {
     sim::io::FaultPlan plan(fcfg);
 
     StreamDistillConfig cfg;
-    cfg.threads = 1;  // serial appends keep the op schedule deterministic
     cfg.checkpoint_path = journal;
     cfg.checkpoint_fault_plan = &plan;
     const auto crashed = stream_distill(path, cfg);
@@ -380,12 +470,153 @@ TEST(StreamDistiller, BudgetSheddingDegradesButNeverPerturbsLoss) {
   EXPECT_LT(shed.stats.windows_shed, shed.stats.windows_total);
   EXPECT_LE(shed.stats.retained_bytes, cfg.budget.bytes);
 
-  // The loss lattice is final after pass 1: shedding drops delay samples,
+  // The loss lattice is final after the scan: shedding drops delay samples,
   // never loss.  Same step count, same loss column.
   ASSERT_EQ(shed.replay.tuples().size(), full.replay.tuples().size());
   for (std::size_t i = 0; i < full.replay.tuples().size(); ++i) {
     EXPECT_EQ(shed.replay.tuples()[i].loss, full.replay.tuples()[i].loss)
         << "step " << i;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(StreamDistiller, JournalBytesDoNotDependOnThreads) {
+  // A run journals the plan and every kept window in index order after
+  // its single read, so the TMDJ bytes are the same at any thread count.
+  const std::string path =
+      make_corpus("threads_journal.tmtr", 0.10, sim::seconds(330));
+  std::string journals[2];
+  const unsigned thread_counts[2] = {1u, 8u};
+  for (int i = 0; i < 2; ++i) {
+    const std::string journal =
+        tmp("threads_" + std::to_string(thread_counts[i]) + ".tmdj");
+    StreamDistillConfig cfg;
+    cfg.span = sim::seconds(5);
+    cfg.threads = thread_counts[i];
+    cfg.checkpoint_path = journal;
+    const auto result = stream_distill(path, cfg);
+    ASSERT_GE(result.stats.windows_total, 60u);
+    journals[i] = file_bytes(journal);
+    std::filesystem::remove(journal);
+  }
+  EXPECT_FALSE(journals[0].empty());
+  EXPECT_EQ(journals[0], journals[1]);
+  std::filesystem::remove(path);
+}
+
+TEST(StreamDistiller, OnlineSheddingMatchesTheUpFrontPlan) {
+  // The scan decides each window's shed flag as the window closes; the
+  // rule looks only at earlier windows, so the flags must equal the plan
+  // the finished window sizes give.
+  const std::string path =
+      make_corpus("online_shed.tmtr", 0.30, sim::seconds(600));
+  const auto full = stream_distill(path);
+  ASSERT_EQ(full.stats.windows_shed, 0u);
+  ASSERT_GE(full.windows.size(), 8u);
+  const std::uint64_t total = full.stats.retained_bytes;
+  std::uint64_t smallest = total, largest = 0;
+  for (const WindowSummary& w : full.windows) {
+    const std::uint64_t need =
+        w.sent_echoes * sizeof(EchoSent) + w.replies * sizeof(EchoReply);
+    smallest = std::min(smallest, need);
+    largest = std::max(largest, need);
+  }
+  ASSERT_LT(smallest, largest);
+
+  enum class Sheds { kNone, kSome, kAll };
+  struct Case {
+    const char* name;
+    MemoryBudget budget;
+    Sheds sheds;
+  };
+  const Case cases[] = {
+      {"unlimited", {0, 8}, Sheds::kNone},
+      {"ample", {total, 1}, Sheds::kNone},
+      {"half", {total / 2, 1}, Sheds::kSome},
+      // The per-window cap sits between the smallest and largest window.
+      {"window cap",
+       {total, static_cast<unsigned>(total / ((smallest + largest) / 2))},
+       Sheds::kSome},
+      {"everything", {1, 1}, Sheds::kAll},
+  };
+  for (const Case& c : cases) {
+    StreamDistillConfig cfg;
+    cfg.budget = c.budget;
+    const auto result = stream_distill(path, cfg);
+    const std::vector<bool> expected =
+        up_front_shed_plan(c.budget, full.windows);
+    ASSERT_EQ(result.windows.size(), expected.size()) << c.name;
+    std::uint64_t shed = 0;
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(result.windows[k].shed, expected[k])
+          << c.name << ", window " << k;
+      shed += expected[k] ? 1 : 0;
+    }
+    EXPECT_EQ(result.stats.windows_shed, shed) << c.name;
+    if (c.budget.bytes != 0) {
+      EXPECT_LE(result.stats.retained_bytes, c.budget.bytes) << c.name;
+    }
+    switch (c.sheds) {
+      case Sheds::kNone: EXPECT_EQ(shed, 0u) << c.name; break;
+      case Sheds::kSome:
+        EXPECT_GT(shed, 0u) << c.name;
+        EXPECT_LT(shed, expected.size()) << c.name;
+        break;
+      case Sheds::kAll: EXPECT_EQ(shed, expected.size()) << c.name; break;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(StreamDistiller, FarFutureReplyCannotSizeTheLattice) {
+  // 60 probe groups a second apart, with one reply stamped 30,000,000 s
+  // and written mid-file (tests/trace/corpus/far_reply_v2.tmtr is this
+  // trace).  The step count ends at the last record, so the in-memory
+  // lattice is capped at ~60 steps; the streaming one must not size
+  // itself by the far timestamp either (that would take ~720 MB).
+  trace::CollectedTrace t;
+  std::uint16_t seq = 0;
+  add_probe_groups(&t, 0.0, 60, &seq);
+  auto& far = std::get<trace::PacketRecord>(t.records[181]);
+  ASSERT_EQ(far.icmp_kind, trace::IcmpKind::kEchoReply);
+  far.at = sim::kEpoch + sim::seconds(30'000'000);
+  const std::string path = tmp("far_reply.tmtr");
+  trace::save_trace(path, t);
+  const std::string reference = in_memory_reference(path);
+
+  sim::perf::ensure_alloc_interposer();
+  ASSERT_TRUE(sim::perf::alloc_interposer_active());
+  const sim::perf::AllocTotals before = sim::perf::alloc_totals();
+  StreamDistillConfig cfg;
+  cfg.threads = 1;
+  const auto streamed = stream_distill(path, cfg);
+  const sim::perf::AllocTotals used = sim::perf::alloc_totals() - before;
+  EXPECT_LT(used.bytes_allocated, 16u << 20);
+  EXPECT_EQ(streamed.status, DistillStatus::kOk);
+  EXPECT_EQ(serialize(streamed.replay), reference);
+  std::filesystem::remove(path);
+}
+
+TEST(StreamDistiller, SessionsDaysApartStreamIdentically) {
+  // A legitimate gap: two sessions two days apart.  The second session's
+  // replies lie far past the lattice the first session paid for, so they
+  // wait in the held set until finalize -- which must place them exactly
+  // where a capped build would.  Its losses make its loss column depend
+  // on every one of them.
+  trace::CollectedTrace t;
+  std::uint16_t seq = 0;
+  add_probe_groups(&t, 0.0, 90, &seq);
+  add_probe_groups(&t, 2 * 86400.0, 90, &seq, 4);
+  const std::string path = tmp("two_sessions.tmtr");
+  trace::save_trace(path, t);
+  const std::string reference = in_memory_reference(path);
+  for (const unsigned threads : {1u, 4u}) {
+    StreamDistillConfig cfg;
+    cfg.threads = threads;
+    const auto streamed = stream_distill(path, cfg);
+    EXPECT_EQ(streamed.status, DistillStatus::kOk);
+    // 172,890 steps: compare without gtest's line diff of the two texts.
+    EXPECT_TRUE(serialize(streamed.replay) == reference) << threads;
   }
   std::filesystem::remove(path);
 }

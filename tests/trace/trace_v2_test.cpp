@@ -121,16 +121,6 @@ TEST(TraceV2, Version1HeaderIsRejectedInEveryMode) {
   }
 }
 
-TEST(TraceV2, Crc32cKnownAnswer) {
-  // RFC 3720 (iSCSI) test vector: 32 bytes of zeros.
-  unsigned char zeros[32] = {};
-  EXPECT_EQ(crc32c(zeros, sizeof(zeros)), 0x8A9136AAu);
-  const char* s = "123456789";
-  EXPECT_EQ(crc32c(s, 9), 0xE3069283u);
-  // Incremental == one-shot.
-  EXPECT_EQ(crc32c(s + 4, 5, crc32c(s, 4)), crc32c(s, 9));
-}
-
 TEST(TraceV2, StrictErrorsCarryOffsetAndRecordIndex) {
   std::string bytes = to_bytes(sample_trace());
   // Flip a payload byte of the second record.

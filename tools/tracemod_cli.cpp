@@ -10,11 +10,14 @@
 //       distill a raw trace into a replay trace (text format);
 //       --salvage reads around damage instead of failing on it.
 //       --stream runs the bounded-memory streaming distiller
-//       (core/stream_distiller.hpp): windowed two-pass distillation with
+//       (core/stream_distiller.hpp): windowed one-read distillation with
 //       flat RSS, optional CRC-framed checkpoints (--checkpoint) that a
 //       killed run resumes byte-identically (--resume), and graceful
-//       degradation under --budget-mb instead of bad_alloc; exits 0 on a
-//       clean corpus, 3 when damage was salvaged into unauditable
+//       degradation under --budget-mb instead of bad_alloc (the budget
+//       bounds the echo projections kept; their growing arrays may
+//       allocate up to about twice it); --threads is accepted and changes
+//       nothing, since the corpus is read once on one thread; exits 0 on
+//       a clean corpus, 3 when damage was salvaged into unauditable
 //       windows, 5 when the budget forced shedding
 //   tracemod gen-corpus <out.trace> [--seconds N] [--interval S]
 //                       [--target-mb N] [--loss P] [--seed N]
