@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "sim/assert.hpp"
-#include "sim/perf/perf.hpp"
 
 namespace tracemod::wireless {
 
@@ -15,6 +16,58 @@ double association_range_m(double tx_dbm, double ref_loss_db,
   const double exponent = (tx_dbm - ref_loss_db - rx_floor_dbm) /
                           (10.0 * path_exponent);
   return std::max(1.0, std::pow(10.0, exponent));
+}
+
+CellIndex::CellIndex(double cell_size, const std::vector<Vec2>& positions)
+    : cell_size_(cell_size) {
+  const std::size_t n = positions.size();
+  TM_ASSERT(n < UINT32_MAX);
+  if (n == 0) {
+    begin_.assign(1, 0);
+    return;
+  }
+  // Cell coordinates of every position (all (0, 0) in flat mode), then the
+  // bounding box of the occupied cells.
+  std::vector<std::int64_t> cx(n, 0), cy(n, 0);
+  if (sharded()) {
+    auto coord = [this](double v) {
+      return static_cast<std::int64_t>(std::floor(v / cell_size_));
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      cx[i] = coord(positions[i].x);
+      cy[i] = coord(positions[i].y);
+    }
+  }
+  const auto [xmin, xmax] = std::minmax_element(cx.begin(), cx.end());
+  const auto [ymin, ymax] = std::minmax_element(cy.begin(), cy.end());
+  gx0_ = *xmin;
+  gy0_ = *ymin;
+  nx_ = *xmax - gx0_ + 1;
+  ny_ = *ymax - gy0_ + 1;
+  // Each side is checked first, so the product cannot overflow.
+  if (nx_ > kMaxGridCells || ny_ > kMaxGridCells ||
+      nx_ * ny_ > kMaxGridCells) {
+    throw std::invalid_argument(
+        "cell size " + std::to_string(cell_size_) +
+        " m needs a grid of " + std::to_string(nx_) + " x " +
+        std::to_string(ny_) + " cells for " + std::to_string(n) +
+        " positions (at most " + std::to_string(kMaxGridCells) + ")");
+  }
+
+  // Counting sort by cell.  Ids are placed in increasing order, so each
+  // cell keeps registration order.
+  std::vector<std::uint32_t> cell(n);
+  begin_.assign(static_cast<std::size_t>(nx_ * ny_) + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    cell[i] = static_cast<std::uint32_t>((cy[i] - gy0_) * nx_ + cx[i] - gx0_);
+    ++begin_[cell[i] + 1];
+  }
+  for (std::size_t c = 1; c < begin_.size(); ++c) begin_[c] += begin_[c - 1];
+  std::vector<std::uint32_t> next(begin_.begin(), begin_.end() - 1);
+  ids_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ids_[next[cell[i]]++] = static_cast<std::uint32_t>(i);
+  }
 }
 
 CellIndex::CellKey CellIndex::key_of(std::int64_t ix, std::int64_t iy) const {
@@ -30,28 +83,6 @@ CellIndex::CellKey CellIndex::cell_of(Vec2 p) const {
                 static_cast<std::int64_t>(std::floor(p.y / cell_size_)));
 }
 
-void CellIndex::insert(std::uint32_t id, Vec2 p) {
-  TM_ASSERT(where_.find(id) == where_.end());
-  const CellKey key = cell_of(p);
-  cells_[key].entries.push_back(id);
-  where_.emplace(id, key);
-}
-
-void CellIndex::update(std::uint32_t id, Vec2 p) {
-  sim::perf::PerfScope perf_scope(sim::perf::Domain::kCellIndex,
-                                  "cell.update");
-  auto it = where_.find(id);
-  TM_ASSERT(it != where_.end());
-  const CellKey key = cell_of(p);
-  if (key == it->second) return;
-  std::vector<std::uint32_t>& old_bucket = cells_[it->second].entries;
-  old_bucket.erase(std::find(old_bucket.begin(), old_bucket.end(), id));
-  // Re-registration appends: within a cell, order is arrival order, which
-  // is deterministic for a deterministic simulation.
-  cells_[key].entries.push_back(id);
-  it->second = key;
-}
-
 void CellIndex::cell_span(Vec2 p, double radius, std::int64_t* x0,
                           std::int64_t* x1, std::int64_t* y0,
                           std::int64_t* y1) const {
@@ -61,25 +92,20 @@ void CellIndex::cell_span(Vec2 p, double radius, std::int64_t* x0,
   *y1 = static_cast<std::int64_t>(std::floor((p.y + radius) / cell_size_));
 }
 
-void CellIndex::for_each_candidate(
-    Vec2 p, double radius, const std::function<void(std::uint32_t)>& fn) const {
-  sim::perf::PerfScope perf_scope(sim::perf::Domain::kCellIndex,
-                                  "cell.query");
+bool CellIndex::grid_span(Vec2 p, double radius, std::int64_t* x0,
+                          std::int64_t* x1, std::int64_t* y0,
+                          std::int64_t* y1) const {
+  if (nx_ == 0) return false;
   if (!sharded()) {
-    auto it = cells_.find(0);
-    if (it == cells_.end()) return;
-    for (std::uint32_t id : it->second.entries) fn(id);
-    return;
+    *x0 = *x1 = *y0 = *y1 = 0;
+    return true;
   }
-  std::int64_t x0, x1, y0, y1;
-  cell_span(p, radius, &x0, &x1, &y0, &y1);
-  for (std::int64_t iy = y0; iy <= y1; ++iy) {
-    for (std::int64_t ix = x0; ix <= x1; ++ix) {
-      auto it = cells_.find(key_of(ix, iy));
-      if (it == cells_.end()) continue;
-      for (std::uint32_t id : it->second.entries) fn(id);
-    }
-  }
+  cell_span(p, radius, x0, x1, y0, y1);
+  *x0 = std::max(*x0, gx0_) - gx0_;
+  *x1 = std::min(*x1, gx0_ + nx_ - 1) - gx0_;
+  *y0 = std::max(*y0, gy0_) - gy0_;
+  *y1 = std::min(*y1, gy0_ + ny_ - 1) - gy0_;
+  return *x0 <= *x1 && *y0 <= *y1;
 }
 
 void CellIndex::covered_cells(Vec2 p, double radius,
@@ -99,8 +125,8 @@ void CellIndex::covered_cells(Vec2 p, double radius,
 
 std::size_t CellIndex::occupied_cells() const {
   std::size_t n = 0;
-  for (const auto& [key, bucket] : cells_) {
-    if (!bucket.entries.empty()) ++n;
+  for (std::size_t c = 0; c + 1 < begin_.size(); ++c) {
+    if (begin_[c] != begin_[c + 1]) ++n;
   }
   return n;
 }

@@ -2,12 +2,54 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "sim/assert.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
 
 namespace tracemod::wireless {
+
+AssociationScan scan_wavepoints(const CellIndex& index,
+                                const std::vector<WavePointSite>& sites,
+                                double max_tx_dbm, const SignalModel& model,
+                                Vec2 pos, double radius,
+                                std::uint32_t current) {
+  AssociationScan scan;
+  const SignalConfig& sc = model.config();
+  // Squared distance beyond which no candidate can beat scan.best_rx;
+  // infinite until there is a best, and for good without the bound.
+  double reach2 = HUGE_VAL;
+  bool current_seen = false;
+  index.for_each_candidate(pos, radius, [&](std::uint32_t id) {
+    const WavePointSite& site = sites[id];
+    if (id == current) {
+      current_seen = true;
+    } else {
+      const double dx = site.pos.x - pos.x;
+      const double dy = site.pos.y - pos.y;
+      if (dx * dx + dy * dy > reach2) return;
+    }
+    const double rx = model.median_rx_dbm(site.pos, site.tx_dbm, pos);
+    if (id == current) scan.cur_rx = rx;
+    if (rx > scan.best_rx) {
+      scan.best_rx = rx;
+      scan.best = id;
+      if (model.attenuation_only()) {
+        const double reach =
+            association_range_m(max_tx_dbm, sc.ref_loss_db, sc.path_exponent,
+                                rx) *
+            (1.0 + 1e-6);
+        reach2 = reach * reach;
+      }
+    }
+  });
+  if (current != kNoWavePoint && !current_seen) {
+    scan.cur_rx = model.median_rx_dbm(sites[current].pos,
+                                      sites[current].tx_dbm, pos);
+  }
+  return scan;
+}
 
 WirelessChannel::WirelessChannel(sim::EventLoop& loop, SignalModel model,
                                  ChannelConfig cfg, sim::Rng rng)
@@ -19,10 +61,12 @@ WirelessChannel::WirelessChannel(sim::EventLoop& loop, SignalModel model,
 
 void WirelessChannel::add_wavepoint(BaseStation* wp) {
   TM_ASSERT(wp != nullptr);
-  // WavePoints are fixed infrastructure: index them once at their mounting
-  // position.  Ids are registration indices into wavepoints_.
-  wp_index_.insert(static_cast<std::uint32_t>(wavepoints_.size()),
-                   wp->position());
+  // start() indexes the WavePoints once; none may arrive after it.
+  TM_ASSERT(!started_);
+  // WavePoints are fixed infrastructure: the scan reads their mounting
+  // position and power from here, with no virtual call per candidate.
+  sites_.push_back(WavePointSite{wp->position(), wp->tx_power_dbm()});
+  max_tx_dbm_ = std::max(max_tx_dbm_, sites_.back().tx_dbm);
   wavepoints_.push_back(wp);
 }
 
@@ -35,7 +79,9 @@ void WirelessChannel::add_mobile(Transceiver* mobile, net::IpAddress addr) {
   TM_ASSERT(mobile_by_addr_.find(addr) == mobile_by_addr_.end());
   mobile_by_radio_.emplace(mobile, mobiles_.size());
   mobile_by_addr_.emplace(addr, mobiles_.size());
-  mobiles_.push_back(MobileEntry{mobile, addr, nullptr, false, {}});
+  MobileEntry& entry = mobiles_.emplace_back();
+  entry.radio = mobile;
+  entry.addr = addr;
 }
 
 void WirelessChannel::set_telemetry(sim::SimContext& ctx) {
@@ -51,6 +97,10 @@ void WirelessChannel::set_telemetry(sim::SimContext& ctx) {
 void WirelessChannel::start() {
   if (started_) return;
   started_ = true;
+  std::vector<Vec2> positions;
+  positions.reserve(sites_.size());
+  for (const WavePointSite& site : sites_) positions.push_back(site.pos);
+  wp_index_ = CellIndex(cfg_.spatial.cell_size, positions);
   poll_associations();  // immediate first pass, then periodic
   if (cfg_.burst_extra_err > 0.0) schedule_burst_flip();
 }
@@ -75,7 +125,8 @@ WirelessChannel::MobileEntry* WirelessChannel::find_mobile_by_addr(
 
 BaseStation* WirelessChannel::associated(const Transceiver* mobile) const {
   const MobileEntry* e = find_mobile(mobile);
-  return e != nullptr ? e->assoc : nullptr;
+  return e != nullptr && e->assoc != kNoWavePoint ? wavepoints_[e->assoc]
+                                                  : nullptr;
 }
 
 double WirelessChannel::rate_bps(double snr_db) const {
@@ -125,7 +176,7 @@ void WirelessChannel::transmit_from_mobile(Transceiver* mobile,
     }
     return;
   }
-  if (entry->assoc == nullptr) {
+  if (entry->assoc == kNoWavePoint) {
     ++stats_.frames_dropped_unassociated;
     return;
   }
@@ -133,13 +184,15 @@ void WirelessChannel::transmit_from_mobile(Transceiver* mobile,
     ++stats_.frames_dropped_backlog;
     return;
   }
-  start_attempt(Attempt{mobile, entry->assoc, std::move(pkt), 0});
+  start_attempt(
+      Attempt{mobile, wavepoints_[entry->assoc], std::move(pkt), 0});
 }
 
 void WirelessChannel::transmit_from_wavepoint(BaseStation* wp,
                                               net::Packet pkt) {
   MobileEntry* entry = find_mobile_by_addr(pkt.dst);
-  if (entry == nullptr || entry->assoc != wp) {
+  if (entry == nullptr || entry->assoc == kNoWavePoint ||
+      wavepoints_[entry->assoc] != wp) {
     ++stats_.frames_dropped_unassociated;
     return;
   }
@@ -235,87 +288,93 @@ void WirelessChannel::finish_attempt(Attempt attempt, sim::TimePoint) {
   }
 }
 
-void WirelessChannel::associate(MobileEntry& entry, BaseStation* wp) {
-  if (entry.assoc != nullptr) entry.assoc->unclaim_mobile(entry.addr);
+void WirelessChannel::associate(MobileEntry& entry, std::uint32_t wp) {
+  if (entry.assoc != kNoWavePoint) {
+    wavepoints_[entry.assoc]->unclaim_mobile(entry.addr);
+  }
   entry.assoc = wp;
-  if (wp != nullptr) wp->claim_mobile(entry.addr);
+  if (wp != kNoWavePoint) wavepoints_[wp]->claim_mobile(entry.addr);
 }
 
 WirelessChannel::ScanResult WirelessChannel::scan_mobile(
     const MobileEntry& entry) const {
-  ScanResult scan;
+  ScanResult r;
   if (entry.in_handoff) {
-    scan.skipped = true;
-    return scan;
+    r.skipped = true;
+    return r;
   }
-  const Vec2 pos = entry.radio->position();
+  r.pos = entry.radio->position();
+  if (entry.quiet && entry.quiet_assoc == entry.assoc &&
+      std::memcmp(&entry.quiet_pos, &r.pos, sizeof(Vec2)) == 0) {
+    r.skipped = true;
+    return r;
+  }
   // Candidate query: in the flat configuration this visits every WavePoint
   // in registration order (the seed's full scan); sharded, only WavePoints
   // in cells overlapping the interaction disc -- the fix for the old
   // O(mobiles x wavepoints) poll.
-  wp_index_.for_each_candidate(
-      pos, cfg_.spatial.radio_range_m, [&](std::uint32_t id) {
-        BaseStation* wp = wavepoints_[id];
-        const double rx =
-            model_.median_rx_dbm(wp->position(), wp->tx_power_dbm(), pos);
-        if (rx > scan.best_rx) {
-          scan.best_rx = rx;
-          scan.best = wp;
-        }
-      });
-  if (entry.assoc != nullptr) {
-    scan.cur_rx = model_.median_rx_dbm(entry.assoc->position(),
-                                       entry.assoc->tx_power_dbm(), pos);
-  }
-  return scan;
+  r.scan = scan_wavepoints(wp_index_, sites_, max_tx_dbm_, model_, r.pos,
+                           cfg_.spatial.radio_range_m, entry.assoc);
+  return r;
 }
 
-void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& scan) {
-  if (scan.skipped) return;
-  BaseStation* best = scan.best;
-  const double best_rx = scan.best_rx;
-  if (best == nullptr) return;
-
-  if (entry.assoc == nullptr) {
-    if (best_rx >= cfg_.association_floor_dbm) associate(entry, best);
-    return;
-  }
-  // Out of range of everything: the roaming protocol drops the
-  // association entirely (5 dB of hysteresis against flapping).
-  if (best_rx < cfg_.association_floor_dbm - 5.0) {
-    associate(entry, nullptr);
-    return;
-  }
-  if (best == entry.assoc) return;
-  if (best_rx > scan.cur_rx + cfg_.handoff_hysteresis_db) {
-    // Roaming protocol: brief outage, then re-association (the paper's
-    // WavePoint handoffs).
-    entry.assoc->unclaim_mobile(entry.addr);
-    entry.assoc = nullptr;
-    entry.in_handoff = true;
-    ++stats_.handoffs;
-    if (m_handoffs_ != nullptr) ++*m_handoffs_;
-    if (tel_ != nullptr) {
-      tel_->recorder().begin(trk_air_, "handoff", stats_.handoffs,
-                             loop_.now());
-      tel_->recorder().end(trk_air_, "handoff", stats_.handoffs,
-                           loop_.now() + cfg_.handoff_outage);
+void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& r) {
+  if (r.skipped) return;
+  const std::uint32_t best = r.scan.best;
+  const double best_rx = r.scan.best_rx;
+  if (best != kNoWavePoint) {
+    if (entry.assoc == kNoWavePoint) {
+      if (best_rx >= cfg_.association_floor_dbm) {
+        associate(entry, best);
+        return;
+      }
+    } else if (best_rx < cfg_.association_floor_dbm - 5.0) {
+      // Out of range of everything: the roaming protocol drops the
+      // association entirely (5 dB of hysteresis against flapping).
+      associate(entry, kNoWavePoint);
+      return;
+    } else if (best != entry.assoc &&
+               best_rx > r.scan.cur_rx + cfg_.handoff_hysteresis_db) {
+      begin_handoff(entry, best);
+      return;
     }
-    MobileEntry* entry_ptr = &entry;
-    loop_.schedule(
-        cfg_.handoff_outage,
-        [this, entry_ptr, best] {
-          entry_ptr->in_handoff = false;
-          associate(*entry_ptr, best);
-          // Flush the frames the driver held back during the handoff.
-          std::vector<net::Packet> held = std::move(entry_ptr->deferred);
-          entry_ptr->deferred.clear();
-          for (net::Packet& pkt : held) {
-            start_attempt(Attempt{entry_ptr->radio, best, std::move(pkt), 0});
-          }
-        },
-        "wireless.handoff");
   }
+  // Nothing changed, so a scan at the same position and association would
+  // change nothing again.
+  entry.quiet = true;
+  entry.quiet_assoc = entry.assoc;
+  entry.quiet_pos = r.pos;
+}
+
+void WirelessChannel::begin_handoff(MobileEntry& entry, std::uint32_t best) {
+  // Roaming protocol: brief outage, then re-association (the paper's
+  // WavePoint handoffs).
+  wavepoints_[entry.assoc]->unclaim_mobile(entry.addr);
+  entry.assoc = kNoWavePoint;
+  entry.in_handoff = true;
+  ++stats_.handoffs;
+  if (m_handoffs_ != nullptr) ++*m_handoffs_;
+  if (tel_ != nullptr) {
+    tel_->recorder().begin(trk_air_, "handoff", stats_.handoffs,
+                           loop_.now());
+    tel_->recorder().end(trk_air_, "handoff", stats_.handoffs,
+                         loop_.now() + cfg_.handoff_outage);
+  }
+  MobileEntry* entry_ptr = &entry;
+  loop_.schedule(
+      cfg_.handoff_outage,
+      [this, entry_ptr, best] {
+        entry_ptr->in_handoff = false;
+        associate(*entry_ptr, best);
+        // Flush the frames the driver held back during the handoff.
+        std::vector<net::Packet> held = std::move(entry_ptr->deferred);
+        entry_ptr->deferred.clear();
+        for (net::Packet& pkt : held) {
+          start_attempt(Attempt{entry_ptr->radio, wavepoints_[best],
+                                std::move(pkt), 0});
+        }
+      },
+      "wireless.handoff");
 }
 
 void WirelessChannel::poll_associations() {
@@ -361,13 +420,13 @@ void WirelessChannel::schedule_burst_flip() {
 SignalInfo WirelessChannel::signal_info(const Transceiver* mobile) {
   const MobileEntry* entry = find_mobile(mobile);
   TM_ASSERT(entry != nullptr);
-  if (entry->assoc == nullptr) {
+  if (entry->assoc == kNoWavePoint) {
     // No base station in range: the driver reads noise.
     return model_.to_signal_info(model_.config().noise_floor_dbm);
   }
-  const double rx =
-      model_.rx_dbm(entry->assoc->position(), entry->assoc->tx_power_dbm(),
-                    mobile->position(), loop_.now());
+  const BaseStation* wp = wavepoints_[entry->assoc];
+  const double rx = model_.rx_dbm(wp->position(), wp->tx_power_dbm(),
+                                  mobile->position(), loop_.now());
   return model_.to_signal_info(rx);
 }
 

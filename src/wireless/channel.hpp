@@ -26,6 +26,10 @@
 //     across worker threads via set_parallel_for; mutations are applied
 //     serially in registration order, so serial and parallel sharded runs
 //     are bit-identical.
+// In both configurations the poll skips a mobile whose position and
+// association repeat those of a scan that changed nothing, and the scan
+// skips candidates too far away to beat the strongest one so far
+// (scan_wavepoints); neither skip changes a result bit.
 // The default spatial config (cell_size 0) is the degenerate single-cell
 // grid: every code path reduces to the seed's flat-medium arithmetic and
 // outputs stay bit-identical to it (pinned by tests and the sweep golden).
@@ -34,6 +38,7 @@
 // asymmetric -- the effect the paper's FTP benchmark exposes (Section 5.3).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -70,6 +75,41 @@ class BaseStation : public Transceiver {
   virtual void claim_mobile(net::IpAddress addr) = 0;
   virtual void unclaim_mobile(net::IpAddress addr) = 0;
 };
+
+/// A WavePoint's registration index; kNoWavePoint stands for none.
+inline constexpr std::uint32_t kNoWavePoint = UINT32_MAX;
+
+/// A WavePoint as the association scan sees it.  WavePoints are fixed
+/// infrastructure, so both fields are read once, at registration.
+struct WavePointSite {
+  Vec2 pos;
+  double tx_dbm = 0.0;
+};
+
+/// The association scan's result for one mobile position.
+struct AssociationScan {
+  std::uint32_t best = kNoWavePoint;  ///< strongest candidate
+  double best_rx = -1e9;
+  double cur_rx = -1e9;  ///< the current WavePoint's median signal
+};
+
+/// The pure association scan (no RNG, no mutation): among index's
+/// candidates for the disc (pos, radius), in visiting order, the first
+/// with the strictly highest SignalModel::median_rx_dbm; plus that signal
+/// for `current` (kNoWavePoint when unassociated).  `sites` holds every
+/// id of the index; `max_tx_dbm` is at least every site's tx_dbm.
+///
+/// The result is bit-identical to evaluating every candidate, but when
+/// model.attenuation_only() a candidate farther than
+/// association_range_m(max_tx_dbm, ref, n, best_rx) * (1 + 1e-6) is
+/// skipped: its signal is below best_rx by at least 10 n log10(1 + 1e-6)
+/// dB, far more than rounding (DESIGN.md section 11).  `current` is never
+/// skipped.
+AssociationScan scan_wavepoints(const CellIndex& index,
+                                const std::vector<WavePointSite>& sites,
+                                double max_tx_dbm, const SignalModel& model,
+                                Vec2 pos, double radius,
+                                std::uint32_t current);
 
 struct ChannelConfig {
   double effective_rate_bps = 1.9e6;   ///< byte rate at high SNR
@@ -128,8 +168,8 @@ class WirelessChannel {
   void add_wavepoint(BaseStation* wp);
   void add_mobile(Transceiver* mobile, net::IpAddress addr);
 
-  /// Starts association polling and the interference process.  Call after
-  /// all stations are registered.
+  /// Indexes the WavePoints, then starts association polling and the
+  /// interference process.  Registration closes here.
   void start();
 
   void transmit_from_mobile(Transceiver* mobile, net::Packet pkt);
@@ -164,7 +204,7 @@ class WirelessChannel {
   /// flat (non-sharded) configurations.
   void set_parallel_for(ParallelFor fn) { parallel_for_ = std::move(fn); }
 
-  /// The WavePoint cell index (diagnostics and tests).
+  /// The WavePoint cell index, built by start() (diagnostics and tests).
   const CellIndex& wavepoint_index() const { return wp_index_; }
 
   /// Distinct grid cells currently carrying or having carried a
@@ -175,8 +215,15 @@ class WirelessChannel {
   struct MobileEntry {
     Transceiver* radio = nullptr;
     net::IpAddress addr;
-    BaseStation* assoc = nullptr;
+    std::uint32_t assoc = kNoWavePoint;  ///< index into wavepoints_
     bool in_handoff = false;
+    /// quiet_pos and quiet_assoc hold the position and association of the
+    /// last scan that changed nothing.  The scan is a pure function of the
+    /// two, so a poll that finds both bit-identical skips the mobile.
+    /// Written only by the serial apply phase.
+    bool quiet = false;
+    std::uint32_t quiet_assoc = kNoWavePoint;
+    Vec2 quiet_pos;
     std::vector<net::Packet> deferred;  ///< held during handoff
   };
 
@@ -187,20 +234,20 @@ class WirelessChannel {
     int tries = 0;
   };
 
-  /// Result of the pure association scan for one mobile: the strongest
-  /// candidate WavePoint within interaction range and, when associated,
-  /// the current WavePoint's median signal at the same instant.
+  /// One mobile's share of a poll: its scan and where it ran.
   struct ScanResult {
-    BaseStation* best = nullptr;
-    double best_rx = -1e9;
-    double cur_rx = -1e9;
-    bool skipped = false;  ///< mobile was mid-handoff at scan time
+    AssociationScan scan;
+    Vec2 pos;
+    bool skipped = false;  ///< mid-handoff, or quiet (see MobileEntry)
   };
 
   void start_attempt(Attempt attempt);
   void finish_attempt(Attempt attempt, sim::TimePoint started);
   void poll_associations();
-  void associate(MobileEntry& entry, BaseStation* wp);
+  void associate(MobileEntry& entry, std::uint32_t wp);
+  /// Drops the association and re-associates with `best` after the
+  /// roaming outage.
+  void begin_handoff(MobileEntry& entry, std::uint32_t best);
   void schedule_burst_flip();
   MobileEntry* find_mobile(const Transceiver* radio);
   const MobileEntry* find_mobile(const Transceiver* radio) const;
@@ -209,7 +256,8 @@ class WirelessChannel {
   /// The pure scan (no RNG, no mutation): safe to run on shard workers.
   ScanResult scan_mobile(const MobileEntry& entry) const;
   /// Applies one mobile's scan result: the seed's association/handoff
-  /// logic, verbatim.  Event-loop thread only.
+  /// logic, verbatim, and the quiet record when it changes nothing.
+  /// Event-loop thread only.
   void apply_scan(MobileEntry& entry, const ScanResult& scan);
 
   /// Earliest instant the medium is free across every cell within radio
@@ -224,13 +272,16 @@ class WirelessChannel {
   ChannelConfig cfg_;
   sim::Rng rng_;
   std::vector<BaseStation*> wavepoints_;
+  std::vector<WavePointSite> sites_;  ///< parallel to wavepoints_
+  double max_tx_dbm_ = -HUGE_VAL;     ///< over sites_
   std::vector<MobileEntry> mobiles_;
   /// O(1) mobile lookups; the seed's linear scans made every frame O(N)
   /// and the whole medium O(N^2) at campus host counts.
   std::unordered_map<const Transceiver*, std::size_t> mobile_by_radio_;
   std::unordered_map<net::IpAddress, std::size_t> mobile_by_addr_;
-  /// WavePoints bucketed by grid cell; candidate queries for association
-  /// and handoff go through this instead of scanning all of them.
+  /// WavePoints bucketed by grid cell, built by start(); candidate queries
+  /// for association and handoff go through this instead of scanning all
+  /// of them.  Read-only once built: shard workers query it.
   CellIndex wp_index_;
   /// Per-cell carrier-sense horizon (key 0 only in flat mode).
   std::unordered_map<CellIndex::CellKey, sim::TimePoint> cell_busy_;

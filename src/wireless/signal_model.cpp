@@ -5,6 +5,21 @@
 
 namespace tracemod::wireless {
 
+SignalModel::SignalModel(SignalConfig cfg, std::vector<Wall> walls,
+                         std::vector<Zone> zones, sim::Rng rng)
+    : cfg_(cfg),
+      walls_(std::move(walls)),
+      zones_(std::move(zones)),
+      rng_(rng) {
+  // A NaN loss or exponent counts as negative.
+  attenuation_only_ =
+      cfg_.path_exponent > 0.0 &&
+      std::none_of(walls_.begin(), walls_.end(),
+                   [](const Wall& w) { return !(w.loss_db >= 0.0); }) &&
+      std::none_of(zones_.begin(), zones_.end(),
+                   [](const Zone& z) { return !(z.extra_loss_db >= 0.0); });
+}
+
 double SignalModel::median_rx_dbm(Vec2 from, double tx_dbm, Vec2 to) const {
   const double d = std::max(distance(from, to), 1.0);
   double loss = cfg_.ref_loss_db + 10.0 * cfg_.path_exponent * std::log10(d);

@@ -32,14 +32,16 @@ struct SignalInfo {
 class SignalModel {
  public:
   SignalModel(SignalConfig cfg, std::vector<Wall> walls, std::vector<Zone> zones,
-              sim::Rng rng)
-      : cfg_(cfg),
-        walls_(std::move(walls)),
-        zones_(std::move(zones)),
-        rng_(rng) {}
+              sim::Rng rng);
 
   /// Deterministic median received power (no shadowing/fading).
   double median_rx_dbm(Vec2 from, double tx_dbm, Vec2 to) const;
+
+  /// True when the path exponent is positive and no wall or zone loss is
+  /// negative.  median_rx_dbm then never exceeds
+  /// tx_dbm - ref_loss_db - 10 n log10(max(d, 1)), the bound that lets the
+  /// association scan skip distant candidates.
+  bool attenuation_only() const { return attenuation_only_; }
 
   /// Received power including the current shadowing state; advances the
   /// shadowing process to time t first.
@@ -64,6 +66,7 @@ class SignalModel {
   std::vector<Wall> walls_;
   std::vector<Zone> zones_;
   sim::Rng rng_;
+  bool attenuation_only_ = false;
   double shadow_db_ = 0.0;
   sim::TimePoint shadow_at_ = sim::kEpoch;
 };

@@ -1,7 +1,9 @@
 // The campus-at-scale contracts (ISSUE 6 / DESIGN.md section 11):
 //   - a giant spatial cell reproduces the seed scenarios byte-for-byte;
 //   - serial and parallel sharded runs produce the same digest;
-//   - repeat runs with one seed are deterministic, different seeds differ;
+//   - repeat runs with one seed are deterministic, different seeds differ,
+//     and three configurations keep digests recorded before the
+//     association poll was rewritten;
 //   - a supervised campus run reaches its virtual horizon.
 #include "scenarios/campus.hpp"
 
@@ -71,6 +73,26 @@ TEST(Campus, SerialAndParallelRunsShareOneDigest) {
   EXPECT_EQ(serial.frames_delivered, parallel.frames_delivered);
   EXPECT_EQ(serial.handoffs, parallel.handoffs);
   EXPECT_EQ(serial.echoes_received, parallel.echoes_received);
+}
+
+TEST(Campus, DigestsMatchValuesRecordedAtTheParent) {
+  // The other Campus.* contracts compare runs with each other, so a change
+  // that moved every campus result would pass them.  These values were
+  // recorded before the association poll was rewritten; they pin both
+  // media (the flat one scans every WavePoint) and both scan paths.
+  for (unsigned threads : {0u, 4u}) {
+    SCOPED_TRACE(threads);
+    const CampusResult r = run_campus(small_campus(threads));
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.digest, 0xe2ad05b770239237ull);
+  }
+  CampusConfig cfg;
+  cfg.hosts = 1000;
+  cfg.horizon = sim::seconds(10);
+  cfg.seed = 42;
+  EXPECT_EQ(run_campus(cfg).digest, 0x99a9724fe18e75efull);
+  cfg.cell_size_m = 0.0;
+  EXPECT_EQ(run_campus(cfg).digest, 0x5dada974e6096806ull);
 }
 
 TEST(Campus, RepeatRunsAreDeterministicAndSeedsMatter) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/model.hpp"
@@ -149,7 +150,12 @@ TEST(TracemodCli, PerfRejectsMalformedInvocations) {
   EXPECT_EQ(run({"perf"}), kExitUsage);  // missing output prefix
   EXPECT_EQ(run({"perf", tmp("p"), "--campus", "--pipeline", "porter"}),
             kExitUsage);  // exclusive modes
-  EXPECT_EQ(run({"perf", tmp("p"), "--stride", "0"}), kExitUsage);
+  for (const std::string flag : {"--stride", "--top"}) {
+    for (const std::string value : {"0", "2.5", "nan"}) {
+      EXPECT_EQ(run({"perf", tmp("p"), flag, value}), kExitUsage)
+          << flag << " " << value;
+    }
+  }
   EXPECT_EQ(run({"perf", tmp("p"), "--benchmark", "bogus"}), kExitUsage);
   EXPECT_EQ(run({"perf", tmp("p"), "--pipeline", "atlantis"}), kExitUsage);
 }
@@ -315,6 +321,23 @@ TEST(TracemodCli, DistillRejectsANonPositiveOrNonFiniteWindowOrStep) {
                 kExitUsage)
           << flag << " " << value << " --stream";
     }
+  }
+}
+
+TEST(TracemodCli, CampusRejectsFractionalOrNonFiniteValues) {
+  // Rejected before any world is built.  Each used to run something other
+  // than what was asked (2 hosts for 2.5, the flat medium for a NaN cell,
+  // no events for an infinite horizon) or abort (1e30 hosts).
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--hosts", "2.5"},   {"--hosts", "1e30"},    {"--hosts", "0"},
+      {"--hosts", "-3"},    {"--seconds", "nan"},   {"--seconds", "inf"},
+      {"--cell", "nan"},    {"--cell", "-inf"},     {"--wall-budget", "nan"},
+      {"--wall-budget", "inf"}};
+  for (const auto& [flag, value] : bad) {
+    EXPECT_EQ(run({"campus", flag, value}), kExitUsage) << flag << " " << value;
+    if (flag == "--wall-budget") continue;  // campus only
+    EXPECT_EQ(run({"perf", tmp("never"), "--campus", flag, value}), kExitUsage)
+        << "perf " << flag << " " << value;
   }
 }
 

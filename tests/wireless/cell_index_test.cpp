@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace tracemod::wireless {
@@ -16,15 +17,13 @@ std::vector<std::uint32_t> candidates(const CellIndex& idx, Vec2 p,
 }
 
 TEST(CellIndex, FlatModeVisitsEverythingInRegistrationOrder) {
-  CellIndex idx(0.0);
+  const CellIndex idx(0.0, {{1000.0, 1000.0}, {-500.0, 2.0}, {0.0, 0.0}});
   EXPECT_FALSE(idx.sharded());
-  idx.insert(7, {1000.0, 1000.0});
-  idx.insert(3, {-500.0, 2.0});
-  idx.insert(9, {0.0, 0.0});
   // Radius is irrelevant in flat mode: the whole plane is one cell.
   EXPECT_EQ(candidates(idx, {0, 0}, 1.0),
-            (std::vector<std::uint32_t>{7, 3, 9}));
+            (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_EQ(idx.occupied_cells(), 1u);
+  EXPECT_EQ(idx.size(), 3u);
 }
 
 TEST(CellIndex, FlatModeCoversTheSingleCell) {
@@ -35,12 +34,13 @@ TEST(CellIndex, FlatModeCoversTheSingleCell) {
 }
 
 TEST(CellIndex, ShardedQueryIsARangeSuperset) {
-  CellIndex idx(100.0);
+  const CellIndex idx(100.0, {
+                                 {50.0, 50.0},    // cell (0,0)
+                                 {250.0, 50.0},   // cell (2,0) -- two away
+                                 {950.0, 950.0},  // far corner
+                                 {-50.0, 50.0},   // cell (-1,0), across 0
+                             });
   EXPECT_TRUE(idx.sharded());
-  idx.insert(0, {50.0, 50.0});     // cell (0,0)
-  idx.insert(1, {250.0, 50.0});    // cell (2,0) -- two cells away
-  idx.insert(2, {950.0, 950.0});   // far corner
-  idx.insert(3, {-50.0, 50.0});    // cell (-1,0), across the origin
 
   const auto near = candidates(idx, {60.0, 60.0}, 80.0);
   // Entries within radius must appear; the far corner must not.
@@ -50,34 +50,68 @@ TEST(CellIndex, ShardedQueryIsARangeSuperset) {
 }
 
 TEST(CellIndex, ShardedQueryOrderIsDeterministicRowMajor) {
-  CellIndex idx(100.0);
-  idx.insert(10, {150.0, 150.0});  // cell (1,1)
-  idx.insert(11, {50.0, 50.0});    // cell (0,0)
-  idx.insert(12, {150.0, 50.0});   // cell (1,0)
-  idx.insert(13, {60.0, 55.0});    // cell (0,0), after 11
-  // Scan rows bottom-up, cells left-to-right, entries in insertion order.
+  const CellIndex idx(100.0, {
+                                 {150.0, 150.0},  // cell (1,1)
+                                 {50.0, 50.0},    // cell (0,0)
+                                 {150.0, 50.0},   // cell (1,0)
+                                 {60.0, 55.0},    // cell (0,0), after 1
+                             });
+  // Scan rows bottom-up, cells left-to-right, ids in registration order.
   EXPECT_EQ(candidates(idx, {100.0, 100.0}, 100.0),
-            (std::vector<std::uint32_t>{11, 13, 12, 10}));
+            (std::vector<std::uint32_t>{1, 3, 2, 0}));
 }
 
-TEST(CellIndex, UpdateMovesEntriesBetweenCells) {
-  CellIndex idx(100.0);
-  idx.insert(1, {50.0, 50.0});
-  idx.insert(2, {55.0, 50.0});
-  EXPECT_EQ(idx.occupied_cells(), 1u);
+/// The query's definition evaluated directly: every cell of the disc's
+/// bounding box in row-major order, and in each the ids positioned in it,
+/// in registration order.
+std::vector<std::uint32_t> by_definition(const std::vector<Vec2>& pos,
+                                         double cell, Vec2 p, double r) {
+  auto c = [cell](double v) {
+    return static_cast<std::int64_t>(std::floor(v / cell));
+  };
+  std::vector<std::uint32_t> out;
+  for (std::int64_t iy = c(p.y - r); iy <= c(p.y + r); ++iy) {
+    for (std::int64_t ix = c(p.x - r); ix <= c(p.x + r); ++ix) {
+      for (std::uint32_t id = 0; id < pos.size(); ++id) {
+        if (c(pos[id].x) == ix && c(pos[id].y) == iy) out.push_back(id);
+      }
+    }
+  }
+  return out;
+}
 
-  idx.update(1, {250.0, 250.0});
-  EXPECT_EQ(idx.occupied_cells(), 2u);
-  const auto old_cell = candidates(idx, {50.0, 50.0}, 10.0);
-  EXPECT_EQ(old_cell, (std::vector<std::uint32_t>{2}));
-  const auto new_cell = candidates(idx, {250.0, 250.0}, 10.0);
-  EXPECT_EQ(new_cell, (std::vector<std::uint32_t>{1}));
+TEST(CellIndex, QueriesReachingPastTheOccupiedGridMatchTheDefinition) {
+  // Occupied cells span x -2..1 and y -1..2, around the origin, with two
+  // ids sharing cell (-2,-1) and two sharing (0,2).
+  const std::vector<Vec2> pos = {{-150.0, -50.0}, {50.0, 250.0},
+                                 {-120.0, 30.0},  {180.0, -40.0},
+                                 {-140.0, -60.0}, {60.0, 260.0}};
+  const CellIndex idx(100.0, pos);
+  EXPECT_EQ(idx.occupied_cells(), 4u);
+  const Vec2 queries[] = {
+      {-130.0, -40.0},    // inside, negative coordinates
+      {-290.0, 0.0},      // straddles the left edge
+      {0.0, 340.0},       // straddles the top edge
+      {-260.0, -160.0},   // straddles a corner, negative
+      {250.0, 320.0},     // straddles the opposite corner
+      {-1000.0, -1000.0}, // wholly outside, negative
+      {1000.0, 50.0},     // wholly outside, right
+  };
+  for (const Vec2 p : queries) {
+    SCOPED_TRACE(testing::Message() << p.x << "," << p.y);
+    EXPECT_EQ(candidates(idx, p, 120.0), by_definition(pos, 100.0, p, 120.0));
+  }
+  EXPECT_TRUE(candidates(idx, {-1000.0, -1000.0}, 120.0).empty());
+  // A disc larger than the grid visits every id once.
+  EXPECT_EQ(candidates(idx, {0.0, 0.0}, 5000.0),
+            by_definition(pos, 100.0, {0.0, 0.0}, 5000.0));
+  EXPECT_EQ(candidates(idx, {0.0, 0.0}, 5000.0).size(), pos.size());
+}
 
-  // No-op move: same cell, order preserved.
-  idx.update(2, {60.0, 60.0});
-  EXPECT_EQ(candidates(idx, {50.0, 50.0}, 10.0),
-            (std::vector<std::uint32_t>{2}));
-  EXPECT_EQ(idx.size(), 2u);
+TEST(CellIndex, RefusesAGridBeyondTheCellCap) {
+  // 10 km apart on a 1 mm grid: 10^14 cells.
+  EXPECT_THROW(CellIndex(1e-3, {{0.0, 0.0}, {1e4, 1e4}}),
+               std::invalid_argument);
 }
 
 TEST(CellIndex, CoveredCellsSpanTheDiscBoundingBox) {

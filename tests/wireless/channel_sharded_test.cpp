@@ -3,15 +3,21 @@
 //     global carrier-sense horizon;
 //   - stations within radio range still defer across a cell border;
 //   - a single giant cell is bit-identical to the flat (seed) medium;
-//   - the two-phase parallel association scan changes nothing.
+//   - the two-phase parallel association scan changes nothing;
+//   - the distance-bounded scan is bit-identical to the full one, and the
+//     poll allocates nothing per mobile.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "net/ethernet.hpp"
+#include "scenarios/campus.hpp"
+#include "sim/perf/report.hpp"
 #include "wireless/channel.hpp"
 #include "wireless/wavelan_device.hpp"
 #include "wireless/wavepoint.hpp"
@@ -206,6 +212,165 @@ TEST(ShardedChannel, HandoffScanFindsNewWavePointThroughCellIndex) {
   loop.run_for(sim::seconds(21));
   EXPECT_EQ(channel.associated(&radio), &wp_b);
   EXPECT_GE(channel.stats().handoffs, 1u);
+}
+
+/// The association scan without the distance bound, the reference:
+/// median_rx_dbm on every candidate in visiting order, first strict
+/// maximum wins, and the current WavePoint's signal computed on its own.
+AssociationScan full_scan(const CellIndex& index,
+                          const std::vector<WavePointSite>& sites,
+                          const SignalModel& model, Vec2 pos, double radius,
+                          std::uint32_t current) {
+  AssociationScan scan;
+  index.for_each_candidate(pos, radius, [&](std::uint32_t id) {
+    const double rx =
+        model.median_rx_dbm(sites[id].pos, sites[id].tx_dbm, pos);
+    if (rx > scan.best_rx) {
+      scan.best_rx = rx;
+      scan.best = id;
+    }
+  });
+  if (current != kNoWavePoint) {
+    scan.cur_rx = model.median_rx_dbm(sites[current].pos,
+                                      sites[current].tx_dbm, pos);
+  }
+  return scan;
+}
+
+/// Runs both scans and expects the same winner and bit-identical signals;
+/// returns the bounded scan.
+AssociationScan expect_same_scan(double cell_size,
+                                 const std::vector<WavePointSite>& sites,
+                                 const SignalModel& model, Vec2 pos,
+                                 std::uint32_t current) {
+  std::vector<Vec2> positions;
+  double max_tx = -HUGE_VAL;
+  for (const WavePointSite& site : sites) {
+    positions.push_back(site.pos);
+    max_tx = std::max(max_tx, site.tx_dbm);
+  }
+  const CellIndex index(cell_size, positions);
+  const AssociationScan bounded =
+      scan_wavepoints(index, sites, max_tx, model, pos, 130.0, current);
+  const AssociationScan full =
+      full_scan(index, sites, model, pos, 130.0, current);
+  EXPECT_EQ(bounded.best, full.best);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bounded.best_rx),
+            std::bit_cast<std::uint64_t>(full.best_rx));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bounded.cur_rx),
+            std::bit_cast<std::uint64_t>(full.cur_rx));
+  return bounded;
+}
+
+TEST(AssociationScan, BoundedScanMatchesTheFullScan) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    // Up to 40 WavePoints of 12 or 18 dBm on a 600 m square; positive
+    // walls and zones on half the layouts.
+    std::vector<WavePointSite> sites(
+        static_cast<std::size_t>(rng.uniform_int(1, 40)));
+    for (WavePointSite& site : sites) {
+      site.pos = {rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)};
+      site.tx_dbm = rng.chance(0.5) ? 12.0 : 18.0;
+    }
+    std::vector<Wall> walls;
+    std::vector<Zone> zones;
+    if (seed % 2 == 0) {
+      for (int w = 0; w < 4; ++w) {
+        walls.push_back({{rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)},
+                         {rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)},
+                         rng.uniform(0.0, 12.0)});
+      }
+      zones.push_back({{rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)},
+                       rng.uniform(5.0, 60.0), rng.uniform(0.0, 20.0)});
+    }
+    const SignalModel model(SignalConfig{}, walls, zones, sim::Rng(seed));
+    ASSERT_TRUE(model.attenuation_only());
+    for (double cell : {0.0, 130.0}) {
+      for (int k = 0; k < 40; ++k) {
+        // Mobiles range past the layout on every side: some queries
+        // straddle the grid's edge, some miss it.
+        const Vec2 pos{rng.uniform(-300.0, 900.0), rng.uniform(-300.0, 900.0)};
+        const std::uint32_t current =
+            rng.chance(0.3) ? kNoWavePoint
+                            : static_cast<std::uint32_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(sites.size()) -
+                                         1));
+        expect_same_scan(cell, sites, model, pos, current);
+      }
+    }
+  }
+}
+
+TEST(AssociationScan, TiesKeepTheFirstCandidate) {
+  const SignalModel model(SignalConfig{}, {}, {}, sim::Rng(1));
+  for (double cell : {0.0, 130.0}) {
+    SCOPED_TRACE(cell);
+    // Two equidistant WavePoints of equal power: the first one wins.
+    const std::vector<WavePointSite> pair = {{{100.0, 200.0}, 18.0},
+                                             {{300.0, 200.0}, 18.0}};
+    EXPECT_EQ(expect_same_scan(cell, pair, model, {200.0, 250.0}, 1).best,
+              0u);
+    // Within 1 m of both, path loss clamps to the 1 m reference: a tie at
+    // equal power, the stronger transmitter otherwise.
+    const std::vector<WavePointSite> close = {{{100.0, 100.0}, 18.0},
+                                              {{100.5, 100.2}, 18.0},
+                                              {{100.1, 100.6}, 12.0}};
+    EXPECT_EQ(expect_same_scan(cell, close, model, {100.2, 100.1},
+                               kNoWavePoint)
+                  .best,
+              0u);
+    const std::vector<WavePointSite> mixed = {{{100.0, 100.0}, 12.0},
+                                              {{100.5, 100.2}, 18.0}};
+    EXPECT_EQ(expect_same_scan(cell, mixed, model, {100.2, 100.1}, 0).best,
+              1u);
+  }
+}
+
+TEST(AssociationScan, NegativeLossTurnsTheBoundOff) {
+  // A -40 dB "wall" across the far WavePoint's path makes it the stronger
+  // one.  The bound would have skipped it after the near one.
+  const std::vector<Wall> walls = {{{50.0, -20.0}, {50.0, 20.0}, -40.0}};
+  const SignalModel model(SignalConfig{}, walls, {}, sim::Rng(1));
+  EXPECT_FALSE(model.attenuation_only());
+  const std::vector<WavePointSite> sites = {{{10.0, 0.0}, 18.0},
+                                            {{100.0, 0.0}, 18.0}};
+  for (double cell : {0.0, 130.0}) {
+    SCOPED_TRACE(cell);
+    EXPECT_EQ(expect_same_scan(cell, sites, model, {0.0, 0.0}, 0).best, 1u);
+  }
+}
+
+TEST(ShardedChannel, PollAllocatesNothingPerMobile) {
+  // The campus poll runs once per 250 ms for every mobile.  Its own
+  // allocations may come only from the reschedule and from handoffs (each
+  // schedules a closure), never from the per-mobile scan.
+  sim::perf::ensure_alloc_interposer();
+  ASSERT_TRUE(sim::perf::alloc_interposer_active());
+  scenarios::CampusConfig cfg;
+  cfg.hosts = 400;
+  cfg.horizon = sim::seconds(10);
+  cfg.seed = 1234;
+  sim::perf::PerfProfiler profiler;
+  scenarios::CampusResult r;
+  {
+    sim::perf::PerfSession session(profiler);
+    r = scenarios::run_campus(cfg);
+  }
+  ASSERT_TRUE(r.ok);
+  const sim::perf::PerfSnapshot snap = sim::perf::capture_perf(profiler);
+  const sim::perf::PerfPath* poll = nullptr;
+  const sim::perf::PerfPath* query = nullptr;
+  for (const sim::perf::PerfPath& p : snap.paths) {
+    if (p.path == "event_loop;wireless.poll") poll = &p;
+    if (p.path == "event_loop;wireless.poll;cell.query") query = &p;
+  }
+  ASSERT_NE(poll, nullptr);
+  ASSERT_NE(query, nullptr);
+  EXPECT_LE(poll->self_allocs, 2 * poll->count + 2 * r.handoffs);
+  // Quiet mobiles (paused walkers) skip the scan, query included.
+  EXPECT_LT(query->count, poll->count * cfg.hosts);
 }
 
 }  // namespace

@@ -111,6 +111,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -259,9 +260,25 @@ int cmd_collect(const std::vector<std::string>& args) {
   return kExitOk;
 }
 
-/// A distillation window or step in seconds: finite, positive, and still
-/// at least 1 ns on the simulator's clock.  Zero or NaN would never
-/// advance the output, and a negative window would drop every tuple.
+/// A number that must also be finite: `--cell nan` would quietly select
+/// the flat medium.
+bool checked_finite(Parsed& p, const std::string& name, double* out) {
+  double v = 0;
+  if (!checked_number(p, name, &v)) return false;
+  if (!std::isfinite(v)) {
+    std::string text;
+    p.str(name, &text);
+    reject_value(p, name, "a finite number", text);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// A period in seconds (a distillation window or step, a campus horizon):
+/// finite, positive, and still at least 1 ns on the simulator's clock.
+/// Zero or NaN would never advance the output, and a negative window would
+/// drop every tuple.
 void checked_period(Parsed& p, const std::string& name, sim::Duration* out) {
   double v = 0;
   if (!checked_number(p, name, &v)) return;
@@ -874,23 +891,21 @@ int cmd_campus(const std::vector<std::string>& args) {
                     {"--status", true}},
                    0, 0);
   if (p.failed) return usage();
-  double hosts = 1000, cell = 130.0, seconds = 30, wall_budget = 0;
-  scenarios::CampusConfig cfg;
-  checked_number(p, "--hosts", &hosts);
-  checked_number(p, "--cell", &cell);
+  double cell = 130.0, wall_budget = 0;
+  scenarios::CampusConfig cfg;  // 1000 hosts, 30 s
+  checked_uint(p, "--hosts", &cfg.hosts);
+  checked_finite(p, "--cell", &cell);
   checked_uint(p, "--threads", &cfg.threads);
-  checked_number(p, "--seconds", &seconds);
+  checked_period(p, "--seconds", &cfg.horizon);
   checked_uint(p, "--seed", &cfg.seed);
-  checked_number(p, "--wall-budget", &wall_budget);
+  checked_finite(p, "--wall-budget", &wall_budget);
   if (p.failed) return usage();
-  if (hosts < 1 || seconds <= 0 || wall_budget < 0) {
+  if (cfg.hosts < 1 || wall_budget < 0) {
     std::fprintf(stderr, "tracemod campus: invalid parameter value\n");
     return usage();
   }
 
-  cfg.hosts = static_cast<std::size_t>(hosts);
   cfg.cell_size_m = cell;
-  cfg.horizon = sim::from_seconds(seconds);
   cfg.watchdog.wall_budget_s = wall_budget;
   sim::status::StatusBoard board;
   if (const int rc = arm_status(p, "campus", &board); rc != kExitOk) {
@@ -969,14 +984,17 @@ int cmd_perf(const std::vector<std::string>& args) {
   const std::string prefix = p.pos[0];
   std::uint64_t seed = 1;
   unsigned threads = 0;
-  double seconds = 0, hosts = 1000, cell = 130.0, stride = 1, top = 10;
+  std::size_t hosts = 1000, top = 10;
+  std::uint32_t stride = 1;
+  double cell = 130.0;
+  sim::Duration span{};  // zero: the mode's own default
   checked_uint(p, "--seed", &seed);
-  checked_number(p, "--seconds", &seconds);
-  checked_number(p, "--hosts", &hosts);
-  checked_number(p, "--cell", &cell);
+  checked_period(p, "--seconds", &span);
+  checked_uint(p, "--hosts", &hosts);
+  checked_finite(p, "--cell", &cell);
   checked_uint(p, "--threads", &threads);
-  checked_number(p, "--stride", &stride);
-  checked_number(p, "--top", &top);
+  checked_uint(p, "--stride", &stride);
+  checked_uint(p, "--top", &top);
   if (p.failed) return usage();
   if (p.has("--campus") && p.has("--pipeline")) {
     std::fprintf(stderr,
@@ -1000,7 +1018,7 @@ int cmd_perf(const std::vector<std::string>& args) {
   }
 
   sim::perf::PerfConfig pcfg;
-  pcfg.sampling_stride = static_cast<std::uint32_t>(stride);
+  pcfg.sampling_stride = stride;
   sim::perf::PerfProfiler profiler(pcfg);
 
   sim::status::StatusBoard board;
@@ -1015,10 +1033,10 @@ int cmd_perf(const std::vector<std::string>& args) {
 
   if (p.has("--campus")) {
     scenarios::CampusConfig cfg;
-    cfg.hosts = static_cast<std::size_t>(hosts);
+    cfg.hosts = hosts;
     cfg.cell_size_m = cell;
     cfg.threads = threads;
-    cfg.horizon = sim::from_seconds(seconds > 0 ? seconds : 30);
+    cfg.horizon = span > sim::Duration{} ? span : sim::seconds(30);
     // Match cmd_campus's default seed so `tracemod perf --campus` and
     // `tracemod campus` produce the same digest out of the box (the
     // virtual-time-identity check in CI diffs exactly that).
@@ -1067,7 +1085,7 @@ int cmd_perf(const std::vector<std::string>& args) {
       trace = core::ReplayTrace::load(replay_path);
     } else {
       trace = core::ReplayTrace::wavelan_like(
-          sim::from_seconds(seconds > 0 ? seconds : 120));
+          span > sim::Duration{} ? span : sim::seconds(120));
     }
     scenarios::BenchmarkOutcome outcome;
     {
@@ -1092,8 +1110,7 @@ int cmd_perf(const std::vector<std::string>& args) {
   const std::string counters_path = prefix + ".perf-counters.json";
   {
     std::ostringstream f;
-    sim::perf::write_perf_json(f, snap, workload, sim_s,
-                               static_cast<std::size_t>(top), extra);
+    sim::perf::write_perf_json(f, snap, workload, sim_s, top, extra);
     if (!sim::io::write_artifact_or_complain(json_path, f.str())) {
       return kExitIo;
     }
@@ -1114,7 +1131,7 @@ int cmd_perf(const std::vector<std::string>& args) {
   }
 
   std::ostringstream report;
-  sim::perf::write_perf_report(report, snap, static_cast<std::size_t>(top));
+  sim::perf::write_perf_report(report, snap, top);
   std::fputs(report.str().c_str(), stdout);
   std::printf("wrote %s, %s, and %s\n", json_path.c_str(),
               folded_path.c_str(), counters_path.c_str());
