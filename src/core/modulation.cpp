@@ -127,14 +127,6 @@ void ModulationLayer::modulate(net::Packet pkt, Direction dir) {
                                           s * tuple_.per_byte_residual);
   const sim::Duration delay = release_ideal - now;
 
-  auto release = [this, dir](net::Packet p) {
-    if (dir == Direction::kOut) {
-      send_down(std::move(p));
-    } else {
-      send_up(std::move(p));
-    }
-  };
-
   if (tick_.below_threshold(delay)) {
     // Under half a clock tick: send immediately (Section 3.3).
     ++stats_.sent_immediately;
@@ -142,7 +134,7 @@ void ModulationLayer::modulate(net::Packet pkt, Direction dir) {
       tel_->recorder().instant(trk_, "mod.send_now", pkt.id, now);
       tel_->recorder().end(trk_, "modulate", pkt.id, now);
     }
-    release(std::move(pkt));
+    release(std::move(pkt), dir);
     return;
   }
   ++stats_.scheduled;
@@ -154,14 +146,22 @@ void ModulationLayer::modulate(net::Packet pkt, Direction dir) {
   }
   loop_.schedule_at(
       at,
-      [this, release = std::move(release), pkt = std::move(pkt)]() mutable {
+      [this, dir, pkt = std::move(pkt)]() mutable {
         if (tel_ != nullptr) {
           depth_series_->sample(loop_.now(),
                                 static_cast<double>(--delay_queue_depth_));
         }
-        release(std::move(pkt));
+        release(std::move(pkt), dir);
       },
       "mod.release");
+}
+
+void ModulationLayer::release(net::Packet pkt, Direction dir) {
+  if (dir == Direction::kOut) {
+    send_down(std::move(pkt));
+  } else {
+    send_up(std::move(pkt));
+  }
 }
 
 }  // namespace tracemod::core

@@ -87,6 +87,8 @@ class ModulationLayer : public net::DeviceShim {
  private:
   enum class Direction { kOut, kIn };
   void modulate(net::Packet pkt, Direction dir);
+  /// Sends a modulated packet on: down the stack or up it.
+  void release(net::Packet pkt, Direction dir);
   bool refresh_tuple();
 
   sim::EventLoop& loop_;

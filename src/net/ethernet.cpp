@@ -27,11 +27,11 @@ sim::TimePoint EthernetSegment::reserve(std::uint32_t frame_bytes,
   return start;
 }
 
-void EthernetSegment::deliver(const Packet& pkt, const EthernetDevice* sender) {
+void EthernetSegment::deliver(Packet pkt, const EthernetDevice* sender) {
   for (EthernetDevice* port : ports_) {
     if (port == sender) continue;
     if (port->accepts(pkt.dst)) {
-      port->receive_frame(pkt);
+      port->receive_frame(std::move(pkt));
       return;  // unicast: first claimant wins (bridge tables are disjoint)
     }
   }
@@ -76,7 +76,9 @@ void EthernetDevice::pump() {
   const sim::TimePoint arrival = end_of_frame + segment_.config().propagation;
   segment_.loop().schedule_at(
       arrival,
-      [this, pkt = std::move(pkt)]() mutable { segment_.deliver(pkt, this); },
+      [this, pkt = std::move(pkt)]() mutable {
+        segment_.deliver(std::move(pkt), this);
+      },
       "eth.deliver");
   // The transmitter is free again as soon as the frame leaves the wire; the
   // segment's busy window (frame + interframe gap) spaces the next one.

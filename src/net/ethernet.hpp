@@ -45,8 +45,9 @@ class EthernetSegment {
   sim::TimePoint reserve(std::uint32_t frame_bytes,
                          sim::TimePoint* end_of_frame);
 
-  /// Delivers a frame (already serialized on the bus) to accepting ports.
-  void deliver(const Packet& pkt, const EthernetDevice* sender);
+  /// Delivers a frame (already serialized on the bus) to accepting ports,
+  /// moving it to the first claimant.
+  void deliver(Packet pkt, const EthernetDevice* sender);
 
   sim::EventLoop& loop() { return loop_; }
   const Config& config() const { return cfg_; }

@@ -1,5 +1,6 @@
 #include "sim/event_loop.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -20,77 +21,131 @@ std::string format_duration(Duration d) {
   return buf;
 }
 
-EventId EventLoop::schedule_at(TimePoint t, std::function<void()> fn,
-                               const char* tag) {
-  TM_ASSERT(fn != nullptr);
-  if (t < now_) t = now_;  // clamp: scheduling "in the past" fires at now
-  const EventId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id, std::move(fn), tag});
-  live_.insert(id);
-  if (profiler_ != nullptr && live_.size() > profiler_->queue_high_water) {
-    profiler_->queue_high_water = live_.size();
+EventLoop::~EventLoop() {
+  // Cancel what is still pending, so every capture is destroyed while the
+  // loop is whole.  A capture's destructor may schedule more; repeat until
+  // nothing is left.
+  while (live_ > 0) {
+    const std::uint32_t n =
+        static_cast<std::uint32_t>(chunks_.size()) * kChunkSlots;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const Slot& s = slot(i);
+      if (s.seq != kNoEvent) cancel(make_id(s.seq, i));
+    }
   }
-  return id;
+}
+
+void EventLoop::add_chunk() {
+  const std::size_t base = chunks_.size() * kChunkSlots;
+  TM_ASSERT(base + kChunkSlots < kNoSlot);
+  chunks_.push_back(std::make_unique<Chunk>());
+  // Thread the new slots onto the free list, lowest index on top.
+  for (std::uint32_t i = kChunkSlots; i-- > 0;) {
+    release_slot(static_cast<std::uint32_t>(base) + i);
+  }
+}
+
+EventId EventLoop::enqueue(TimePoint at, std::uint32_t index) {
+  const std::uint64_t seq = next_seq_++;
+  slot(index).seq = seq;
+  keys_.push_back(Key{at, seq, index});
+  std::push_heap(keys_.begin(), keys_.end(), Later{});
+  ++live_;
+  if (profiler_ != nullptr && live_ > profiler_->queue_high_water) {
+    profiler_->queue_high_water = live_;
+  }
+  return make_id(seq, index);
+}
+
+std::uint32_t EventLoop::pending_slot(EventId id) const {
+  const std::uint64_t low = id & 0xffffffffu;
+  if (low == 0 || low > chunks_.size() * kChunkSlots) return kNoSlot;
+  const std::uint32_t index = static_cast<std::uint32_t>(low - 1);
+  const Slot& s = slot(index);
+  if (s.seq == kNoEvent || (s.seq & 0xffffffffu) != id >> 32) return kNoSlot;
+  return index;
 }
 
 bool EventLoop::cancel(EventId id) {
-  if (id == 0 || live_.erase(id) == 0) return false;
-  // The entry (and its captured std::function state) stays in the heap
-  // until popped or compacted.  Compact once dead entries dominate, so a
-  // component that repeatedly arms and cancels a Timer cannot grow the
-  // heap without bound.
+  const std::uint32_t index = pending_slot(id);
+  if (index == kNoSlot) return false;
+  Slot& s = slot(index);
+  s.seq = kNoEvent;  // its key, still in the heap, is dead from here on
+  --live_;
   ++dead_in_queue_;
+  // The capture is destroyed now, not when its key surfaces.  Its
+  // destructor may re-enter the loop; the slot joins the free list only
+  // afterwards, so nothing scheduled from there can be handed this slot.
+  s.fn.reset();
+  release_slot(index);
+  // Compact once dead keys dominate, so a component that repeatedly arms
+  // and cancels a Timer cannot grow the heap without bound.
   constexpr std::size_t kCompactionMinEntries = 64;
-  if (queue_.size() >= kCompactionMinEntries &&
-      dead_in_queue_ > queue_.size() / 2) {
+  if (keys_.size() >= kCompactionMinEntries &&
+      dead_in_queue_ > keys_.size() / 2) {
     compact();
   }
   return true;
 }
 
 void EventLoop::compact() {
-  std::vector<Entry> keep;
-  keep.reserve(live_.size());
-  while (!queue_.empty()) {
-    Entry e = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    if (live_.count(e.id) != 0) keep.push_back(std::move(e));
-  }
-  queue_ = decltype(queue_)(Later{}, std::move(keep));
+  keys_.erase(std::remove_if(keys_.begin(), keys_.end(),
+                             [this](const Key& k) { return !live(k); }),
+              keys_.end());
+  std::make_heap(keys_.begin(), keys_.end(), Later{});
   dead_in_queue_ = 0;
 }
 
+EventLoop::Key EventLoop::pop_key() {
+  std::pop_heap(keys_.begin(), keys_.end(), Later{});
+  const Key k = keys_.back();
+  keys_.pop_back();
+  return k;
+}
+
 bool EventLoop::dispatch_one() {
-  while (!queue_.empty()) {
-    Entry e = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    if (live_.erase(e.id) == 0) {  // cancelled
+  while (!keys_.empty()) {
+    const Key k = pop_key();
+    if (!live(k)) {  // cancelled
       if (dead_in_queue_ > 0) --dead_in_queue_;
       continue;
     }
-    TM_ASSERT(e.at >= now_);
-    now_ = e.at;
+    Slot& s = slot(k.slot);
+    s.seq = kNoEvent;  // running: pending() and cancel() see it as gone
+    --live_;
+    TM_ASSERT(k.at >= now_);
+    now_ = k.at;
     ++dispatched_;
+    // The handler runs in place (chunks never move).  Its capture is
+    // destroyed, and its slot freed, only once it has returned or thrown,
+    // so nothing it schedules can be handed the slot it is running in.
+    struct Retire {
+      EventLoop& loop;
+      std::uint32_t index;
+      ~Retire() {
+        loop.slot(index).fn.reset();
+        loop.release_slot(index);
+      }
+    } retire{*this, k.slot};
+    const char* const tag = s.tag != nullptr ? s.tag : "(untagged)";
     // The wall-clock perf plane observes only (virtual time is untouched
     // and no randomness is drawn); when no profiler is attached to this
     // thread the two hooks cost a TLS load plus a predicted branch.
     perf::PerfProfiler* const pp = perf::current();
-    if (pp != nullptr) pp->on_dispatch(now_, live_.size());
+    if (pp != nullptr) pp->on_dispatch(now_, live_);
     if (profiler_ == nullptr) {
-      perf::PerfScope scope(pp, perf::Domain::kEventLoop,
-                            e.tag != nullptr ? e.tag : "(untagged)");
-      e.fn();
+      perf::PerfScope scope(pp, perf::Domain::kEventLoop, tag);
+      s.fn();
       return true;
     }
     const auto t0 = std::chrono::steady_clock::now();
     {
-      perf::PerfScope scope(pp, perf::Domain::kEventLoop,
-                            e.tag != nullptr ? e.tag : "(untagged)");
-      e.fn();
+      perf::PerfScope scope(pp, perf::Domain::kEventLoop, tag);
+      s.fn();
     }
     const std::chrono::duration<double> self =
         std::chrono::steady_clock::now() - t0;
-    profiler_->note(e.tag, self.count());
+    profiler_->note(s.tag, self.count());
     return true;
   }
   return false;
@@ -104,14 +159,14 @@ void EventLoop::run() {
 }
 
 void EventLoop::run_until(TimePoint t) {
-  while (!queue_.empty()) {
-    // Skip over cancelled entries to find the real next event time.
-    if (live_.count(queue_.top().id) == 0) {
-      queue_.pop();
+  while (!keys_.empty()) {
+    // Skip over cancelled keys to find the real next event time.
+    if (!live(keys_.front())) {
+      pop_key();
       if (dead_in_queue_ > 0) --dead_in_queue_;
       continue;
     }
-    if (queue_.top().at > t) break;
+    if (keys_.front().at > t) break;
     dispatch_one();
   }
   if (now_ < t) now_ = t;

@@ -241,13 +241,13 @@ void WirelessChannel::start_attempt(Attempt attempt) {
   }
   loop_.schedule_at(
       done,
-      [this, attempt = std::move(attempt), start]() mutable {
-        finish_attempt(std::move(attempt), start);
+      [this, attempt = std::move(attempt)]() mutable {
+        finish_attempt(std::move(attempt));
       },
       "air.finish");
 }
 
-void WirelessChannel::finish_attempt(Attempt attempt, sim::TimePoint) {
+void WirelessChannel::finish_attempt(Attempt attempt) {
   const double rx = model_.rx_dbm(attempt.from->position(),
                                   attempt.from->tx_power_dbm(),
                                   attempt.to->position(), loop_.now()) +

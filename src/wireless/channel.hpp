@@ -242,7 +242,7 @@ class WirelessChannel {
   };
 
   void start_attempt(Attempt attempt);
-  void finish_attempt(Attempt attempt, sim::TimePoint started);
+  void finish_attempt(Attempt attempt);
   void poll_associations();
   void associate(MobileEntry& entry, std::uint32_t wp);
   /// Drops the association and re-associates with `best` after the

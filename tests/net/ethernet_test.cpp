@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace tracemod::net {
@@ -43,6 +46,31 @@ TEST(Ethernet, DoesNotDeliverToSenderOrNonClaimant) {
   bus.loop.run();
   EXPECT_EQ(got_a, 0);
   EXPECT_EQ(got_b, 0);
+}
+
+TEST(Ethernet, DeliveryMovesAHeapBackedPayloadWithoutCopies) {
+  // An app descriptor whose copy would allocate (here a long string) must
+  // reach the claimant without one copy: the frame is moved into its
+  // delivery event and from there to the receiving device.
+  struct Tracked {
+    std::string body;
+    int* copies;
+    Tracked(std::string b, int* c) : body(std::move(b)), copies(c) {}
+    Tracked(const Tracked& o) : body(o.body), copies(o.copies) { ++*copies; }
+    Tracked(Tracked&&) noexcept = default;
+  };
+  Bus bus;
+  int copies = 0;
+  std::size_t got = 0;
+  bus.b.set_receive_callback([&](Packet p) {
+    got = std::any_cast<Tracked>(&p.payload)->body.size();
+  });
+  Packet p = test_packet(bus.addr_b, 100);
+  p.payload = Tracked(std::string(4096, 'x'), &copies);
+  bus.a.transmit(std::move(p));
+  bus.loop.run();
+  EXPECT_EQ(got, 4096u);
+  EXPECT_EQ(copies, 0);
 }
 
 TEST(Ethernet, SerializationDelayMatchesBandwidth) {
