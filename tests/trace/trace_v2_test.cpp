@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "sim/crc32c.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
+#include "trace/stream_reader.hpp"
+#include "trace/synthetic_corpus.hpp"
 #include "trace/trace_io.hpp"
 
 namespace tracemod::trace {
@@ -64,6 +68,59 @@ TraceReadResult read_bytes(const std::string& bytes, ReadMode mode,
   return read_trace_ex(in, TraceReadOptions{mode, metrics});
 }
 
+std::string tmp(const std::string& name) {
+  return testing::TempDir() + "tracemod_trace_v2_" + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Writes `trace` to `path` through TraceStreamWriter.
+void stream_write(const std::string& path, const CollectedTrace& trace) {
+  TraceStreamWriter writer(path);
+  for (const TraceRecord& r : trace.records) writer.append(r);
+  writer.finalize();
+}
+
+/// `n` records of every type with fields that vary record to record.
+CollectedTrace mixed_trace(std::size_t n) {
+  CollectedTrace trace;
+  trace.records.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::TimePoint at = sim::kEpoch + sim::microseconds(37 * i);
+    if (i % 101 == 0) {
+      trace.records.emplace_back(
+          LostRecords{at, static_cast<std::uint32_t>(i % 7),
+                      static_cast<std::uint32_t>(i % 3)});
+    } else if (i % 3 == 0) {
+      trace.records.emplace_back(
+          DeviceRecord{at, 0.5 * static_cast<double>(i % 40),
+                       static_cast<double>(i % 16) / 3.0,
+                       1.0 / static_cast<double>(i + 1)});
+    } else {
+      PacketRecord p;
+      p.at = at;
+      p.dir = i % 2 ? PacketDirection::kIncoming : PacketDirection::kOutgoing;
+      p.protocol = i % 5 ? net::Protocol::kIcmp : net::Protocol::kTcp;
+      p.ip_bytes = static_cast<std::uint32_t>(40 + i % 1460);
+      p.icmp_kind = i % 2 ? IcmpKind::kEchoReply : IcmpKind::kEcho;
+      p.icmp_id = 97;
+      p.icmp_seq = static_cast<std::uint16_t>(i);
+      p.echo_origin = at - sim::microseconds(i % 500);
+      p.src_port = static_cast<std::uint16_t>(i * 7);
+      p.dst_port = 80;
+      p.tcp_seq = 1'000'000'007ull * i;
+      p.tcp_flags = static_cast<std::uint8_t>(i % 64);
+      trace.records.emplace_back(p);
+    }
+  }
+  return trace;
+}
+
 std::uint32_t frame_checksum(std::uint8_t tag, const std::string& payload) {
   return crc32c(payload.data(), payload.size(), crc32c(&tag, 1));
 }
@@ -101,6 +158,48 @@ TEST(TraceV2, WriterIsBitStable) {
   // layout shows up here, not as a silent format drift.
   EXPECT_EQ(bytes.size(), 434u);
   EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0x88c1eaa6u);
+}
+
+TEST(TraceV2, StreamWriterMatchesWriteTrace) {
+  const std::string path = tmp("sample.tmtr");
+  stream_write(path, sample_trace());
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes, to_bytes(sample_trace()));
+  EXPECT_EQ(bytes.size(), 434u);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0x88c1eaa6u);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceV2, StreamWriterMatchesWriteTraceAcrossBlocks) {
+  // About 9 MB: over a hundred 64 KiB writer blocks and a partial last one.
+  const CollectedTrace trace = mixed_trace(200'000);
+  const std::string path = tmp("mixed.tmtr");
+  stream_write(path, trace);
+  const std::string streamed = slurp(path);
+  const std::string reference = to_bytes(trace);
+  EXPECT_EQ(streamed.size(), reference.size());
+  EXPECT_NE((streamed.size() - header_size()) % (64 * 1024), 0u);
+  // Compared as one bool: gtest would print megabytes of diff.
+  EXPECT_TRUE(streamed == reference);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceV2, SyntheticCorpusBytesArePinned) {
+  // generate_ping_corpus pads toward its target from the writer's byte
+  // count, so any drift in how the writer counts or frames shows here.
+  CorpusSpec spec;
+  spec.duration = sim::seconds(600);
+  spec.target_bytes = 2u << 20;
+  spec.reply_loss = 0.02;
+  spec.seed = 1997;
+  const std::string path = tmp("corpus.tmtr");
+  const CorpusInfo info = generate_ping_corpus(path, spec);
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(info.bytes, 2'097'144u);
+  EXPECT_EQ(info.records, 50'450u);
+  ASSERT_EQ(bytes.size(), info.bytes);
+  EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0x075ab74au);
+  std::filesystem::remove(path);
 }
 
 TEST(TraceV2, Version1HeaderIsRejectedInEveryMode) {
