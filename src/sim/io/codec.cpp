@@ -15,12 +15,26 @@ std::uint32_t frame_crc(std::uint8_t type, const void* payload,
   return crc32c(payload, len, crc32c(&type, 1));
 }
 
+std::size_t open_frame(std::string& out) {
+  const std::size_t at = out.size();
+  out.append(kFrameHeaderBytes, '\0');
+  return at;
+}
+
+void close_frame(std::string& out, std::size_t at, std::uint8_t type) {
+  char* header = out.data() + at;
+  const char* payload = header + kFrameHeaderBytes;
+  const std::size_t len = out.size() - at - kFrameHeaderBytes;
+  store<std::uint8_t>(header, type);
+  store<std::uint32_t>(header + 1, static_cast<std::uint32_t>(len));
+  store<std::uint32_t>(header + 5, frame_crc(type, payload, len));
+}
+
 void append_frame(std::string& out, std::uint8_t type,
                   std::string_view payload) {
-  put<std::uint8_t>(out, type);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
-  put<std::uint32_t>(out, frame_crc(type, payload.data(), payload.size()));
+  const std::size_t at = open_frame(out);
   out.append(payload);
+  close_frame(out, at, type);
 }
 
 std::string journal_header(const JournalFormat& format,

@@ -29,15 +29,21 @@ namespace tracemod::sim::io {
 
 // --- fields -----------------------------------------------------------------
 
+/// Stores `v` as sizeof(T) little-endian bytes at `dst`.
+template <typename T>
+void store(char* dst, T v) {
+  static_assert(std::is_arithmetic_v<T>);
+  std::memcpy(dst, &v, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::reverse(dst, dst + sizeof(T));
+  }
+}
+
 /// Appends `v` as sizeof(T) little-endian bytes.
 template <typename T>
 void put(std::string& out, T v) {
-  static_assert(std::is_arithmetic_v<T>);
   char raw[sizeof(T)];
-  std::memcpy(raw, &v, sizeof(T));
-  if constexpr (std::endian::native == std::endian::big) {
-    std::reverse(raw, raw + sizeof(T));
-  }
+  store(raw, v);
   out.append(raw, sizeof(T));
 }
 
@@ -128,6 +134,15 @@ inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4;
 /// CRC32C of the type byte followed by the payload.
 std::uint32_t frame_crc(std::uint8_t type, const void* payload,
                         std::size_t len);
+
+/// Opens a frame at the end of `out`: reserves its kFrameHeaderBytes and
+/// returns their offset.  The caller appends the payload fields straight
+/// into `out`, then closes the frame; no payload copy is made.
+std::size_t open_frame(std::string& out);
+
+/// Closes the frame opened at `at`: everything appended since is its
+/// payload.  Fills in the type, the payload length and the CRC.
+void close_frame(std::string& out, std::size_t at, std::uint8_t type);
 
 /// Appends type | len | crc | payload.
 void append_frame(std::string& out, std::uint8_t type,

@@ -60,36 +60,38 @@ bool frame_validates(const unsigned char* data, std::size_t size,
 }
 
 void append_record(std::string& out, const TraceRecord& r) {
-  std::string payload;
+  // The payload fields go straight into `out`; close_frame then writes
+  // the header in front of them.
+  const std::size_t frame = sim::io::open_frame(out);
   RecordTag tag;
   if (const auto* p = std::get_if<PacketRecord>(&r)) {
     tag = RecordTag::kPacket;
-    put_time(payload, p->at);
-    put<std::uint8_t>(payload, static_cast<std::uint8_t>(p->dir));
-    put<std::uint8_t>(payload, static_cast<std::uint8_t>(p->protocol));
-    put<std::uint32_t>(payload, p->ip_bytes);
-    put<std::uint8_t>(payload, static_cast<std::uint8_t>(p->icmp_kind));
-    put<std::uint16_t>(payload, p->icmp_id);
-    put<std::uint16_t>(payload, p->icmp_seq);
-    put_time(payload, p->echo_origin);
-    put<std::uint16_t>(payload, p->src_port);
-    put<std::uint16_t>(payload, p->dst_port);
-    put<std::uint64_t>(payload, p->tcp_seq);
-    put<std::uint8_t>(payload, p->tcp_flags);
+    put_time(out, p->at);
+    put<std::uint8_t>(out, static_cast<std::uint8_t>(p->dir));
+    put<std::uint8_t>(out, static_cast<std::uint8_t>(p->protocol));
+    put<std::uint32_t>(out, p->ip_bytes);
+    put<std::uint8_t>(out, static_cast<std::uint8_t>(p->icmp_kind));
+    put<std::uint16_t>(out, p->icmp_id);
+    put<std::uint16_t>(out, p->icmp_seq);
+    put_time(out, p->echo_origin);
+    put<std::uint16_t>(out, p->src_port);
+    put<std::uint16_t>(out, p->dst_port);
+    put<std::uint64_t>(out, p->tcp_seq);
+    put<std::uint8_t>(out, p->tcp_flags);
   } else if (const auto* d = std::get_if<DeviceRecord>(&r)) {
     tag = RecordTag::kDevice;
-    put_time(payload, d->at);
-    put<double>(payload, d->signal_level);
-    put<double>(payload, d->signal_quality);
-    put<double>(payload, d->silence_level);
+    put_time(out, d->at);
+    put<double>(out, d->signal_level);
+    put<double>(out, d->signal_quality);
+    put<double>(out, d->silence_level);
   } else {
     const auto& l = std::get<LostRecords>(r);
     tag = RecordTag::kLost;
-    put_time(payload, l.at);
-    put<std::uint32_t>(payload, l.lost_packet_records);
-    put<std::uint32_t>(payload, l.lost_device_records);
+    put_time(out, l.at);
+    put<std::uint32_t>(out, l.lost_packet_records);
+    put<std::uint32_t>(out, l.lost_device_records);
   }
-  sim::io::append_frame(out, static_cast<std::uint8_t>(tag), payload);
+  sim::io::close_frame(out, frame, static_cast<std::uint8_t>(tag));
 }
 
 TraceRecord decode_payload(RecordTag tag, sim::io::ByteReader& in) {

@@ -44,7 +44,8 @@ bool known_tag(std::uint8_t tag);
 bool frame_validates(const unsigned char* data, std::size_t size,
                      std::size_t pos);
 
-/// Appends one record as a checksummed frame.
+/// Appends one record as a checksummed frame, encoded in place: once
+/// `out` has the capacity, it allocates nothing.
 void append_record(std::string& out, const TraceRecord& r);
 
 /// Decodes one record body of a known tag.  A payload shorter than the

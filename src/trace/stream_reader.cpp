@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/assert.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
 #include "trace/frame_format.hpp"
@@ -14,6 +15,14 @@ namespace {
 /// Read granularity.  The buffer never grows past roughly one chunk plus
 /// two maximum frames, no matter how large the stream is.
 constexpr std::size_t kReadChunk = 256 * 1024;
+
+/// Bytes the writer buffers before one write.  128 MB is 2,048 writes,
+/// which cost nothing measurable.  The block (plus one frame of slack)
+/// stays below glibc's default 128 KiB mmap threshold: a larger block
+/// would be mmapped, and freeing it raises glibc's dynamic threshold, so
+/// later large allocations (the reader's read chunk) would move onto the
+/// heap.
+constexpr std::size_t kBlockBytes = 64 * 1024;
 
 }  // namespace
 
@@ -126,11 +135,18 @@ void TraceStreamReader::queue_damage(std::uint8_t tag, std::uint32_t n,
   }
 }
 
+void TraceStreamReader::push_pending(TraceRecord rec,
+                                     std::uint64_t frame_offset) {
+  TM_ASSERT(pending_count_ < pending_.size());
+  pending_[(pending_head_ + pending_count_) % pending_.size()] = {
+      std::move(rec), frame_offset};
+  ++pending_count_;
+}
+
 void TraceStreamReader::flush_damage() {
   if (lost_packet_ == 0 && lost_device_ == 0) return;
-  pending_.push_back(
-      {TraceRecord{LostRecords{last_good_, lost_packet_, lost_device_}},
-       damage_start_});
+  push_pending(TraceRecord{LostRecords{last_good_, lost_packet_, lost_device_}},
+               damage_start_);
   ++report_.lost_markers_synthesized;
   lost_packet_ = 0;
   lost_device_ = 0;
@@ -140,7 +156,7 @@ void TraceStreamReader::emit_good(TraceRecord rec,
                                   std::uint64_t frame_start_abs) {
   flush_damage();
   last_good_ = record_time(rec);
-  pending_.push_back({std::move(rec), frame_start_abs});
+  push_pending(std::move(rec), frame_start_abs);
   ++report_.records_read;
   if (damage_seen_) ++report_.records_salvaged;
 }
@@ -193,25 +209,30 @@ bool TraceStreamReader::resync(std::uint64_t frame_start_abs) {
 // --- record iteration -------------------------------------------------------
 
 bool TraceStreamReader::next(TraceRecord* out) {
-  if (pending_.empty() && !done_) parse_frames();
-  if (pending_.empty()) return false;
-  *out = std::move(pending_.front().record);
-  record_frame_offset_ = pending_.front().frame_offset;
-  pending_.pop_front();
+  if (pending_count_ == 0 && !done_) parse_frames();
+  if (pending_count_ == 0) return false;
+  Pending& front = pending_[pending_head_];
+  *out = std::move(front.record);
+  record_frame_offset_ = front.frame_offset;
+  pending_head_ = (pending_head_ + 1) % pending_.size();
+  --pending_count_;
   return true;
 }
 
 void TraceStreamReader::parse_frames() {
-  while (pending_.empty() && !done_) {
-    if (strict() && report_.records_read >= report_.records_expected) {
-      finish();
-      break;
-    }
+  while (pending_count_ == 0 && !done_) {
     hold_rel_ = pos_;
     ensure(wire::kMaxFrameBytes);
     if (avail() == 0) {
       finish();
       break;
+    }
+    if (strict() && report_.records_read >= report_.records_expected) {
+      // The count is the contract: a byte past it belongs to no record the
+      // header declares (an unfinalized writer's body, or a damaged count).
+      fail("data past the declared record count of " +
+               std::to_string(report_.records_expected),
+           abs());
     }
     last_record_index_ = report_.records_read + report_.records_skipped;
     const std::uint64_t frame_start = abs();
@@ -326,39 +347,50 @@ TraceStreamWriter::TraceStreamWriter(const std::string& path) : path_(path) {
   if (!sink_.write(header)) {
     throw std::runtime_error("write failed: " + path);
   }
+  // One frame of slack: a block is written once it reaches kBlockBytes,
+  // so the frame that crosses the mark never reallocates it.
+  block_.reserve(kBlockBytes + wire::kMaxFrameBytes);
 }
 
-TraceStreamWriter::~TraceStreamWriter() {
-  try {
-    if (!finalized_) finalize();
-  } catch (...) {
-    // Destructors must not throw; an unfinalized file is detectably
-    // invalid (its count field is zero against a non-empty body).
-  }
-}
+// The FileSink closes the descriptor; nothing buffered is written.
+TraceStreamWriter::~TraceStreamWriter() = default;
 
 void TraceStreamWriter::append(const TraceRecord& record) {
-  frame_.clear();
-  wire::append_record(frame_, record);
-  if (!sink_.write(frame_)) {
+  if (failed_ || finalized_) {
     throw std::runtime_error("write failed: " + path_);
   }
+  const std::size_t before = block_.size();
+  wire::append_record(block_, record);
   ++records_;
-  bytes_ += frame_.size();
+  bytes_ += block_.size() - before;
+  if (block_.size() >= kBlockBytes) write_block();
+}
+
+void TraceStreamWriter::write_block() {
+  const sim::io::IoResult r = sink_.write(block_);
+  block_.clear();
+  if (!r.ok) {
+    failed_ = true;
+    throw std::runtime_error("write failed: " + path_);
+  }
 }
 
 void TraceStreamWriter::finalize() {
   if (finalized_) return;
+  if (failed_) throw std::runtime_error("write failed: " + path_);
+  if (!block_.empty()) write_block();
   // Patch the header count in place, then make the whole container
   // durable before reporting success: after finalize() returns, the trace
   // survives power loss.
-  std::string count;
-  sim::io::put<std::uint64_t>(count, records_);
-  sim::io::IoResult r = sink_.write_at(count_offset_, count.data(),
-                                       count.size());
+  char count[sizeof(std::uint64_t)];
+  sim::io::store<std::uint64_t>(count, records_);
+  sim::io::IoResult r = sink_.write_at(count_offset_, count, sizeof(count));
   if (r.ok) r = sink_.datasync();
   if (r.ok) r = sink_.close();
-  if (!r.ok) throw std::runtime_error("finalize failed: " + path_);
+  if (!r.ok) {
+    failed_ = true;
+    throw std::runtime_error("finalize failed: " + path_);
+  }
   finalized_ = true;
 }
 

@@ -12,16 +12,18 @@
 //
 // The reader also reports the absolute byte offset of every record's frame,
 // which is what lets the streaming distiller (core/stream_distiller.hpp)
-// partition a corpus into byte-range windows.
+// partition a corpus into byte-range windows.  Past the header it makes no
+// heap allocation per record: records wait in a fixed two-entry queue.
 //
 // TraceStreamWriter is the append-side dual: it writes the container header
-// with a zero record count, appends framed records one at a time, and
-// patches the count on finalize() -- so a multi-GB synthetic corpus can be
-// generated with flat memory.
+// with a zero record count, encodes framed records in place into one reused
+// 64 KiB block that goes to disk in one write when it fills, and patches
+// the count on finalize() -- so a multi-GB synthetic corpus is generated
+// with flat memory, no syscall and no allocation per record.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <istream>
 #include <optional>
@@ -122,22 +124,39 @@ class TraceStreamReader {
   std::uint64_t damage_start_ = 0;  ///< frame offset of the region's start
   bool damage_seen_ = false;
 
+  // Records decoded but not yet returned.  parse_frames() runs only when
+  // this queue is empty and stops as soon as it is not, so it holds at
+  // most two: one pass queues at most a LostRecords marker for the damage
+  // just crossed plus the good record after it (emit_good), or one marker
+  // from finish(), which never runs after emit_good in the same pass.
   struct Pending {
     TraceRecord record;
-    std::uint64_t frame_offset;
+    std::uint64_t frame_offset = 0;
   };
-  std::deque<Pending> pending_;
+  void push_pending(TraceRecord rec, std::uint64_t frame_offset);
+  std::array<Pending, 2> pending_;
+  std::size_t pending_head_ = 0;   ///< entry next() returns first
+  std::size_t pending_count_ = 0;
 };
 
-/// Streaming writer: header up front (count patched on finalize), one
-/// framed record per append.  File-based because finalize() must seek.
-/// Writes through the durable plane (sim/io/file_sink.hpp) directly --
-/// not via atomic replace, because a collection stream can be far larger
-/// than the free space a tmp copy would need, and an unfinalized file is
-/// already detectably invalid (zero count against a non-empty body).
+/// Streaming writer: header up front (count patched on finalize), framed
+/// records encoded into a 64 KiB block that is written when it fills.
+/// File-based because finalize() must seek.  Writes through the durable
+/// plane (sim/io/file_sink.hpp) directly -- not via atomic replace, because
+/// a collection stream can be far larger than the free space a tmp copy
+/// would need, and an unfinalized file is detectably invalid: its count
+/// stays zero, and strict readers refuse any byte past the count.
+///
+/// Failure contract: a failed write throws std::runtime_error and leaves
+/// the writer failed -- every later append() or finalize() throws and
+/// writes nothing -- so the count is never patched over a short body.
 class TraceStreamWriter {
  public:
+  /// Opens `path` and writes the header.  Throws std::runtime_error on
+  /// failure.
   explicit TraceStreamWriter(const std::string& path);
+  /// Closes the file without writing the buffered block or patching the
+  /// count: an abandoned trace keeps count 0, which strict readers refuse.
   ~TraceStreamWriter();
 
   TraceStreamWriter(const TraceStreamWriter&) = delete;
@@ -145,20 +164,27 @@ class TraceStreamWriter {
 
   void append(const TraceRecord& record);
 
+  /// Records and bytes appended so far, written or still buffered.
   std::uint64_t records_written() const { return records_; }
   std::uint64_t bytes_written() const { return bytes_; }
 
-  /// Seeks back and patches the header's record count; the file is not a
-  /// valid trace until this runs.  Throws std::runtime_error on I/O failure.
+  /// Writes the last partial block, patches the header's record count,
+  /// and makes the file durable; the file is not a valid trace until this
+  /// runs.  Throws std::runtime_error on I/O failure.
   void finalize();
 
  private:
+  /// Writes the block and empties it; on failure, fails the writer and
+  /// throws.
+  void write_block();
+
   sim::io::FileSink sink_;
   std::string path_;
-  std::string frame_;  ///< reused encode buffer
+  std::string block_;  ///< frames not yet written, capacity reserved once
   std::uint64_t count_offset_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
+  bool failed_ = false;
   bool finalized_ = false;
 };
 

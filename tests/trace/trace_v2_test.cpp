@@ -2,14 +2,23 @@
 // reports, and resistance to hostile length/count fields.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#if !defined(_WIN32)
+#include <sys/resource.h>
+#endif
 
 #include "sim/crc32c.hpp"
 #include "sim/metric_names.hpp"
+#include "sim/perf/alloc_telemetry.hpp"
 #include "sim/sim_context.hpp"
 #include "trace/stream_reader.hpp"
 #include "trace/synthetic_corpus.hpp"
@@ -84,6 +93,21 @@ void stream_write(const std::string& path, const CollectedTrace& trace) {
   TraceStreamWriter writer(path);
   for (const TraceRecord& r : trace.records) writer.append(r);
   writer.finalize();
+}
+
+/// The first `n` records of `trace`, encoded as a trace of their own.
+std::string prefix_bytes(const CollectedTrace& trace, std::size_t n) {
+  CollectedTrace prefix;
+  prefix.records.assign(trace.records.begin(),
+                        trace.records.begin() + static_cast<long>(n));
+  return to_bytes(prefix);
+}
+
+/// The record count field of a container.
+std::uint64_t declared_count(const std::string& bytes, std::size_t header) {
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + header - sizeof(count), sizeof(count));
+  return count;
 }
 
 /// `n` records of every type with fields that vary record to record.
@@ -200,6 +224,206 @@ TEST(TraceV2, SyntheticCorpusBytesArePinned) {
   ASSERT_EQ(bytes.size(), info.bytes);
   EXPECT_EQ(crc32c(bytes.data(), bytes.size()), 0x075ab74au);
   std::filesystem::remove(path);
+}
+
+TEST(TraceV2, StreamWriterAppendsWithoutAllocating) {
+  sim::perf::ensure_alloc_interposer();
+  const CollectedTrace trace = mixed_trace(100'000);
+  const std::string path = tmp("no_alloc.tmtr");
+  TraceStreamWriter writer(path);
+  // Warm-up past the first block write.
+  for (std::size_t i = 0; i < 5'000; ++i) writer.append(trace.records[i]);
+  const sim::perf::AllocTotals before = sim::perf::thread_alloc_totals();
+  for (const TraceRecord& r : trace.records) writer.append(r);
+  const sim::perf::AllocTotals d = sim::perf::thread_alloc_totals() - before;
+  EXPECT_EQ(d.allocs, 0u);
+  EXPECT_EQ(d.frees, 0u);
+  writer.finalize();
+  EXPECT_EQ(writer.records_written(), 105'000u);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceV2, AbandonedStreamWriterLeavesAFileStrictReadingRefuses) {
+  // About 900 KB: whole blocks reach the disk, the last partial one not.
+  const CollectedTrace trace = mixed_trace(20'000);
+  const std::string path = tmp("abandoned.tmtr");
+  std::uint64_t appended = 0;
+  {
+    TraceStreamWriter writer(path);
+    for (const TraceRecord& r : trace.records) writer.append(r);
+    appended = writer.bytes_written();
+  }  // destroyed without finalize()
+  const std::string bytes = slurp(path);
+  ASSERT_GT(bytes.size(), header_size());
+  EXPECT_LT(bytes.size(), appended);
+  EXPECT_EQ(declared_count(bytes, header_size()), 0u);
+  EXPECT_THROW(load_trace(path), TraceFormatError);
+
+  // Salvage reads every frame whatever the count says: the flushed records
+  // come back in order, with nothing reported lost.
+  const TraceReadResult salvaged =
+      load_trace_ex(path, {ReadMode::kSalvage, nullptr});
+  const std::size_t k = salvaged.trace.records.size();
+  ASSERT_GT(k, 0u);
+  EXPECT_LT(k, trace.records.size());
+  EXPECT_EQ(salvaged.report.records_skipped, 0u);
+  EXPECT_TRUE(to_bytes(salvaged.trace) == prefix_bytes(trace, k));
+  std::filesystem::remove(path);
+}
+
+#if !defined(_WIN32)
+/// Caps the size of every file this process writes, as a full disk would,
+/// and lifts the cap when it goes out of scope.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    handler_ = std::signal(SIGXFSZ, SIG_IGN);  // fail with EFBIG instead
+    rlimit cap = saved_;
+    cap.rlim_cur = bytes;
+    ok_ = setrlimit(RLIMIT_FSIZE, &cap) == 0;
+  }
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  void (*handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+TEST(TraceV2, FailedStreamWriteStaysFailed) {
+  const CollectedTrace trace = mixed_trace(20'000);
+  const std::string path = tmp("failed.tmtr");
+  std::size_t appended = 0;
+  {
+    FileSizeCap cap(200'000);
+    ASSERT_TRUE(cap.ok());
+    TraceStreamWriter writer(path);
+    try {
+      for (const TraceRecord& r : trace.records) {
+        writer.append(r);
+        ++appended;
+      }
+    } catch (const std::runtime_error&) {
+    }
+    ASSERT_LT(appended, trace.records.size()) << "no write failed";
+    // Failed for good: neither a further append nor finalize() writes,
+    // and the count is never patched over the short body.
+    EXPECT_THROW(writer.append(trace.records[0]), std::runtime_error);
+    EXPECT_THROW(writer.finalize(), std::runtime_error);
+  }
+  const std::string bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 200'000u);
+  EXPECT_EQ(declared_count(bytes, header_size()), 0u);
+  EXPECT_THROW(load_trace(path), TraceFormatError);
+  const TraceReadResult salvaged =
+      load_trace_ex(path, {ReadMode::kSalvage, nullptr});
+  EXPECT_TRUE(salvaged.report.truncated);  // the failed write tore a frame
+  EXPECT_GT(salvaged.report.records_read, 0u);
+  EXPECT_LT(salvaged.report.records_read, appended);
+  std::filesystem::remove(path);
+}
+#endif  // !_WIN32
+
+TEST(TraceV2, StrictReadRefusesFramesPastTheCount) {
+  // A count of k over k + 1 frames: strict reading must not stop quietly
+  // at k, which is how an unpatched or damaged count used to pass.
+  std::string bytes = to_bytes(sample_trace());
+  const std::uint64_t k = 3;
+  std::memcpy(bytes.data() + header_size() - sizeof(k), &k, sizeof(k));
+  const std::size_t frame_k = header_size() + 2 * kPacketFrame + kDeviceFrame;
+  try {
+    read_bytes(bytes, ReadMode::kStrict);
+    FAIL() << "expected strict read to refuse the extra frame";
+  } catch (const TraceFormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("past the declared record count of 3"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("byte offset " + std::to_string(frame_k)),
+              std::string::npos)
+        << what;
+  }
+  // Salvage still reads every frame.
+  const auto result = read_bytes(bytes, ReadMode::kSalvage);
+  EXPECT_EQ(result.report.records_read, 4u);
+  EXPECT_EQ(result.trace.records.size(), 4u);
+}
+
+TEST(TraceV2, CommittedCorpusStrictReadsAsBefore) {
+  std::set<std::string> strict_ok;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(TRACEMOD_TEST_DIR) + "/trace/corpus")) {
+    if (entry.path().extension() != ".tmtr") continue;
+    try {
+      load_trace(entry.path().string());
+      strict_ok.insert(entry.path().stem().string());
+    } catch (const TraceFormatError&) {
+    }
+  }
+  EXPECT_EQ(strict_ok,
+            (std::set<std::string>{"empty_v2", "far_reply_v2", "valid_v2"}));
+}
+
+TEST(TraceV2, StreamReadsAllocateAConstantPerFile) {
+  sim::perf::ensure_alloc_interposer();
+  const auto read_allocs = [](const std::string& path, ReadMode mode,
+                              std::uint64_t* records) {
+    std::ifstream in(path, std::ios::binary);
+    const sim::perf::AllocTotals before = sim::perf::thread_alloc_totals();
+    TraceStreamReader reader(in, {mode, nullptr});
+    TraceRecord rec;
+    *records = 0;
+    while (reader.next(&rec)) ++*records;
+    return (sim::perf::thread_alloc_totals() - before).allocs;
+  };
+  const std::string small = tmp("read_allocs_10k.tmtr");
+  const std::string large = tmp("read_allocs_100k.tmtr");
+  stream_write(small, mixed_trace(10'000));
+  stream_write(large, mixed_trace(100'000));
+  for (const ReadMode mode : {ReadMode::kStrict, ReadMode::kSalvage}) {
+    std::uint64_t n_small = 0, n_large = 0;
+    const std::uint64_t a_small = read_allocs(small, mode, &n_small);
+    const std::uint64_t a_large = read_allocs(large, mode, &n_large);
+    EXPECT_EQ(n_small, 10'000u);
+    EXPECT_EQ(n_large, 100'000u);
+    // The header's schema names and the read buffer, whatever the length.
+    EXPECT_EQ(a_large, a_small);
+    EXPECT_LE(a_large, 8u);
+  }
+  std::filesystem::remove(small);
+  std::filesystem::remove(large);
+}
+
+TEST(TraceV2, SalvageQueuesAMarkerAndTheRecordAfterIt) {
+  // Damage right before a good record, and again at the tail: the reader
+  // holds a marker and the good record at once, its two-entry bound.
+  std::string bytes = to_bytes(sample_trace());
+  const std::size_t f1 = header_size() + kPacketFrame;
+  const std::size_t f2 = f1 + kPacketFrame;
+  const std::size_t f3 = f2 + kDeviceFrame;
+  bytes[f1 + kFrameHeader + 2] ^= 0x04;
+  bytes[f3 + kFrameHeader + 2] ^= 0x04;
+
+  std::istringstream in(bytes);
+  TraceStreamReader reader(in, {ReadMode::kSalvage, nullptr});
+  TraceRecord rec;
+  std::vector<std::pair<std::size_t, std::uint64_t>> seen;  // index, offset
+  while (reader.next(&rec)) {
+    seen.emplace_back(rec.index(), reader.record_frame_offset());
+  }
+  const std::size_t kPacket = TraceRecord(PacketRecord{}).index();
+  const std::size_t kDevice = TraceRecord(DeviceRecord{}).index();
+  const std::size_t kLost = TraceRecord(LostRecords{}).index();
+  const std::vector<std::pair<std::size_t, std::uint64_t>> want = {
+      {kPacket, header_size()}, {kLost, f1}, {kDevice, f2}, {kLost, f3}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(reader.report().lost_markers_synthesized, 2u);
+  EXPECT_EQ(reader.report().crc_failures, 2u);
 }
 
 TEST(TraceV2, Version1HeaderIsRejectedInEveryMode) {
