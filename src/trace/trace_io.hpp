@@ -70,10 +70,14 @@ struct TraceReadReport {
   std::uint64_t lost_markers_synthesized = 0;  ///< LostRecords added
   bool truncated = false;  ///< ended mid-record, or delivered < count
 
-  /// True when the stream decoded without any damage.
+  /// True when the stream decoded without any damage and delivered no
+  /// record past the header's count: a body past the count is an
+  /// unfinalized writer's or a damaged count, which salvage reads but
+  /// strict reading refuses.
   bool clean() const {
     return records_skipped == 0 && crc_failures == 0 && unknown_tags == 0 &&
-           resync_scans == 0 && !truncated;
+           resync_scans == 0 && !truncated &&
+           records_read <= records_expected;
   }
 };
 

@@ -220,6 +220,35 @@ TEST(StreamDistiller, BitIdenticalToInMemorySalvageOnDamagedTrace) {
   std::filesystem::remove(path);
 }
 
+TEST(StreamDistiller, AbandonedWriterFileIsSalvagedNotOk) {
+  // A writer destroyed without finalize() leaves count 0 over every block
+  // it wrote.  Salvage reads the body intact, but a file strict reading
+  // refuses must not come back kOk.
+  const std::string source = make_corpus("abandoned_src.tmtr", 0.02,
+                                         sim::seconds(600));
+  const std::string path = tmp("abandoned.tmtr");
+  {
+    std::ifstream in(source, std::ios::binary);
+    trace::TraceStreamReader reader(in);
+    trace::TraceStreamWriter writer(path);
+    trace::TraceRecord rec;
+    while (reader.next(&rec)) writer.append(rec);
+    ASSERT_GT(writer.bytes_written(), 64u * 1024);
+  }  // destroyed without finalize()
+  ASSERT_THROW(trace::load_trace(path), trace::TraceFormatError);
+
+  const std::string reference = in_memory_reference(path);
+  const auto streamed = stream_distill(path);
+  EXPECT_EQ(streamed.read_report.records_expected, 0u);
+  EXPECT_GT(streamed.read_report.records_read, 0u);
+  EXPECT_FALSE(streamed.read_report.clean());
+  EXPECT_EQ(streamed.status, DistillStatus::kSalvaged);
+  EXPECT_FALSE(streamed.replay.tuples().empty());
+  EXPECT_EQ(serialize(streamed.replay), reference);
+  std::filesystem::remove(source);
+  std::filesystem::remove(path);
+}
+
 TEST(StreamDistiller, DamageSpanningTwoWindowsMarksBothAndNeverAborts) {
   const std::string path = make_corpus("boundary.tmtr");
 

@@ -354,6 +354,24 @@ TEST(TraceV2, StrictReadRefusesFramesPastTheCount) {
   EXPECT_EQ(result.trace.records.size(), 4u);
 }
 
+TEST(TraceV2, SalvageReadPastTheCountIsNotClean) {
+  // A count of k over k + 1 good frames: no frame is damaged, but the
+  // read delivered more than the header declares, so the report must not
+  // call the stream clean where strict reading refuses it.
+  std::string bytes = to_bytes(sample_trace());
+  const auto exact = read_bytes(bytes, ReadMode::kSalvage);
+  ASSERT_EQ(exact.report.records_read, 4u);
+  EXPECT_TRUE(exact.report.clean());
+
+  const std::uint64_t k = 3;
+  std::memcpy(bytes.data() + header_size() - sizeof(k), &k, sizeof(k));
+  const auto past = read_bytes(bytes, ReadMode::kSalvage);
+  EXPECT_EQ(past.report.records_read, k + 1);
+  EXPECT_EQ(past.report.records_skipped, 0u);
+  EXPECT_FALSE(past.report.truncated);
+  EXPECT_FALSE(past.report.clean());
+}
+
 TEST(TraceV2, CommittedCorpusStrictReadsAsBefore) {
   std::set<std::string> strict_ok;
   for (const auto& entry : std::filesystem::directory_iterator(
