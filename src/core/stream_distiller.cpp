@@ -13,9 +13,7 @@
 
 #include "sim/crc32c.hpp"
 #include "sim/io/codec.hpp"
-#include "sim/metric_names.hpp"
 #include "sim/perf/perf.hpp"
-#include "sim/sim_context.hpp"
 #include "trace/stream_reader.hpp"
 
 namespace tracemod::core {
@@ -641,15 +639,6 @@ StreamDistillResult StreamDistiller::distill_file(const std::string& path) {
     result.status = DistillStatus::kOk;
   }
 
-  if (cfg_.metrics != nullptr) {
-    sim::MetricsRegistry& m = *cfg_.metrics;
-    m.counter(sim::metric::kDistillWindowsTotal) += st.windows_total;
-    m.counter(sim::metric::kDistillWindowsSalvaged) += st.windows_damaged;
-    m.counter(sim::metric::kDistillWindowsShed) += st.windows_shed;
-    m.counter(sim::metric::kDistillWindowsResumed) += st.windows_resumed;
-    m.counter(sim::metric::kDistillRecordsStreamed) += st.records_streamed;
-    sim::io::export_io_metrics(m);
-  }
   return result;
 }
 

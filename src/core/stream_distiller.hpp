@@ -55,9 +55,6 @@
 #include "sim/status/status.hpp"
 #include "trace/trace_io.hpp"
 
-namespace tracemod::sim {
-class MetricsRegistry;
-}
 namespace tracemod::sim::io {
 class FaultPlan;
 }
@@ -92,8 +89,6 @@ struct StreamDistillConfig {
   /// drills via environment).  Faults here can only degrade resumability,
   /// never the distilled output.
   sim::io::FaultPlan* checkpoint_fault_plan = nullptr;
-  /// Optional distill.* counters (sim/metric_names.hpp).
-  sim::MetricsRegistry* metrics = nullptr;
   /// Live status board (sim/status/status.hpp): the scan publishes records
   /// streamed, then every window settles at once.  Null (default) adds no
   /// code to the pipeline; the distilled output is identical either way.

@@ -104,33 +104,6 @@ inline constexpr const char* kAuditBandwidthRelErr =
 /// Per-window |recovered - reference| loss-rate delta (series).
 inline constexpr const char* kAuditLossDelta = "audit.loss_delta";
 
-// --- streaming-distillation counters (src/core/stream_distiller.hpp) ---
-//
-// Published by StreamDistiller onto whatever registry the caller supplies;
-// never emitted from inside a simulated world.
-
-/// Corpus windows planned by the streaming distiller (clean + damaged +
-/// shed + resumed).
-inline constexpr const char* kDistillWindowsTotal = "distill.windows_total";
-
-/// Corpus windows containing salvaged damage (a LostRecords marker fell
-/// inside the window's byte range).
-inline constexpr const char* kDistillWindowsSalvaged =
-    "distill.windows_salvaged";
-
-/// Corpus windows whose echo buffers were shed to honour the memory
-/// budget (delay estimates lost, loss summaries kept).
-inline constexpr const char* kDistillWindowsShed = "distill.windows_shed";
-
-/// Corpus windows restored from a checkpoint journal instead of re-read.
-inline constexpr const char* kDistillWindowsResumed =
-    "distill.windows_resumed";
-
-/// Trace records streamed through distillation passes (never resident all
-/// at once).
-inline constexpr const char* kDistillRecordsStreamed =
-    "distill.records_streamed";
-
 // --- wall-clock perf-plane metrics (src/sim/perf/) ---
 //
 // Appended onto a TelemetrySnapshot by append_perf_to_telemetry when a
@@ -212,11 +185,9 @@ inline constexpr const char* kAllCounterNames[] = {
     kWirelessRetransmits, kWirelessDrops,      kWirelessHandoffs,
     kModulationDrops,    kAuditWindowsTotal,   kAuditWindowsUnauditable,
     kAuditWindowsWithinTolerance, kSweepTrialsFailed, kSweepTrialsRetried,
-    kSweepTrialsTimedOut, kDistillWindowsTotal, kDistillWindowsSalvaged,
-    kDistillWindowsShed, kDistillWindowsResumed, kDistillRecordsStreamed,
-    kPerfEventsProfiled, kPerfAllocs,           kPerfFrees,
-    kPerfAllocBytes,     kIoWriteErrors,        kIoFsyncFailures,
-    kIoDegradedPlanes,   kStatusPublishFailed,
+    kSweepTrialsTimedOut, kPerfEventsProfiled, kPerfAllocs,
+    kPerfFrees,          kPerfAllocBytes,      kIoWriteErrors,
+    kIoFsyncFailures,    kIoDegradedPlanes,    kStatusPublishFailed,
 };
 
 /// Every series channel name, for the same drift test (audit divergence
