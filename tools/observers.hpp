@@ -17,8 +17,8 @@
 //                       with `tracemod status PREFIX.status [--follow]`.
 //
 // With every flag absent the ExperimentConfig is untouched, so outputs are
-// bit-identical to a run without observers.  `tracemod campus`,
-// `distill --stream` and `perf` take only --status, through arm_status().
+// bit-identical to a run without observers.  `tracemod campus`, `distill`
+// and `perf` take only --status, through arm_status().
 #pragma once
 
 #include <string>
