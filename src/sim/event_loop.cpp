@@ -1,7 +1,6 @@
 #include "sim/event_loop.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "sim/assert.hpp"
@@ -51,9 +50,7 @@ EventId EventLoop::enqueue(TimePoint at, std::uint32_t index) {
   keys_.push_back(Key{at, seq, index});
   std::push_heap(keys_.begin(), keys_.end(), Later{});
   ++live_;
-  if (profiler_ != nullptr && live_ > profiler_->queue_high_water) {
-    profiler_->queue_high_water = live_;
-  }
+  queue_high_water_ = std::max(queue_high_water_, live_);
   return make_id(seq, index);
 }
 
@@ -127,25 +124,14 @@ bool EventLoop::dispatch_one() {
         loop.release_slot(index);
       }
     } retire{*this, k.slot};
-    const char* const tag = s.tag != nullptr ? s.tag : "(untagged)";
     // The wall-clock perf plane observes only (virtual time is untouched
     // and no randomness is drawn); when no profiler is attached to this
     // thread the two hooks cost a TLS load plus a predicted branch.
     perf::PerfProfiler* const pp = perf::current();
     if (pp != nullptr) pp->on_dispatch(now_, live_);
-    if (profiler_ == nullptr) {
-      perf::PerfScope scope(pp, perf::Domain::kEventLoop, tag);
-      s.fn();
-      return true;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      perf::PerfScope scope(pp, perf::Domain::kEventLoop, tag);
-      s.fn();
-    }
-    const std::chrono::duration<double> self =
-        std::chrono::steady_clock::now() - t0;
-    profiler_->note(s.tag, self.count());
+    perf::PerfScope scope(pp, perf::Domain::kEventLoop,
+                          s.tag != nullptr ? s.tag : "(untagged)");
+    s.fn();
     return true;
   }
   return false;

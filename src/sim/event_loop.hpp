@@ -14,10 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -30,30 +28,6 @@ namespace tracemod::sim {
 /// Opaque handle for a scheduled event: its slot and a generation (see
 /// EventLoop::make_id).  Value 0 is never issued.
 using EventId = std::uint64_t;
-
-/// EventLoop introspection for finding simulator hot spots: dispatch counts
-/// per handler tag, wall-clock self-time per tag, and queue-depth high
-/// water.  Tag strings come from the optional tag argument to schedule();
-/// untagged events aggregate under "(untagged)".  Counts and high water are
-/// deterministic for a given simulation; self-time is measured on the host
-/// wall clock and is reported separately from deterministic output.
-struct EventLoopProfiler {
-  struct TagStats {
-    std::uint64_t count = 0;
-    double self_seconds = 0.0;
-  };
-
-  std::uint64_t dispatched = 0;
-  std::size_t queue_high_water = 0;
-  std::map<std::string, TagStats> by_tag;
-
-  void note(const char* tag, double self_seconds) {
-    TagStats& s = by_tag[tag != nullptr ? tag : "(untagged)"];
-    ++s.count;
-    s.self_seconds += self_seconds;
-    ++dispatched;
-  }
-};
 
 /// A `void()` callable kept in a fixed inline buffer, with no heap
 /// fallback: a callable larger than kCapacity is a compile error, so an
@@ -120,7 +94,8 @@ class EventLoop {
 
   /// Schedules fn at absolute time t.  Times in the past are clamped to
   /// now().  Returns a cancellable id.  The optional tag (a static string)
-  /// classifies the handler for the profiler; it has no effect on dispatch.
+  /// labels the handler's dispatch scope in the perf plane
+  /// (sim/perf/perf.hpp); it has no effect on dispatch.
   /// fn is stored inline (see InlineCallback); a std::function argument
   /// must not be empty.
   template <class F>
@@ -141,12 +116,6 @@ class EventLoop {
   EventId schedule(Duration delay, F&& fn, const char* tag = nullptr) {
     return schedule_at(now_ + delay, std::forward<F>(fn), tag);
   }
-
-  /// Attaches a profiler (nullptr detaches).  When attached, every
-  /// dispatch is counted per tag and timed on the host wall clock.  The
-  /// profiler observes only; dispatch order and virtual time are
-  /// unaffected.
-  void set_profiler(EventLoopProfiler* p) { profiler_ = p; }
 
   /// Cancels a pending event and destroys its callback at once.  Returns
   /// false if it already ran (or is running), was already cancelled, or
@@ -174,6 +143,10 @@ class EventLoop {
 
   /// Number of events currently pending.
   std::size_t pending_count() const { return live_; }
+
+  /// The most events ever pending at once.  Cancelled events stop
+  /// counting when cancelled, and compaction never lowers it.
+  std::size_t queue_high_water() const { return queue_high_water_; }
 
   /// Number of heap keys, live plus not-yet-compacted dead ones (for
   /// tests and diagnostics).  Bounded by compaction: dead keys never
@@ -203,7 +176,7 @@ class EventLoop {
   /// been cancelled) and been destroyed.
   struct Slot {
     InlineCallback fn;
-    const char* tag = nullptr;  // profiler classification; nullptr = untagged
+    const char* tag = nullptr;  // perf-plane label; nullptr = untagged
     std::uint64_t seq = kNoEvent;  // the pending event held; kNoEvent if none
     std::uint32_t next_free = kNoSlot;
   };
@@ -252,7 +225,7 @@ class EventLoop {
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::size_t dead_in_queue_ = 0;
-  EventLoopProfiler* profiler_ = nullptr;
+  std::size_t queue_high_water_ = 0;
 };
 
 /// RAII one-shot timer bound to an EventLoop.  Used by protocol state
@@ -265,7 +238,7 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// (Re)arms the timer to fire after the delay, replacing any pending arm.
-  /// The optional tag classifies the handler for the EventLoop profiler.
+  /// The optional tag labels the handler's dispatch, as in schedule_at().
   template <class F>
   void arm(Duration delay, F&& fn, const char* tag = nullptr) {
     cancel();

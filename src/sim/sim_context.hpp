@@ -84,7 +84,6 @@ class SimContext {
       : seed_(seed), rng_(seed) {
     perf::ensure_alloc_interposer();
     telemetry_.enable(cfg);
-    if (telemetry_.enabled()) loop_.set_profiler(&telemetry_.loop_profiler());
   }
 
   SimContext(const SimContext&) = delete;

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "sim/json.hpp"
+#include "sim/perf/report.hpp"
 #include "sim/sim_context.hpp"
 
 namespace tracemod::sim {
@@ -62,7 +63,8 @@ TelemetrySnapshot capture_telemetry(const SimContext& ctx) {
   for (const auto& [name, series] : ctx.metrics().series_channels()) {
     snap.series.emplace_back(name, series);
   }
-  snap.profiler = tel.loop_profiler();
+  snap.dispatched = ctx.loop().dispatched();
+  snap.queue_high_water = ctx.loop().queue_high_water();
   return snap;
 }
 
@@ -132,7 +134,7 @@ void write_metrics_text(std::ostream& out,
 }
 
 void write_report(std::ostream& out, const TelemetrySnapshot& snap,
-                  bool include_wall_time) {
+                  const perf::PerfSnapshot& dispatch, bool include_wall_time) {
   out << "== telemetry report ==\n";
   out << "[flight recorder] " << snap.events.size() << " events on "
       << snap.tracks.size() << " tracks (" << snap.distinct_layers()
@@ -162,12 +164,27 @@ void write_report(std::ostream& out, const TelemetrySnapshot& snap,
   for (const auto& [name, value] : snap.counters) {
     out << "  " << name << " = " << value << "\n";
   }
-  out << "[event loop] dispatched=" << snap.profiler.dispatched
-      << " queue-high-water=" << snap.profiler.queue_high_water << "\n";
-  for (const auto& [tag, stats] : snap.profiler.by_tag) {
-    out << "  " << tag << ": count=" << stats.count;
+  out << "[event loop] dispatched=" << snap.dispatched
+      << " queue-high-water=" << snap.queue_high_water << "\n";
+  // A handler's root scope has the path "event_loop;<tag>"; a path with a
+  // further ';' is a scope nested inside a handler.
+  const std::string prefix =
+      std::string(perf::to_string(perf::Domain::kEventLoop)) + ";";
+  std::vector<const perf::PerfPath*> handlers;
+  for (const perf::PerfPath& p : dispatch.paths) {
+    if (p.path.starts_with(prefix) &&
+        p.path.find(';', prefix.size()) == std::string::npos) {
+      handlers.push_back(&p);
+    }
+  }
+  std::sort(handlers.begin(), handlers.end(),
+            [](const perf::PerfPath* a, const perf::PerfPath* b) {
+              return a->path < b->path;
+            });
+  for (const perf::PerfPath* p : handlers) {
+    out << "  " << p->path.substr(prefix.size()) << ": count=" << p->count;
     if (include_wall_time) {
-      out << " self=" << fmt("%.3f", stats.self_seconds * 1e3) << "ms";
+      out << " self=" << fmt("%.3f", p->est_total_s * 1e3) << "ms";
     }
     out << "\n";
   }

@@ -11,14 +11,16 @@
 //     transport, in virtual time;
 //   - richer metrics: named histograms and sim-time-sampled series in the
 //     context's MetricsRegistry (delay-queue depth, bottleneck backlog,
-//     replay-buffer fill, end-to-end latency);
-//   - the EventLoop profiler (per-tag dispatch counts + wall self-time).
+//     replay-buffer fill, end-to-end latency).
+// Everything it records is in virtual time; which handlers ran and what
+// they cost on the host is the wall-clock perf plane's (sim/perf/).
 //
 // A finished run is captured into a TelemetrySnapshot -- a plain value
 // that can cross threads -- and exported as Chrome trace-event JSON (loads
 // in ui.perfetto.dev / chrome://tracing), a Prometheus-style text dump, or
-// a human-readable report.  Each experiment's sink is isolated by
-// construction (one Telemetry per SimContext); merged exports take
+// a human-readable report, whose per-handler dispatch lines come from a
+// perf-plane snapshot of the same run.  Each experiment's sink is isolated
+// by construction (one Telemetry per SimContext); merged exports take
 // labelled snapshots in caller-chosen (trial) order, so parallel and
 // serial runs merge identically.
 #pragma once
@@ -29,13 +31,15 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_loop.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace_event.hpp"
 
 namespace tracemod::sim {
 
 class SimContext;
+namespace perf {
+struct PerfSnapshot;
+}
 
 struct TelemetryConfig {
   bool enabled = false;
@@ -65,9 +69,6 @@ class Telemetry {
     return enabled_ ? recorder_->track(node, layer) : kNoTrack;
   }
 
-  EventLoopProfiler& loop_profiler() { return profiler_; }
-  const EventLoopProfiler& loop_profiler() const { return profiler_; }
-
  private:
   friend class SimContext;
   void enable(const TelemetryConfig& cfg) {
@@ -80,13 +81,13 @@ class Telemetry {
   bool enabled_ = false;
   TelemetryConfig cfg_;
   std::unique_ptr<FlightRecorder> recorder_;
-  EventLoopProfiler profiler_;
 };
 
-/// Everything observable from one finished simulation, as a plain value:
-/// the flight-recorder contents, the metrics registry (counters,
-/// histograms, series), and the EventLoop profiler.  Snapshots are taken
-/// per experiment and merged deterministically by the exporters below.
+/// Everything observable in virtual time from one finished simulation, as
+/// a plain value: the flight-recorder contents, the metrics registry
+/// (counters, histograms, series), and the event loop's dispatch count
+/// and queue high water.  Snapshots are taken per experiment and merged
+/// deterministically by the exporters below.
 struct TelemetrySnapshot {
   std::vector<Track> tracks;
   std::vector<TraceEvent> events;
@@ -94,7 +95,8 @@ struct TelemetrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, Histogram>> histograms;
   std::vector<std::pair<std::string, TimeSeries>> series;
-  EventLoopProfiler profiler;
+  std::uint64_t dispatched = 0;
+  std::size_t queue_high_water = 0;
 
   /// Number of distinct layer names across all tracks.
   std::size_t distinct_layers() const;
@@ -126,10 +128,12 @@ void write_metrics_text(std::ostream& out,
                         const std::vector<LabeledTelemetry>& snaps);
 
 /// Human-readable report: flight-recorder summary, series channels,
-/// histograms, and the EventLoop profiler.  Wall-clock self-times are
-/// included only when include_wall_time is set, so tests can pin the
-/// deterministic shape.
+/// histograms, counters, and the event loop.  One line per handler tag
+/// comes from the event_loop root scopes of `dispatch`, the perf-plane
+/// snapshot of the same run: its count, and its whole handler time only
+/// when include_wall_time is set, so tests can pin the deterministic text.
 void write_report(std::ostream& out, const TelemetrySnapshot& snap,
+                  const perf::PerfSnapshot& dispatch,
                   bool include_wall_time = true);
 
 }  // namespace tracemod::sim

@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "sim/json.hpp"
+#include "sim/perf/perf.hpp"
+#include "sim/perf/report.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/trace_event.hpp"
 
@@ -210,35 +212,6 @@ TEST(MetricsRegistry, ChannelsEnumerateInNameOrder) {
   EXPECT_EQ(series_names, (std::vector<std::string>{"alpha", "zeta"}));
 }
 
-// --- event loop profiler ---------------------------------------------------
-
-TEST(EventLoopProfiler, CountsTagsAndQueueHighWater) {
-  EventLoopProfiler prof;
-  EventLoop loop;
-  loop.set_profiler(&prof);
-  int fired = 0;
-  for (int i = 0; i < 3; ++i) {
-    loop.schedule(milliseconds(i), [&] { ++fired; }, "tick");
-  }
-  loop.schedule(milliseconds(9), [&] { ++fired; });  // untagged
-  loop.run();
-  EXPECT_EQ(fired, 4);
-  EXPECT_EQ(prof.dispatched, 4u);
-  EXPECT_EQ(prof.queue_high_water, 4u);
-  ASSERT_EQ(prof.by_tag.count("tick"), 1u);
-  EXPECT_EQ(prof.by_tag.at("tick").count, 3u);
-  ASSERT_EQ(prof.by_tag.count("(untagged)"), 1u);
-  EXPECT_EQ(prof.by_tag.at("(untagged)").count, 1u);
-}
-
-TEST(EventLoopProfiler, DetachedLoopDoesNotRecord) {
-  EventLoopProfiler prof;
-  EventLoop loop;
-  loop.schedule(milliseconds(1), [] {}, "tick");
-  loop.run();
-  EXPECT_EQ(prof.dispatched, 0u);
-}
-
 // --- text exporters --------------------------------------------------------
 
 TEST(MetricsText, EmitsCumulativeBucketsAndCounters) {
@@ -261,17 +234,57 @@ TEST(MetricsText, EmitsCumulativeBucketsAndCounters) {
   EXPECT_NE(text.find("_count 2"), std::string::npos) << text;
 }
 
+/// Runs the context's loop under a perf-plane profiler, whose snapshot
+/// supplies the report's per-handler dispatch lines.
+perf::PerfSnapshot run_profiled(SimContext& ctx) {
+  perf::PerfProfiler profiler;
+  {
+    perf::PerfSession session(profiler);
+    ctx.loop().run();
+  }
+  return perf::capture_perf(profiler);
+}
+
 TEST(Report, OmitsWallClockWhenAsked) {
   TelemetryConfig cfg;
   cfg.enabled = true;
   SimContext ctx(1, cfg);
   ctx.loop().schedule(milliseconds(1), [] {}, "tick");
-  ctx.loop().run();
+  const perf::PerfSnapshot dispatch = run_profiled(ctx);
   std::ostringstream with, without;
-  write_report(with, capture_telemetry(ctx), /*include_wall_time=*/true);
-  write_report(without, capture_telemetry(ctx), /*include_wall_time=*/false);
+  write_report(with, capture_telemetry(ctx), dispatch,
+               /*include_wall_time=*/true);
+  write_report(without, capture_telemetry(ctx), dispatch,
+               /*include_wall_time=*/false);
   EXPECT_NE(with.str().find("self="), std::string::npos);
   EXPECT_EQ(without.str().find("self="), std::string::npos);
+}
+
+TEST(Report, HandlerLinesCountThePerfPlaneDispatchScopes) {
+  // One line per handler tag, untagged events included, from the perf
+  // plane's event_loop root scopes; a scope nested in a handler is not a
+  // handler of its own.
+  TelemetryConfig cfg;
+  cfg.enabled = true;
+  SimContext ctx(1, cfg);
+  for (int i = 0; i < 3; ++i) {
+    ctx.loop().schedule(
+        milliseconds(i),
+        [] { perf::PerfScope nested(perf::Domain::kPacketPath, "node.send"); },
+        "tick");
+  }
+  ctx.loop().schedule(milliseconds(9), [] {});
+  const perf::PerfSnapshot dispatch = run_profiled(ctx);
+  std::ostringstream out;
+  write_report(out, capture_telemetry(ctx), dispatch,
+               /*include_wall_time=*/false);
+  const std::string text = out.str();
+  const std::size_t at = text.find("[event loop]");
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(text.substr(at),
+            "[event loop] dispatched=4 queue-high-water=4\n"
+            "  (untagged): count=1\n"
+            "  tick: count=3\n");
 }
 
 }  // namespace
