@@ -7,7 +7,7 @@
 namespace tracemod::sim::perf {
 
 namespace detail {
-thread_local PerfProfiler* g_current = nullptr;
+constinit thread_local PerfProfiler* g_current = nullptr;
 }
 
 const char* to_string(Domain d) {

@@ -159,7 +159,9 @@ class PerfProfiler {
 };
 
 namespace detail {
-extern thread_local PerfProfiler* g_current;
+// constinit: with no dynamic initializer, a read is a plain TLS load, not a
+// call through the thread_local init wrapper.
+extern constinit thread_local PerfProfiler* g_current;
 }
 
 /// The profiler attached to the calling thread, or nullptr.  This is the
