@@ -722,6 +722,19 @@ TEST(TracemodCli, CampusStatusOffDigestMatchesStatusOn) {
   EXPECT_EQ(plain, digest_of(status_json));
 }
 
+TEST(TracemodCli, CampusJsonKeepsTheDigestsLeadingZero) {
+  // This world's digest starts with a zero; --json must spell it with all
+  // 16 digits, as stdout and `tracemod perf --campus` do.
+  const std::string json = tmp("campus_seed11.json");
+  ASSERT_EQ(run({"campus", "--hosts", "20", "--seconds", "1", "--seed", "11",
+                 "--json", json}),
+            kExitOk);
+  const std::string contents = file_bytes(json);
+  EXPECT_NE(contents.find("\"digest\": \"066a301ae2fd1e28\"\n"),
+            std::string::npos)
+      << contents;
+}
+
 TEST(TracemodCli, AuditThresholdFlagsAreHonored) {
   const std::string path = tmp("strict.replay");
   ASSERT_EQ(run({"synth", "wavelan", path, "--seconds", "60"}), kExitOk);
