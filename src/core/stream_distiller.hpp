@@ -1,6 +1,6 @@
-// Bounded-memory streaming distillation for production-volume corpora
-// (ROADMAP item 5: multi-GB traces, faster than real time, salvage
-// semantics and auditor verdicts intact).
+// Bounded-memory streaming distillation for production-volume corpora:
+// multi-GB traces, faster than real time, with salvage semantics and
+// auditor verdicts intact.
 //
 // One read of the file, which never slurps it:
 //

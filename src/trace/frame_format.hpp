@@ -1,9 +1,9 @@
 // The trace container's layout on top of the shared record codec
 // (sim/io/codec.hpp): the container header, the record payloads, and the
 // frame checks the salvage reader resynchronizes with.  Shared by the
-// in-memory reader facade (trace_io.cpp), the incremental reader/writer
-// (stream_reader.cpp), and the streaming distiller's window re-scan, so
-// the salvage semantics of all of them stay byte-identical.
+// in-memory reader facade (trace_io.cpp) and the incremental reader/writer
+// (stream_reader.cpp), which the streaming distiller reads through, so the
+// salvage semantics of all of them stay byte-identical.
 //
 // Layout recap (trace_io.hpp documents the container): every record is a
 // codec frame, tag u8 | payload length u32 | crc32c u32 | payload bytes.
