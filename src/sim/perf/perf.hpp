@@ -15,7 +15,9 @@
 //   - timing is sampled: one in sampling_stride root scopes is measured
 //     with the steady clock (the whole stack of that occurrence is timed
 //     together, so self-time subtraction stays consistent); counts and
-//     allocation attribution are exact for every occurrence;
+//     allocation counts are exact for every occurrence, while allocated
+//     bytes are malloc_usable_size chunk sizes and so move with heap
+//     layout;
 //   - allocation attribution reads the operator-new interposer counters
 //     (sim/perf/alloc_telemetry.hpp) around each scope, with the
 //     profiler's own bookkeeping excluded via AllocSuspendGuard, so a
@@ -57,7 +59,7 @@ const char* to_string(Domain d);
 
 struct PerfConfig {
   /// Time one in N root-scope occurrences (1 = time everything).  Counts
-  /// and allocation attribution stay exact regardless.
+  /// and allocation counts stay exact regardless.
   std::uint32_t sampling_stride = 1;
   /// Dispatches between two counter samples (events/sec, heap bytes,
   /// queue depth).
@@ -74,7 +76,8 @@ class PerfProfiler {
   const PerfConfig& config() const { return cfg_; }
 
   /// One call-path node: a (parent, domain, label) triple with exact
-  /// counts, sampled wall time, and exact allocation attribution.
+  /// counts, sampled wall time, exact allocation counts, and allocated
+  /// bytes as chunk sizes (these depend on heap layout).
   /// Children's measured time/allocs are recorded so self = total - child.
   struct Node {
     std::int32_t parent = -1;  ///< index into nodes(), -1 for roots
@@ -85,7 +88,7 @@ class PerfProfiler {
     double wall_s = 0.0;            ///< measured total time
     double child_s = 0.0;           ///< measured time spent in children
     std::uint64_t allocs = 0;       ///< exact allocations in scope
-    std::uint64_t alloc_bytes = 0;
+    std::uint64_t alloc_bytes = 0;  ///< their malloc_usable_size sum
     std::uint64_t child_allocs = 0;
     std::uint64_t child_alloc_bytes = 0;
     std::vector<std::uint32_t> children;

@@ -93,6 +93,11 @@ TEST(Campus, DigestsMatchValuesRecordedAtTheParent) {
   EXPECT_EQ(run_campus(cfg).digest, 0x99a9724fe18e75efull);
   cfg.cell_size_m = 0.0;
   EXPECT_EQ(run_campus(cfg).digest, 0x5dada974e6096806ull);
+  // At 10k hosts the event heap holds ~13k keys and the carrier-sense
+  // grid is wide: the size where their layout matters.
+  cfg.hosts = 10000;
+  cfg.cell_size_m = CampusConfig{}.cell_size_m;
+  EXPECT_EQ(run_campus(cfg).digest, 0x5d575bcb44ba0ab3ull);
 }
 
 TEST(Campus, RepeatRunsAreDeterministicAndSeedsMatter) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -313,6 +314,14 @@ TEST(EventLoop, StaleIdCannotCancelAReusedSlot) {
   EXPECT_TRUE(b_fired);
 }
 
+/// SchedulerDifferential's op shares in percent; the rest are
+/// run_until()s up to 4 ms ahead.
+struct OpMix {
+  std::uint64_t schedule = 40;
+  std::uint64_t cancel = 20;
+  std::uint64_t step = 20;
+};
+
 // Differential test: the same seeded op stream drives the real loop and a
 // reference scheduler -- a flat list that always dispatches its live
 // (at, seq) minimum -- and every observable must agree after every op.
@@ -322,16 +331,61 @@ class SchedulerDifferential {
  public:
   explicit SchedulerDifferential(std::uint64_t seed) : rng_(seed) {}
 
-  void run(int ops) {
-    for (int op = 0; op < ops; ++op) {
+  /// Schedules `depth` events 60 s ahead, over 64 distinct timestamps, so
+  /// that they sit deep in the heap under the ops that follow and hundreds
+  /// share each timestamp.
+  void prefill(int depth) {
+    for (int i = 0; i < depth; ++i) {
+      const int label = new_label(0);
+      const TimePoint at = loop_.now() + seconds(60) +
+                           milliseconds(static_cast<std::int64_t>(rng_() % 64));
+      ids_[static_cast<std::size_t>(label)] =
+          loop_.schedule_at(at, [this, label] { real_fire(label); });
+      ref_schedule(label, at);
+    }
+    ASSERT_TRUE(agree()) << "prefill";
+  }
+
+  /// Cancels about two of every three pending events, in a random order:
+  /// enough dead keys to make the loop compact its heap.
+  void cancel_most() {
+    std::vector<int> labels;
+    for (std::size_t label = 0; label < ref_live_.size(); ++label) {
+      if (ref_live_[label]) labels.push_back(static_cast<int>(label));
+    }
+    std::shuffle(labels.begin(), labels.end(), rng_);
+    labels.resize(labels.size() * 2 / 3);
+    bool compacted = false;
+    for (const int label : labels) {
+      const std::size_t keys = loop_.queue_size();
+      real_log_.push_back(loop_.cancel(id_of(label)) ? -1 : -2);
+      ref_log_.push_back(ref_cancel(label) ? -1 : -2);
+      compacted = compacted || loop_.queue_size() < keys;
+    }
+    EXPECT_TRUE(compacted);
+    // Compaction keeps dead keys at most half the heap.
+    EXPECT_LE(loop_.queue_size(), 2 * loop_.pending_count());
+    ASSERT_TRUE(agree()) << "cancel_most";
+  }
+
+  /// Runs `n` random ops, then both schedulers dry.
+  void run(int n) {
+    ops(n);
+    if (!::testing::Test::HasFatalFailure()) drain();
+  }
+
+  /// Runs `n` random ops; every observable is compared after each
+  /// `check_every`-th op.
+  void ops(int n, OpMix mix = {}, int check_every = 1) {
+    for (int op = 0; op < n; ++op) {
       const std::uint64_t roll = rng_() % 100;
-      if (roll < 40) {
+      if (roll < mix.schedule) {
         schedule_new();
-      } else if (roll < 60) {
+      } else if (roll < mix.schedule + mix.cancel) {
         const int target = pick_target();
         real_log_.push_back(loop_.cancel(id_of(target)) ? -1 : -2);
         ref_log_.push_back(ref_cancel(target) ? -1 : -2);
-      } else if (roll < 80) {
+      } else if (roll < mix.schedule + mix.cancel + mix.step) {
         real_log_.push_back(loop_.step() ? -3 : -4);
         ref_log_.push_back(ref_step() ? -3 : -4);
       } else {
@@ -340,8 +394,13 @@ class SchedulerDifferential {
         loop_.run_until(t);
         ref_run_until(t);
       }
-      ASSERT_TRUE(agree()) << "op " << op;
+      if ((op + 1) % check_every == 0) {
+        ASSERT_TRUE(agree()) << "op " << op;
+      }
     }
+  }
+
+  void drain() {
     loop_.run();
     while (ref_step()) {
     }
@@ -361,6 +420,11 @@ class SchedulerDifferential {
     TimePoint at;
     std::uint64_t seq;
     int label;
+    // The reference's whole order: time, then FIFO sequence.
+    bool operator<(const RefEvent& o) const {
+      if (at != o.at) return at < o.at;
+      return seq < o.seq;
+    }
   };
 
   Duration tie_heavy_delay() {
@@ -371,6 +435,7 @@ class SchedulerDifferential {
     const int label = static_cast<int>(inner_.size());
     inner_.emplace_back();
     ids_.push_back(0);
+    ref_event_.emplace_back();
     ref_live_.push_back(false);
     Inner in;
     const std::uint64_t roll = rng_() % 100;
@@ -422,32 +487,23 @@ class SchedulerDifferential {
 
   void ref_schedule(int label, TimePoint at) {
     if (at < ref_now_) at = ref_now_;
-    ref_.push_back(RefEvent{at, ref_seq_++, label});
+    const RefEvent e{at, ref_seq_++, label};
+    ref_.insert(e);
+    ref_event_[static_cast<std::size_t>(label)] = e;
     ref_live_[static_cast<std::size_t>(label)] = true;
   }
 
   bool ref_cancel(int label) {
     if (label < 0 || !ref_live_[static_cast<std::size_t>(label)]) return false;
     ref_live_[static_cast<std::size_t>(label)] = false;
-    ref_.erase(std::find_if(ref_.begin(), ref_.end(), [label](const RefEvent& e) {
-      return e.label == label;
-    }));
+    ref_.erase(ref_event_[static_cast<std::size_t>(label)]);
     return true;
-  }
-
-  std::vector<RefEvent>::iterator ref_min() {
-    return std::min_element(ref_.begin(), ref_.end(),
-                            [](const RefEvent& a, const RefEvent& b) {
-                              if (a.at != b.at) return a.at < b.at;
-                              return a.seq < b.seq;
-                            });
   }
 
   bool ref_step() {
     if (ref_.empty()) return false;
-    const auto it = ref_min();
-    const RefEvent e = *it;
-    ref_.erase(it);
+    const RefEvent e = *ref_.begin();
+    ref_.erase(ref_.begin());
     ref_now_ = e.at;
     ++ref_dispatched_;
     ref_live_[static_cast<std::size_t>(e.label)] = false;
@@ -461,7 +517,7 @@ class SchedulerDifferential {
   }
 
   void ref_run_until(TimePoint t) {
-    while (!ref_.empty() && ref_min()->at <= t) ref_step();
+    while (!ref_.empty() && ref_.begin()->at <= t) ref_step();
     if (ref_now_ < t) ref_now_ = t;
   }
 
@@ -486,7 +542,8 @@ class SchedulerDifferential {
   std::vector<EventId> ids_;  // by label; 0 until scheduled
   std::vector<int> real_log_;
   // The reference.
-  std::vector<RefEvent> ref_;  // live events only
+  std::set<RefEvent> ref_;  // live events only
+  std::vector<RefEvent> ref_event_;  // by label: its latest schedule
   std::vector<char> ref_live_;  // by label
   TimePoint ref_now_ = kEpoch;
   std::uint64_t ref_seq_ = 0;
@@ -498,6 +555,21 @@ TEST(EventLoop, MatchesAReferenceSchedulerUnderRandomOps) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     SCOPED_TRACE(seed);
     SchedulerDifferential(seed).run(1500);
+    if (HasFailure()) return;
+  }
+  // Deep: 24,000 events under the ops (the 10k-host campus peaks at
+  // 13,040 pending), hundreds per timestamp, and steps instead of
+  // run_until()s so that the heap stays deep; then a mass cancel that
+  // compacts it, and a drain of what is left.
+  const OpMix deep{45, 15, 40};
+  for (std::uint64_t seed = 101; seed <= 102; ++seed) {
+    SCOPED_TRACE(seed);
+    SchedulerDifferential d(seed);
+    d.prefill(24'000);
+    d.ops(20'000, deep, 1000);
+    d.cancel_most();
+    d.ops(5'000, deep, 1000);
+    d.drain();
     if (HasFailure()) return;
   }
 }

@@ -23,7 +23,7 @@ namespace {
 /// Burns a little CPU so sampled self-times are nonzero without sleeping.
 void spin() {
   volatile std::uint64_t x = 0;
-  for (int i = 0; i < 20000; ++i) x += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 20000; ++i) x = x + static_cast<std::uint64_t>(i);
 }
 
 const PerfPath* find_path(const PerfSnapshot& snap, const std::string& p) {
