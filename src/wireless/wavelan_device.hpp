@@ -5,6 +5,7 @@
 // trace-collection layer samples periodically (paper Section 3.1.1).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -26,13 +27,12 @@ class WaveLanDevice : public net::NetDevice, public Transceiver {
       : channel_(channel),
         position_(std::move(position)),
         name_(std::move(name)),
-        tx_power_dbm_(tx_power_dbm) {
-    channel_.add_mobile(this, addr);
-  }
+        tx_power_dbm_(tx_power_dbm),
+        index_(channel_.add_mobile(this, addr)) {}
 
   // --- net::NetDevice ---
   void transmit(net::Packet pkt) override {
-    channel_.transmit_from_mobile(this, std::move(pkt));
+    channel_.transmit_from_mobile(index_, std::move(pkt));
   }
   std::string name() const override { return name_; }
 
@@ -43,17 +43,20 @@ class WaveLanDevice : public net::NetDevice, public Transceiver {
   std::string label() const override { return name_; }
 
   /// Driver signal readings at the current instant.
-  SignalInfo signal() { return channel_.signal_info(this); }
+  SignalInfo signal() { return channel_.signal_info(index_); }
 
-  bool associated() const { return channel_.associated(this) != nullptr; }
+  bool associated() const { return channel_.associated(index_) != nullptr; }
 
   WirelessChannel& channel() { return channel_; }
+  /// The index the channel registered this radio under.
+  std::uint32_t mobile_index() const { return index_; }
 
  private:
   WirelessChannel& channel_;
   PositionFn position_;
   std::string name_;
   double tx_power_dbm_;
+  std::uint32_t index_;
 };
 
 }  // namespace tracemod::wireless

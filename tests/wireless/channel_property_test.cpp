@@ -82,7 +82,7 @@ TEST(ChannelProperty, SignalLevelMonotoneInDistance) {
     double sum = 0;
     for (int i = 0; i < 16; ++i) {
       loop.run_for(sim::milliseconds(200));
-      sum += channel.signal_info(&radio).level;
+      sum += radio.signal().level;
     }
     const double level = sum / 16;
     EXPECT_LE(level, prev + 1.0) << "at " << d;  // allow shadow wiggle
