@@ -48,7 +48,7 @@ EventId EventLoop::enqueue(TimePoint at, std::uint32_t index) {
   const std::uint64_t seq = next_seq_++;
   slot(index).seq = seq;
   keys_.push_back(Key{at, seq, index});
-  std::push_heap(keys_.begin(), keys_.end(), Later{});
+  sift_up(keys_.size() - 1);
   ++live_;
   queue_high_water_ = std::max(queue_high_water_, live_);
   return make_id(seq, index);
@@ -89,15 +89,50 @@ void EventLoop::compact() {
   keys_.erase(std::remove_if(keys_.begin(), keys_.end(),
                              [this](const Key& k) { return !live(k); }),
               keys_.end());
-  std::make_heap(keys_.begin(), keys_.end(), Later{});
+  // Heapify bottom-up from the last node that has a child.
+  if (keys_.size() > 1) {
+    for (std::size_t i = (keys_.size() - 2) / kArity + 1; i-- > 0;) {
+      sift_down(i);
+    }
+  }
   dead_in_queue_ = 0;
 }
 
+void EventLoop::sift_up(std::size_t i) {
+  const Key k = keys_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(k, keys_[parent])) break;
+    keys_[i] = keys_[parent];
+    i = parent;
+  }
+  keys_[i] = k;
+}
+
+void EventLoop::sift_down(std::size_t i) {
+  const std::size_t n = keys_.size();
+  const Key k = keys_[i];
+  for (;;) {
+    const std::size_t first = i * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t min = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(keys_[c], keys_[min])) min = c;
+    }
+    if (!earlier(keys_[min], k)) break;
+    keys_[i] = keys_[min];
+    i = min;
+  }
+  keys_[i] = k;
+}
+
 EventLoop::Key EventLoop::pop_key() {
-  std::pop_heap(keys_.begin(), keys_.end(), Later{});
-  const Key k = keys_.back();
+  const Key top = keys_.front();
+  keys_.front() = keys_.back();
   keys_.pop_back();
-  return k;
+  if (!keys_.empty()) sift_down(0);
+  return top;
 }
 
 bool EventLoop::dispatch_one() {

@@ -7,8 +7,8 @@
 //
 // Scheduling, cancelling and dispatching allocate nothing once the loop has
 // grown to its working depth (DESIGN §5): each callback lives inline in a
-// slot of a fixed-size chunk that never moves, and the heap orders small
-// keys that name their slot.
+// slot of a fixed-size chunk that never moves, and a 4-ary heap orders
+// small keys that name their slot.
 #pragma once
 
 #include <cstddef>
@@ -158,6 +158,11 @@ class EventLoop {
   static constexpr std::uint64_t kNoEvent = ~std::uint64_t{0};
   static constexpr std::uint32_t kChunkSlots = 256;
 
+  /// Children per heap node.  A wider node makes the heap shallower: a
+  /// pop compares more siblings per level but moves keys through fewer
+  /// levels, and the four siblings are adjacent in memory.
+  static constexpr std::size_t kArity = 4;
+
   /// A heap key.  It is live while its slot still holds the event with its
   /// sequence number; a cancelled event's key stays behind, dead, until it
   /// is popped or compacted away.
@@ -166,12 +171,12 @@ class EventLoop {
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
     std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  /// The dispatch order.  Sequence numbers are unique, so it is total and
+  /// any heap under it pops keys in one sequence.
+  static bool earlier(const Key& a, const Key& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
   /// Where an event's callback lives from schedule until it has run (or
   /// been cancelled) and been destroyed.
   struct Slot {
@@ -213,12 +218,15 @@ class EventLoop {
   EventId enqueue(TimePoint at, std::uint32_t index);
   /// The slot holding the pending event id names, or kNoSlot.
   std::uint32_t pending_slot(EventId id) const;
+  /// Restore the heap order after keys_[i] moved earlier or later.
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
   Key pop_key();
   bool dispatch_one();
   void compact();
 
   TimePoint now_ = kEpoch;
-  std::vector<Key> keys_;  // binary heap under Later
+  std::vector<Key> keys_;  // kArity-ary min-heap under earlier()
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::uint32_t free_head_ = kNoSlot;  // LIFO free list through next_free
   std::size_t live_ = 0;
