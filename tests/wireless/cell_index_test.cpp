@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -28,9 +29,11 @@ TEST(CellIndex, FlatModeVisitsEverythingInRegistrationOrder) {
 
 TEST(CellIndex, FlatModeCoversTheSingleCell) {
   CellIndex idx(0.0);
-  std::vector<CellIndex::CellKey> cells;
-  idx.covered_cells({123.0, -456.0}, 130.0, &cells);
-  EXPECT_EQ(cells, (std::vector<CellIndex::CellKey>{0}));
+  const CellIndex::CellSpan cells = idx.cells_covering({123.0, -456.0}, 130.0);
+  EXPECT_EQ(cells.x0, 0);
+  EXPECT_EQ(cells.x1, 0);
+  EXPECT_EQ(cells.y0, 0);
+  EXPECT_EQ(cells.y1, 0);
 }
 
 TEST(CellIndex, ShardedQueryIsARangeSuperset) {
@@ -99,7 +102,14 @@ TEST(CellIndex, QueriesReachingPastTheOccupiedGridMatchTheDefinition) {
   };
   for (const Vec2 p : queries) {
     SCOPED_TRACE(testing::Message() << p.x << "," << p.y);
-    EXPECT_EQ(candidates(idx, p, 120.0), by_definition(pos, 100.0, p, 120.0));
+    const std::vector<std::uint32_t> got = candidates(idx, p, 120.0);
+    EXPECT_EQ(got, by_definition(pos, 100.0, p, 120.0));
+    // visits() answers for one id what the query does.
+    for (std::uint32_t id = 0; id < pos.size(); ++id) {
+      EXPECT_EQ(idx.visits(idx.cells_covering(p, 120.0), id),
+                std::find(got.begin(), got.end(), id) != got.end())
+          << id;
+    }
   }
   EXPECT_TRUE(candidates(idx, {-1000.0, -1000.0}, 120.0).empty());
   // A disc larger than the grid visits every id once.
@@ -116,15 +126,24 @@ TEST(CellIndex, RefusesAGridBeyondTheCellCap) {
 
 TEST(CellIndex, CoveredCellsSpanTheDiscBoundingBox) {
   CellIndex idx(100.0);
-  std::vector<CellIndex::CellKey> cells;
   // Disc centered mid-cell with radius one cell: 3x3 block.
-  idx.covered_cells({150.0, 150.0}, 100.0, &cells);
-  EXPECT_EQ(cells.size(), 9u);
-  cells.clear();
+  CellIndex::CellSpan cells = idx.cells_covering({150.0, 150.0}, 100.0);
+  EXPECT_EQ(cells.x0, 0);
+  EXPECT_EQ(cells.x1, 2);
+  EXPECT_EQ(cells.y0, 0);
+  EXPECT_EQ(cells.y1, 2);
   // Small disc away from any border: just the home cell.
-  idx.covered_cells({150.0, 150.0}, 10.0, &cells);
-  EXPECT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0], idx.cell_of({150.0, 150.0}));
+  cells = idx.cells_covering({150.0, 150.0}, 10.0);
+  EXPECT_EQ(cells.x0, 1);
+  EXPECT_EQ(cells.x1, 1);
+  EXPECT_EQ(cells.y0, 1);
+  EXPECT_EQ(cells.y1, 1);
+  // Negative coordinates floor away from zero.
+  cells = idx.cells_covering({-50.0, 20.0}, 60.0);
+  EXPECT_EQ(cells.x0, -2);
+  EXPECT_EQ(cells.x1, 0);
+  EXPECT_EQ(cells.y0, -1);
+  EXPECT_EQ(cells.y1, 0);
 }
 
 TEST(CellIndex, AssociationRangeInvertsPathLoss) {
