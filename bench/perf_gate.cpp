@@ -1,15 +1,19 @@
 // Performance regression gate: measures throughput, real-time ratio, and
-// allocation rate for four representative workloads and compares them
+// allocation rate for six representative workloads and compares them
 // against a committed baseline (BENCH_perf.json, schema
 // tracemod-perf-gate-v1).  Exits non-zero when any workload regresses past
 // the calibrated tolerances, so CI catches "the emulator got slower"
 // before it lands.
 //
 // Workloads:
-//   dispatch   raw event-loop dispatch (chained self-rescheduling events)
-//   modulated  full modulated FTP-recv benchmark on a wavelan-like trace
-//   campus     200-host campus world for 10 virtual seconds
-//   distill    distillation of a one-hour synthetic ping trace, 700 times
+//   dispatch    raw event-loop dispatch (chained self-rescheduling events)
+//   modulated   full modulated FTP-recv benchmark on a wavelan-like trace
+//   campus_1k   1,000-host campus world for 30 virtual seconds
+//   campus_10k  the same at 10,000 hosts: with campus_1k, the two points of
+//               the campus scaling curve
+//   distill     distillation of a one-hour synthetic ping trace, 700 times
+//   corpus      streamed distillation of a 256 MB, half-hour synthetic
+//               corpus (records/sec, and how much faster than real time)
 //
 // Wall-clock numbers are noisy, so the gate is deliberately one-sided and
 // generous: throughput and real-time ratio must stay above
@@ -25,16 +29,20 @@
 //   --update          rewrite the baseline from this run (no comparison)
 //   --drill-slowdown  divide measured rates by X before comparing; CI uses
 //                     2.0 to prove the gate actually fails on a regression
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/distiller.hpp"
+#include "core/stream_distiller.hpp"
 #include "flags.hpp"
 #include "report.hpp"
 #include "scenarios/campus.hpp"
@@ -44,6 +52,7 @@
 #include "sim/perf/perf.hpp"
 #include "sim/perf/report.hpp"
 #include "trace/ping.hpp"
+#include "trace/synthetic_corpus.hpp"
 #include "tracemod_cli.hpp"
 #include "version.hpp"
 
@@ -57,7 +66,7 @@ struct WorkloadResult {
   std::string name;
   bool ok = true;
   double wall_s = 0.0;
-  std::uint64_t events = 0;          ///< dispatches (or records for distill)
+  std::uint64_t events = 0;          ///< dispatches, or records distilled
   double work_per_sec = 0.0;         ///< events / wall_s
   double sim_per_wall = 0.0;         ///< simulated seconds per wall second
   double allocs_per_event = 0.0;
@@ -95,6 +104,40 @@ trace::CollectedTrace synthetic_collected(std::size_t groups) {
   return out;
 }
 
+/// A row timed on a profiled event loop: events are its dispatches.
+WorkloadResult loop_row(std::string name, bool ok,
+                        const sim::perf::PerfSnapshot& snap,
+                        double virtual_s) {
+  WorkloadResult r;
+  r.name = std::move(name);
+  r.ok = ok;
+  r.wall_s = snap.wall_s;
+  r.events = snap.dispatched;
+  r.work_per_sec = snap.events_per_sec();
+  r.sim_per_wall = virtual_s / std::max(snap.wall_s, 1e-9);
+  r.allocs_per_event = snap.allocs_per_event();
+  return r;
+}
+
+/// A distillation row: no event loop runs, so "events" are the records
+/// streamed through the distiller, work_per_sec is records/sec and allocs
+/// amortize over records.
+WorkloadResult records_row(std::string name, bool ok,
+                           const sim::perf::PerfSnapshot& snap,
+                           std::uint64_t records, double virtual_s) {
+  const double wall = std::max(snap.wall_s, 1e-9);
+  WorkloadResult r;
+  r.name = std::move(name);
+  r.ok = ok;
+  r.wall_s = snap.wall_s;
+  r.events = records;
+  r.work_per_sec = static_cast<double>(records) / wall;
+  r.sim_per_wall = virtual_s / wall;
+  r.allocs_per_event = static_cast<double>(snap.allocs.allocs) /
+                       static_cast<double>(std::max<std::uint64_t>(records, 1));
+  return r;
+}
+
 WorkloadResult run_dispatch() {
   constexpr std::uint64_t kEvents = 200'000;
   sim::perf::PerfProfiler profiler;
@@ -116,17 +159,9 @@ WorkloadResult run_dispatch() {
     loop.schedule(sim::microseconds(10), Tick{&loop, &fired}, "gate.tick");
     loop.run();
   }
-  const sim::perf::PerfSnapshot snap = sim::perf::capture_perf(profiler);
-  WorkloadResult r;
-  r.name = "dispatch";
-  r.ok = fired == kEvents;
-  r.wall_s = snap.wall_s;
-  r.events = snap.dispatched;
-  r.work_per_sec = snap.events_per_sec();
-  r.sim_per_wall = sim::to_seconds(loop.now() - sim::kEpoch) /
-                   std::max(snap.wall_s, 1e-9);
-  r.allocs_per_event = snap.allocs_per_event();
-  return r;
+  return loop_row("dispatch", fired == kEvents,
+                  sim::perf::capture_perf(profiler),
+                  sim::to_seconds(loop.now() - sim::kEpoch));
 }
 
 WorkloadResult run_modulated() {
@@ -140,22 +175,17 @@ WorkloadResult run_modulated() {
         trace, scenarios::BenchmarkKind::kFtpRecv, 1, sim::milliseconds(10),
         0.0);
   }
-  const sim::perf::PerfSnapshot snap = sim::perf::capture_perf(profiler);
-  WorkloadResult r;
-  r.name = "modulated";
-  r.ok = outcome.ok;
-  r.wall_s = snap.wall_s;
-  r.events = snap.dispatched;
-  r.work_per_sec = snap.events_per_sec();
-  r.sim_per_wall = outcome.elapsed_s / std::max(snap.wall_s, 1e-9);
-  r.allocs_per_event = snap.allocs_per_event();
-  return r;
+  return loop_row("modulated", outcome.ok, sim::perf::capture_perf(profiler),
+                  outcome.elapsed_s);
 }
 
-WorkloadResult run_campus_workload() {
+/// The campus world perfbench's `campus` workload runs: 30 virtual
+/// seconds at seed 42 with the serial scan.  The 1k and 10k rows are the
+/// two points of the scaling curve CI holds sub-quadratic.
+WorkloadResult run_campus_workload(std::size_t hosts) {
   scenarios::CampusConfig cfg;
-  cfg.hosts = 200;
-  cfg.horizon = sim::from_seconds(10);
+  cfg.hosts = hosts;
+  cfg.horizon = sim::from_seconds(30);
   cfg.seed = 42;
   sim::perf::PerfProfiler profiler;
   scenarios::CampusResult res;
@@ -163,16 +193,8 @@ WorkloadResult run_campus_workload() {
     sim::perf::PerfSession session(profiler);
     res = scenarios::run_campus(cfg);
   }
-  const sim::perf::PerfSnapshot snap = sim::perf::capture_perf(profiler);
-  WorkloadResult r;
-  r.name = "campus";
-  r.ok = res.ok;
-  r.wall_s = snap.wall_s;
-  r.events = snap.dispatched;
-  r.work_per_sec = snap.events_per_sec();
-  r.sim_per_wall = res.virtual_s / std::max(snap.wall_s, 1e-9);
-  r.allocs_per_event = snap.allocs_per_event();
-  return r;
+  return loop_row("campus_" + std::to_string(hosts / 1000) + "k", res.ok,
+                  sim::perf::capture_perf(profiler), res.virtual_s);
 }
 
 WorkloadResult run_distill() {
@@ -182,8 +204,6 @@ WorkloadResult run_distill() {
   const trace::CollectedTrace collected = synthetic_collected(3600);
   sim::perf::PerfProfiler profiler;
   std::size_t tuples = 0;
-  double allocs = 0.0;
-  double wall = 0.0;
   {
     sim::perf::PerfSession session(profiler);
     for (std::uint64_t i = 0; i < kPasses; ++i) {
@@ -191,22 +211,8 @@ WorkloadResult run_distill() {
       tuples = distiller.distill(collected).tuples().size();
     }
   }
-  const sim::perf::PerfSnapshot snap = sim::perf::capture_perf(profiler);
-  wall = snap.wall_s;
-  allocs = static_cast<double>(snap.allocs.allocs);
-  WorkloadResult r;
-  r.name = "distill";
-  r.ok = tuples > 0;
-  r.wall_s = wall;
-  // No event loop here: "events" are the records streamed through the
-  // distiller, so work_per_sec is records/sec and allocs amortize over
-  // records.
-  r.events = collected.records.size() * kPasses;
-  r.work_per_sec = static_cast<double>(r.events) / std::max(wall, 1e-9);
-  r.sim_per_wall = 3600.0 * kPasses / std::max(wall, 1e-9);
-  r.allocs_per_event = allocs / static_cast<double>(std::max<std::uint64_t>(
-                                    r.events, 1));
-  return r;
+  return records_row("distill", tuples > 0, sim::perf::capture_perf(profiler),
+                     collected.records.size() * kPasses, 3600.0 * kPasses);
 }
 
 /// Best of k: highest throughput run for the wall metrics, lowest
@@ -225,6 +231,46 @@ WorkloadResult best_of(Fn fn, int k) {
     }
   }
   return best;
+}
+
+/// Streams a 256 MB corpus of 1800 virtual seconds through the one-read
+/// distiller, best of k.  The corpus is written once into the temp
+/// directory, outside the timed region, and removed again whatever
+/// happens; a failed write or read fails the row.  sim_per_wall is how
+/// much faster than real time the collected half hour distills.
+WorkloadResult run_corpus_workload(int k) {
+  constexpr double kSeconds = 1800.0;
+  std::string path;
+  auto run = [&path] {
+    sim::perf::PerfProfiler profiler;
+    core::StreamDistillResult res;
+    {
+      sim::perf::PerfSession session(profiler);
+      res = core::StreamDistiller().distill_file(path);
+    }
+    return records_row("corpus", res.status == core::DistillStatus::kOk,
+                       sim::perf::capture_perf(profiler),
+                       res.stats.records_streamed, kSeconds);
+  };
+  WorkloadResult result;
+  try {
+    path = (std::filesystem::temp_directory_path() /
+            ("tracemod_perf_gate_" + std::to_string(::getpid()) + ".tmtr"))
+               .string();
+    trace::CorpusSpec spec;
+    spec.duration = sim::from_seconds(kSeconds);
+    spec.target_bytes = 256ull << 20;
+    spec.seed = 1997;
+    trace::generate_ping_corpus(path, spec);
+    result = best_of(run, k);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "perf_gate: corpus: %s\n", e.what());
+    result.name = "corpus";
+    result.ok = false;
+  }
+  std::error_code ignored;
+  std::filesystem::remove(path, ignored);
+  return result;
 }
 
 void write_gate_json(std::ostream& out, const std::vector<WorkloadResult>& ws,
@@ -308,8 +354,12 @@ int main(int argc, char** argv) {
   std::vector<WorkloadResult> results;
   results.push_back(best_of(run_dispatch, repeat));
   results.push_back(best_of(run_modulated, repeat));
-  results.push_back(best_of(run_campus_workload, repeat));
+  for (const std::size_t hosts : {1000, 10000}) {
+    results.push_back(
+        best_of([hosts] { return run_campus_workload(hosts); }, repeat));
+  }
   results.push_back(best_of(run_distill, repeat));
+  results.push_back(run_corpus_workload(repeat));
 
   bench::rowf("%-10s %10s %12s %14s %12s %8s", "workload", "wall s",
               "work/sec", "sim-s/wall-s", "allocs/ev", "run");

@@ -80,7 +80,7 @@ LiveTestbed::LiveTestbed(const Scenario& scenario, std::uint64_t seed,
       host->node().set_default_route(0);
       auto user = std::make_unique<apps::SynRGenUser>(
           *host, net::Endpoint{cfg_.server_addr, kInterfererNfsPort},
-          "u" + std::to_string(i), master.next_u64());
+          std::string("u") + std::to_string(i), master.next_u64());
       user->start();
       interferer_hosts_.push_back(std::move(host));
       interferer_users_.push_back(std::move(user));

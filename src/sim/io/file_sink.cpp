@@ -417,7 +417,7 @@ IoResult sync_parent_dir(const std::string& path, FaultPlan* plan) {
   std::string dir = path;
   const std::size_t slash = dir.find_last_of('/');
   dir = slash == std::string::npos ? std::string(".") : dir.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  if (dir.empty()) dir.push_back('/');
 
   FaultPlan* p = resolve_plan(plan);
   if (p != nullptr) {

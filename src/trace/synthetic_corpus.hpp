@@ -9,8 +9,9 @@
 // like packet records but do not add distillation work, which keeps a
 // 1 GB corpus distillable in seconds instead of hours.
 //
-// Used by bench/corpus_distill (the committed BENCH_corpus.json run), the
-// CI corpus soak job, and the kill-resume drills in the tests.
+// Used by `tracemod gen-corpus`, perf_gate's `corpus` row (recorded in
+// BENCH_perf.json), the CI corpus soak job, and the kill-resume drills in
+// the tests.
 #pragma once
 
 #include <cstdint>

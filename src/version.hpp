@@ -19,8 +19,9 @@ namespace tracemod {
 inline constexpr const char* kToolVersion = "0.9.0";
 
 /// Every JSON schema kind the tool suite emits, for `tracemod version`.
-/// Append-only: a schema change mints a new kind (…-v2), it never mutates
-/// an existing one.
+/// A schema change mints a new kind (…-v2), it never mutates an existing
+/// one.  A retired kind leaves the list, and its name is never reused for
+/// another layout.
 inline constexpr const char* kJsonSchemaKinds[] = {
     "tracemod-sweep-v1",
     "tracemod-campus-v1",
@@ -29,8 +30,6 @@ inline constexpr const char* kJsonSchemaKinds[] = {
     "tracemod-perf-gate-v1",
     "tracemod-fidelity-v1",
     "tracemod-fidelity-trajectory-v1",
-    "tracemod-campus-bench-v1",
-    "tracemod-corpus-bench-v1",
     "tracemod-status-v1",
 };
 

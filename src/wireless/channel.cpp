@@ -407,6 +407,13 @@ void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& r) {
       begin_handoff(entry, best);
       return;
     }
+  } else if (entry.assoc != kNoWavePoint &&
+             r.scan.cur_rx < cfg_.association_floor_dbm - 5.0) {
+    // Sharded, the query can miss the current WavePoint once the mobile
+    // has walked away from it: judge the association by its own signal,
+    // as the flat medium does.
+    associate(entry, kNoWavePoint);
+    return;
   }
   // Nothing changed, so a scan at the same position and association would
   // change nothing again.

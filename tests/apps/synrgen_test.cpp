@@ -43,7 +43,7 @@ TEST(SynRGen, MultipleUsersShareOneServer) {
   for (int i = 0; i < 5; ++i) {
     users.push_back(std::make_unique<SynRGenUser>(
         net.client, net::Endpoint{net.server_addr, 2049},
-        "u" + std::to_string(i), 100 + i));
+        std::string("u") + std::to_string(i), 100 + i));
     users.back()->start();
   }
   net.loop.run_for(sim::seconds(30));

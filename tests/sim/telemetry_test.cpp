@@ -189,7 +189,9 @@ TEST(MetricsRegistry, SeriesReferencesAreStable) {
   MetricsRegistry m;
   TimeSeries& s = m.series("depth");
   // Registering other channels must not move existing ones (node-based map).
-  for (int i = 0; i < 64; ++i) m.series("s" + std::to_string(i));
+  for (int i = 0; i < 64; ++i) {
+    m.series(std::string("s").append(std::to_string(i)));
+  }
   EXPECT_EQ(&s, &m.series("depth"));
   s.sample(kEpoch, 2.0);
   ASSERT_NE(m.find_series("depth"), nullptr);

@@ -3,6 +3,8 @@
 //     global carrier-sense horizon;
 //   - stations within radio range still defer across a cell border, and
 //     across the edge of the grid that keeps carrier-sense horizons;
+//   - a mobile that walks out of every WavePoint's query disc drops its
+//     association, as in the flat medium;
 //   - a single giant cell is bit-identical to the flat (seed) medium;
 //   - the two-phase parallel association scan changes nothing;
 //   - the distance-bounded scan is bit-identical to the full one, and the
@@ -157,7 +159,8 @@ TEST(ShardedChannel, StationsDeferAcrossTheCarrierSenseGridsEdge) {
   // horizons are kept densely for cells x = -2..2 (the WavePoint grid
   // widened by ceil(130 / 130) + 1) and in a map beyond.  Two loud mobiles
   // associate beside their WavePoints, then move east, 120 m apart, where
-  // the poll finds no candidate and keeps their associations:
+  // the poll finds no candidate; their 40 dBm signals stay above the
+  // association floor, so they keep their associations:
   //   - to x = 250 and 370 they share cells 1..2, inside the grid; the
   //     second one also covers cell 3, outside it;
   //   - to x = 450 and 570 they share only cells 3..4, both outside.
@@ -182,6 +185,26 @@ TEST(ShardedChannel, StationsDeferAcrossTheCarrierSenseGridsEdge) {
     ASSERT_EQ(sharded.deliveries_b.size(), 1u);
     EXPECT_EQ(sharded.deliveries_a, flat.deliveries_a);
     EXPECT_EQ(sharded.deliveries_b, flat.deliveries_b);
+  }
+}
+
+TEST(ShardedChannel, AMobileThatLeavesCoverageDropsItsAssociation) {
+  // 600 m west of wp-a, radio_a's query disc holds no WavePoint, so the
+  // sharded poll finds no candidate.  Its association's own signal is far
+  // under the floor there: both media must drop it, and refuse its
+  // frames afterwards.
+  TwoIslands sharded(130.0, 1000.0);
+  TwoIslands flat(0.0, 1000.0);
+  for (TwoIslands* w : {&sharded, &flat}) {
+    SCOPED_TRACE(w == &sharded ? "sharded" : "flat");
+    ASSERT_EQ(w->channel.associated(w->radio_a.mobile_index()), &w->wp_a);
+    w->pos_a = {-600, 0};
+    w->loop.run_for(sim::seconds(2));
+    EXPECT_EQ(w->channel.associated(w->radio_a.mobile_index()), nullptr);
+    const std::uint64_t dropped =
+        w->channel.stats().frames_dropped_unassociated;
+    w->radio_a.transmit(udp_packet(w->addr_a, w->server_a, 700));
+    EXPECT_EQ(w->channel.stats().frames_dropped_unassociated, dropped + 1);
   }
 }
 
