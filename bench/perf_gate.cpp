@@ -346,6 +346,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--drill-slowdown must be > 0\n");
     return cli::kExitUsage;
   }
+  // Known before the first row: an unofficial build never writes a
+  // baseline, so it does not run the workloads either.
+  if (update && !official) {
+    std::fprintf(stderr,
+                 "perf_gate: refusing --update from a non-Release build\n");
+    return 1;
+  }
 
   bench::heading("Perf gate: throughput / real-time ratio / allocs vs baseline",
                  std::string("best of ") + std::to_string(repeat) +
@@ -385,11 +392,6 @@ int main(int argc, char** argv) {
   }
 
   if (update) {
-    if (!official) {
-      std::fprintf(stderr,
-                   "perf_gate: refusing --update from a non-Release build\n");
-      return 1;
-    }
     std::ostringstream f;
     write_gate_json(f, results, repeat);
     if (!sim::io::write_artifact_or_complain(baseline_path, f.str())) {

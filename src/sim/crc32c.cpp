@@ -32,6 +32,9 @@ constexpr std::array<std::uint32_t, 256> kTable = make_table();
 // the way in and out.
 using Update = std::uint32_t (*)(const unsigned char*, std::size_t,
                                  std::uint32_t);
+/// crc32c_prefixed, inversions included.
+using Prefixed = std::uint32_t (*)(std::uint8_t, const unsigned char*,
+                                   std::size_t);
 
 std::uint32_t update_table(const unsigned char* p, std::size_t size,
                            std::uint32_t crc) {
@@ -39,6 +42,11 @@ std::uint32_t update_table(const unsigned char* p, std::size_t size,
     crc = kTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
   }
   return crc;
+}
+
+std::uint32_t prefixed_table(std::uint8_t first, const unsigned char* p,
+                             std::size_t size) {
+  return ~update_table(p, size, update_table(&first, 1, ~0u));
 }
 
 #ifdef TRACEMOD_CRC32C_SSE42
@@ -54,30 +62,46 @@ __attribute__((target("sse4.2"))) std::uint32_t update_sse42(
   for (; size > 0; --size, ++p) crc = _mm_crc32_u8(crc, *p);
   return crc;
 }
+
+__attribute__((target("sse4.2"))) std::uint32_t prefixed_sse42(
+    std::uint8_t first, const unsigned char* p, std::size_t size) {
+  return ~update_sse42(p, size, _mm_crc32_u8(~0u, first));
+}
 #endif
 
-Update pick_update() {
+struct Paths {
+  Update update;
+  Prefixed prefixed;
+};
+
+Paths pick_paths() {
 #ifdef TRACEMOD_CRC32C_SSE42
   // cpu_init makes the feature query valid even when this runs from
   // another translation unit's static initializer.
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("sse4.2")) return update_sse42;
+  if (__builtin_cpu_supports("sse4.2")) return {update_sse42, prefixed_sse42};
 #endif
-  return update_table;
+  return {update_table, prefixed_table};
 }
 
 /// Resolved once, on first use; a function-local static is thread-safe
 /// and cannot be read before it is initialized.
-Update dispatched_update() {
-  static const Update update = pick_update();
-  return update;
+const Paths& dispatched() {
+  static const Paths paths = pick_paths();
+  return paths;
 }
 
 }  // namespace
 
 std::uint32_t crc32c(const void* data, std::size_t size, std::uint32_t seed) {
-  return ~dispatched_update()(static_cast<const unsigned char*>(data), size,
+  return ~dispatched().update(static_cast<const unsigned char*>(data), size,
                               ~seed);
+}
+
+std::uint32_t crc32c_prefixed(std::uint8_t first, const void* data,
+                              std::size_t size) {
+  return dispatched().prefixed(first, static_cast<const unsigned char*>(data),
+                               size);
 }
 
 namespace detail {
@@ -87,7 +111,7 @@ std::uint32_t crc32c_table(const void* data, std::size_t size,
   return ~update_table(static_cast<const unsigned char*>(data), size, ~seed);
 }
 
-bool crc32c_uses_hardware() { return dispatched_update() != update_table; }
+bool crc32c_uses_hardware() { return dispatched().update != update_table; }
 
 }  // namespace detail
 

@@ -1,7 +1,5 @@
 #include "sim/io/codec.hpp"
 
-#include "sim/crc32c.hpp"
-
 namespace tracemod::sim::io {
 
 namespace {
@@ -9,11 +7,6 @@ namespace {
 constexpr std::size_t kJournalHeaderBytes = 4 + 2 + 4;
 
 }  // namespace
-
-std::uint32_t frame_crc(std::uint8_t type, const void* payload,
-                        std::size_t len) {
-  return crc32c(payload, len, crc32c(&type, 1));
-}
 
 std::size_t open_frame(std::string& out) {
   const std::size_t at = out.size();

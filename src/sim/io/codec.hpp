@@ -25,6 +25,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "sim/crc32c.hpp"
+
 namespace tracemod::sim::io {
 
 // --- fields -----------------------------------------------------------------
@@ -37,6 +39,21 @@ void store(char* dst, T v) {
   if constexpr (std::endian::native == std::endian::big) {
     std::reverse(dst, dst + sizeof(T));
   }
+}
+
+/// Reads sizeof(T) little-endian bytes at `src`; the caller has checked
+/// they exist.
+template <typename T>
+T load(const void* src) {
+  static_assert(std::is_arithmetic_v<T>);
+  char raw[sizeof(T)];
+  std::memcpy(raw, src, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::reverse(raw, raw + sizeof(T));
+  }
+  T v{};
+  std::memcpy(&v, raw, sizeof(T));
+  return v;
 }
 
 /// Appends `v` as sizeof(T) little-endian bytes.
@@ -68,17 +85,11 @@ class ByteReader {
   template <typename T>
   T get() {
     static_assert(std::is_arithmetic_v<T>);
-    T v{};
     if (size_ - pos_ < sizeof(T)) {
       fail();
-      return v;
+      return T{};
     }
-    char raw[sizeof(T)];
-    std::memcpy(raw, data_ + pos_, sizeof(T));
-    if constexpr (std::endian::native == std::endian::big) {
-      std::reverse(raw, raw + sizeof(T));
-    }
-    std::memcpy(&v, raw, sizeof(T));
+    const T v = load<T>(data_ + pos_);
     pos_ += sizeof(T);
     return v;
   }
@@ -131,9 +142,11 @@ class ByteReader {
 
 inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4;
 
-/// CRC32C of the type byte followed by the payload.
-std::uint32_t frame_crc(std::uint8_t type, const void* payload,
-                        std::size_t len);
+/// CRC32C of the type byte followed by the payload: one dispatched call.
+inline std::uint32_t frame_crc(std::uint8_t type, const void* payload,
+                               std::size_t len) {
+  return crc32c_prefixed(type, payload, len);
+}
 
 /// Opens a frame at the end of `out`: reserves its kFrameHeaderBytes and
 /// returns their offset.  The caller appends the payload fields straight
@@ -156,12 +169,7 @@ struct FrameHeader {
 
 /// Decodes the kFrameHeaderBytes at `p`; the caller has checked they exist.
 inline FrameHeader read_frame_header(const unsigned char* p) {
-  ByteReader r(p, kFrameHeaderBytes);
-  FrameHeader h{};
-  h.type = r.get<std::uint8_t>();
-  h.len = r.get<std::uint32_t>();
-  h.crc = r.get<std::uint32_t>();
-  return h;
+  return {p[0], load<std::uint32_t>(p + 1), load<std::uint32_t>(p + 5)};
 }
 
 // --- journals ---------------------------------------------------------------

@@ -2,12 +2,15 @@
 //
 // This translation unit replaces the global allocation functions for any
 // binary that links it (see ensure_alloc_interposer).  Each thread owns a
-// counter block of relaxed atomics; blocks are registered once under a
-// mutex and never freed (they stay reachable through the registry, so
-// LeakSanitizer does not flag them and snapshots never race a dying
-// thread's storage).  A thread-local recursion flag keeps the registry's
-// own allocations out of the counts, and a thread-local suspension depth
-// lets the profiler exclude its bookkeeping.
+// counter block of relaxed atomics that only that thread writes, so a count
+// advances by a relaxed load and store -- exact, and still atomic for the
+// readers in alloc_totals, so TSan stays clean -- rather than a locked
+// read-modify-write.  Blocks are registered once under a mutex and never
+// freed (they stay reachable through the registry, so LeakSanitizer does
+// not flag them and snapshots never race a dying thread's storage).  A
+// thread-local recursion flag keeps the registry's own allocations out of
+// the counts, and a thread-local suspension depth lets the profiler
+// exclude its bookkeeping.
 #include "sim/perf/alloc_telemetry.hpp"
 
 #include <atomic>
@@ -78,20 +81,27 @@ std::size_t usable_size(void* p, std::size_t fallback) {
 #endif
 }
 
+/// Adds `n` to a counter of the calling thread's own block.  The owner is
+/// its only writer, so no locked fetch_add is needed to keep it exact.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
 void note_alloc(std::size_t bytes) {
   if (t_in_hook || t_suspend > 0) return;
   ThreadBlock* b = block_for_thread();
   if (b == nullptr) return;
-  b->allocs.fetch_add(1, std::memory_order_relaxed);
-  b->bytes_allocated.fetch_add(bytes, std::memory_order_relaxed);
+  bump(b->allocs, 1);
+  bump(b->bytes_allocated, bytes);
 }
 
 void note_free(std::size_t bytes) {
   if (t_in_hook || t_suspend > 0) return;
   ThreadBlock* b = block_for_thread();
   if (b == nullptr) return;
-  b->frees.fetch_add(1, std::memory_order_relaxed);
-  b->bytes_freed.fetch_add(bytes, std::memory_order_relaxed);
+  bump(b->frees, 1);
+  bump(b->bytes_freed, bytes);
 }
 
 void* allocate(std::size_t size, std::size_t align, bool nothrow) {

@@ -1,5 +1,6 @@
 #include "trace/frame_format.hpp"
 
+#include <span>
 #include <vector>
 
 #include "trace/trace_io.hpp"
@@ -33,21 +34,11 @@ const std::vector<SchemaEntry>& schema() {
 
 using sim::io::put;
 
-sim::TimePoint get_time(sim::io::ByteReader& in) {
-  return sim::TimePoint{sim::Duration{in.get<std::int64_t>()}};
-}
-
 void put_time(std::string& out, sim::TimePoint t) {
   put<std::int64_t>(out, t.time_since_epoch().count());
 }
 
 }  // namespace
-
-bool known_tag(std::uint8_t tag) {
-  return tag == static_cast<std::uint8_t>(RecordTag::kPacket) ||
-         tag == static_cast<std::uint8_t>(RecordTag::kDevice) ||
-         tag == static_cast<std::uint8_t>(RecordTag::kLost);
-}
 
 bool frame_validates(const unsigned char* data, std::size_t size,
                      std::size_t pos) {
@@ -94,42 +85,21 @@ void append_record(std::string& out, const TraceRecord& r) {
   sim::io::close_frame(out, frame, static_cast<std::uint8_t>(tag));
 }
 
-TraceRecord decode_payload(RecordTag tag, sim::io::ByteReader& in) {
-  switch (tag) {
-    case RecordTag::kPacket: {
-      PacketRecord p;
-      p.at = get_time(in);
-      p.dir = static_cast<PacketDirection>(in.get<std::uint8_t>());
-      p.protocol = static_cast<net::Protocol>(in.get<std::uint8_t>());
-      p.ip_bytes = in.get<std::uint32_t>();
-      p.icmp_kind = static_cast<IcmpKind>(in.get<std::uint8_t>());
-      p.icmp_id = in.get<std::uint16_t>();
-      p.icmp_seq = in.get<std::uint16_t>();
-      p.echo_origin = get_time(in);
-      p.src_port = in.get<std::uint16_t>();
-      p.dst_port = in.get<std::uint16_t>();
-      p.tcp_seq = in.get<std::uint64_t>();
-      p.tcp_flags = in.get<std::uint8_t>();
-      return p;
-    }
-    case RecordTag::kDevice: {
-      DeviceRecord d;
-      d.at = get_time(in);
-      d.signal_level = in.get<double>();
-      d.signal_quality = in.get<double>();
-      d.silence_level = in.get<double>();
-      return d;
-    }
-    case RecordTag::kLost: {
-      LostRecords l;
-      l.at = get_time(in);
-      l.lost_packet_records = in.get<std::uint32_t>();
-      l.lost_device_records = in.get<std::uint32_t>();
-      return l;
-    }
+std::size_t short_payload_offset(RecordTag tag, std::size_t len) {
+  // Field widths in payload order, as append_record writes them.
+  static constexpr std::uint8_t kPacket[] = {8, 1, 1, 4, 1, 2,
+                                             2, 8, 2, 2, 8, 1};
+  static constexpr std::uint8_t kDevice[] = {8, 8, 8, 8};
+  static constexpr std::uint8_t kLost[] = {8, 4, 4};
+  std::span<const std::uint8_t> widths = kLost;
+  if (tag == RecordTag::kPacket) widths = kPacket;
+  if (tag == RecordTag::kDevice) widths = kDevice;
+  std::size_t at = 0;
+  for (const std::uint8_t w : widths) {
+    if (len - at < w) break;
+    at += w;
   }
-  in.fail();
-  return LostRecords{};
+  return at;
 }
 
 std::string container_header(std::uint64_t count) {

@@ -2,10 +2,6 @@
 
 namespace tracemod::trace {
 
-sim::TimePoint record_time(const TraceRecord& r) {
-  return std::visit([](const auto& rec) { return rec.at; }, r);
-}
-
 std::vector<PacketRecord> CollectedTrace::echo_replies() const {
   std::vector<PacketRecord> out;
   for (const TraceRecord& r : records) {

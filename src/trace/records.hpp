@@ -57,7 +57,9 @@ struct LostRecords {
 using TraceRecord = std::variant<PacketRecord, DeviceRecord, LostRecords>;
 
 /// Timestamp of any record.
-sim::TimePoint record_time(const TraceRecord& r);
+inline sim::TimePoint record_time(const TraceRecord& r) {
+  return std::visit([](const auto& rec) { return rec.at; }, r);
+}
 
 /// A complete collected trace plus query helpers used by the distiller.
 struct CollectedTrace {

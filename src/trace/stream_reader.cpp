@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/assert.hpp"
 #include "sim/metric_names.hpp"
 #include "sim/sim_context.hpp"
 #include "trace/frame_format.hpp"
@@ -55,8 +54,7 @@ void TraceStreamReader::read_header() {
   // framing to resynchronize against.
   ensure(sizeof(wire::kMagic));
   if (avail() < sizeof(wire::kMagic) ||
-      std::memcmp(buf_.data() + pos_, wire::kMagic,
-                  sizeof(wire::kMagic)) != 0) {
+      std::memcmp(data() + pos_, wire::kMagic, sizeof(wire::kMagic)) != 0) {
     throw TraceFormatError("bad magic");
   }
   pos_ += sizeof(wire::kMagic);
@@ -64,7 +62,7 @@ void TraceStreamReader::read_header() {
   // The schema table is variable-length: parse what is buffered, and read
   // more only for a header longer than one read chunk.
   for (;;) {
-    sim::io::ByteReader h(buf_.data() + pos_, avail(), abs());
+    sim::io::ByteReader h(data() + pos_, avail(), abs());
     report_.version = h.get<std::uint16_t>();
     if (h.ok() && report_.version != kTraceFormatVersion) {
       throw TraceFormatError("unsupported version " +
@@ -101,18 +99,27 @@ void TraceStreamReader::ensure(std::size_t n) {
   // resync may still revisit) is done with.
   const std::size_t keep_from = std::min(pos_, hold_rel_);
   if (keep_from > 0) {
-    buf_.erase(0, keep_from);
+    std::memmove(buf_.get(), buf_.get() + keep_from, size_ - keep_from);
+    size_ -= keep_from;
     base_ += keep_from;
     pos_ -= keep_from;
     hold_rel_ -= keep_from;
   }
   while (avail() < n && !stream_exhausted_) {
     const std::size_t chunk = std::max(n, kReadChunk);
-    const std::size_t old = buf_.size();
-    buf_.resize(old + chunk);
-    in_->read(buf_.data() + old, static_cast<std::streamsize>(chunk));
+    if (size_ + chunk > cap_) {
+      // Past the header the buffer holds at most two frames kept for a
+      // resync plus one chunk, so the first allocation is the last.
+      const std::size_t cap =
+          std::max(size_ + chunk, kReadChunk + 2 * wire::kMaxFrameBytes);
+      auto grown = std::make_unique_for_overwrite<char[]>(cap);
+      if (size_ > 0) std::memcpy(grown.get(), buf_.get(), size_);
+      buf_ = std::move(grown);
+      cap_ = cap;
+    }
+    in_->read(buf_.get() + size_, static_cast<std::streamsize>(chunk));
     const auto got = static_cast<std::size_t>(in_->gcount());
-    buf_.resize(old + got);
+    size_ += got;
     if (got < chunk) stream_exhausted_ = true;
   }
 }
@@ -125,44 +132,27 @@ void TraceStreamReader::fail(const std::string& what,
 
 // --- salvage bookkeeping ----------------------------------------------------
 
-void TraceStreamReader::queue_damage(std::uint8_t tag, std::uint32_t n,
-                                     std::uint64_t frame_start_abs) {
+void TraceStreamReader::skip_frame(std::uint8_t tag,
+                                   std::uint64_t frame_start_abs) {
+  ++report_.records_skipped;
+  damage_seen_ = true;
   if (lost_packet_ == 0 && lost_device_ == 0) damage_start_ = frame_start_abs;
   if (tag == static_cast<std::uint8_t>(wire::RecordTag::kDevice)) {
-    lost_device_ += n;
+    ++lost_device_;
   } else {
-    lost_packet_ += n;
+    ++lost_packet_;
   }
 }
 
-void TraceStreamReader::push_pending(TraceRecord rec,
-                                     std::uint64_t frame_offset) {
-  TM_ASSERT(pending_count_ < pending_.size());
-  pending_[(pending_head_ + pending_count_) % pending_.size()] = {
-      std::move(rec), frame_offset};
-  ++pending_count_;
-}
-
-void TraceStreamReader::flush_damage() {
-  if (lost_packet_ == 0 && lost_device_ == 0) return;
-  push_pending(TraceRecord{LostRecords{last_good_, lost_packet_, lost_device_}},
-               damage_start_);
+void TraceStreamReader::emit_marker(TraceRecord* out) {
+  *out = LostRecords{last_good_, lost_packet_, lost_device_};
+  record_frame_offset_ = damage_start_;
   ++report_.lost_markers_synthesized;
   lost_packet_ = 0;
   lost_device_ = 0;
 }
 
-void TraceStreamReader::emit_good(TraceRecord rec,
-                                  std::uint64_t frame_start_abs) {
-  flush_damage();
-  last_good_ = record_time(rec);
-  push_pending(std::move(rec), frame_start_abs);
-  ++report_.records_read;
-  if (damage_seen_) ++report_.records_salvaged;
-}
-
-void TraceStreamReader::finish() {
-  if (done_) return;
+bool TraceStreamReader::finish(TraceRecord* out) {
   if (strict() && report_.records_read < report_.records_expected) {
     throw TraceFormatError("unexpected end of stream", abs(),
                            last_record_index_);
@@ -175,7 +165,8 @@ void TraceStreamReader::finish() {
                        report_.records_expected) {
     report_.truncated = true;
   }
-  flush_damage();
+  const bool marker = lost_packet_ != 0 || lost_device_ != 0;
+  if (marker) emit_marker(out);
   if (opts_.metrics != nullptr) {
     sim::MetricsRegistry& m = *opts_.metrics;
     m.counter(sim::metric::kRecordsSalvaged) += report_.records_salvaged;
@@ -183,6 +174,7 @@ void TraceStreamReader::finish() {
     m.counter(sim::metric::kResyncScans) += report_.resync_scans;
   }
   done_ = true;
+  return marker;
 }
 
 bool TraceStreamReader::resync(std::uint64_t frame_start_abs) {
@@ -196,9 +188,7 @@ bool TraceStreamReader::resync(std::uint64_t frame_start_abs) {
       report_.truncated = true;
       return false;
     }
-    if (wire::frame_validates(
-            reinterpret_cast<const unsigned char*>(buf_.data()), buf_.size(),
-            pos_)) {
+    if (wire::frame_validates(data(), size_, pos_)) {
       report_.bytes_scanned += abs() - frame_start_abs;
       return true;
     }
@@ -209,23 +199,17 @@ bool TraceStreamReader::resync(std::uint64_t frame_start_abs) {
 // --- record iteration -------------------------------------------------------
 
 bool TraceStreamReader::next(TraceRecord* out) {
-  if (pending_count_ == 0 && !done_) parse_frames();
-  if (pending_count_ == 0) return false;
-  Pending& front = pending_[pending_head_];
-  *out = std::move(front.record);
-  record_frame_offset_ = front.frame_offset;
-  pending_head_ = (pending_head_ + 1) % pending_.size();
-  --pending_count_;
-  return true;
-}
-
-void TraceStreamReader::parse_frames() {
-  while (pending_count_ == 0 && !done_) {
+  if (holding_) {
+    holding_ = false;
+    *out = held_;
+    record_frame_offset_ = held_frame_offset_;
+    return true;
+  }
+  while (!done_) {
     hold_rel_ = pos_;
-    ensure(wire::kMaxFrameBytes);
-    if (avail() == 0) {
-      finish();
-      break;
+    if (avail() < wire::kMaxFrameBytes) {
+      ensure(wire::kMaxFrameBytes);
+      if (avail() == 0) return finish(out);
     }
     if (strict() && report_.records_read >= report_.records_expected) {
       // The count is the contract: a byte past it belongs to no record the
@@ -242,15 +226,11 @@ void TraceStreamReader::parse_frames() {
         fail("unexpected end of stream in frame header", abs());
       }
       report_.truncated = true;
-      ++report_.records_skipped;
-      queue_damage(0, 1, frame_start);
-      damage_seen_ = true;
-      pos_ = buf_.size();
-      finish();
-      break;
+      skip_frame(0, frame_start);
+      pos_ = size_;
+      return finish(out);
     }
-    const auto* d = reinterpret_cast<const unsigned char*>(buf_.data());
-    const auto [tag, len, crc] = sim::io::read_frame_header(d + pos_);
+    const auto [tag, len, crc] = sim::io::read_frame_header(data() + pos_);
     pos_ += sim::io::kFrameHeaderBytes;
 
     // A length that cannot fit the stream (or is absurd) means the header
@@ -265,40 +245,27 @@ void TraceStreamReader::parse_frames() {
         }
         fail("unexpected end of stream in record payload", abs());
       }
-      queue_damage(0, 1, frame_start);
-      damage_seen_ = true;
-      ++report_.records_skipped;
-      if (!resync(frame_start)) {
-        finish();
-        break;
-      }
+      skip_frame(0, frame_start);
+      if (!resync(frame_start)) return finish(out);
       continue;
     }
 
-    const std::size_t payload_pos = pos_;
+    const unsigned char* payload = data() + pos_;
     pos_ += len;
 
-    if (sim::io::frame_crc(tag, d + payload_pos, len) != crc) {
+    if (sim::io::frame_crc(tag, payload, len) != crc) {
       if (strict()) {
         throw TraceFormatError("record checksum mismatch", frame_start,
                                last_record_index_);
       }
       ++report_.crc_failures;
-      ++report_.records_skipped;
-      queue_damage(tag, 1, frame_start);
-      damage_seen_ = true;
+      skip_frame(tag, frame_start);
       // The length field may be part of the damage (a plausible-but-wrong
       // value skips into the middle of a later frame and cascades).  Only
       // trust the skip if it lands on a frame that checksums, or on EOF.
       ensure(wire::kMaxFrameBytes);
-      if (avail() > 0 &&
-          !wire::frame_validates(
-              reinterpret_cast<const unsigned char*>(buf_.data()),
-              buf_.size(), pos_)) {
-        if (!resync(frame_start)) {
-          finish();
-          break;
-        }
+      if (avail() > 0 && !wire::frame_validates(data(), size_, pos_)) {
+        if (!resync(frame_start)) return finish(out);
       }
       continue;
     }
@@ -308,31 +275,44 @@ void TraceStreamReader::parse_frames() {
                                frame_start, last_record_index_);
       }
       ++report_.unknown_tags;
-      ++report_.records_skipped;
-      queue_damage(tag, 1, frame_start);
-      damage_seen_ = true;
+      skip_frame(tag, frame_start);
       continue;
     }
 
-    // A checksummed frame of a known type.  Decode from the payload span;
-    // a payload longer than the fields we know is a newer minor revision
-    // (extra fields are ignored), a shorter one is damage the CRC cannot
-    // see (it was written that way), which strict mode rejects.
-    sim::io::ByteReader body(d + payload_pos, len, base_ + payload_pos);
-    TraceRecord rec =
-        wire::decode_payload(static_cast<wire::RecordTag>(tag), body);
-    if (body.ok()) {
-      emit_good(std::move(rec), frame_start);
+    // A checksummed frame of a known type.  A payload longer than the
+    // fields we know is a newer minor revision (extra fields are ignored),
+    // a shorter one is damage the CRC cannot see (it was written that
+    // way), which strict mode rejects.
+    const auto type = static_cast<wire::RecordTag>(tag);
+    if (!wire::decode_payload(type, payload, len, out)) {
+      if (strict()) {
+        throw TraceFormatError(
+            "unexpected end of stream",
+            frame_start + sim::io::kFrameHeaderBytes +
+                wire::short_payload_offset(type, len),
+            last_record_index_);
+      }
+      skip_frame(tag, frame_start);
       continue;
     }
-    if (strict()) {
-      throw TraceFormatError("unexpected end of stream", body.offset(),
-                             last_record_index_);
+
+    ++report_.records_read;
+    if (damage_seen_) ++report_.records_salvaged;
+    const sim::TimePoint at = record_time(*out);
+    if (lost_packet_ != 0 || lost_device_ != 0) {
+      // The damage just crossed goes out first, stamped with the previous
+      // good record's time; this record waits for the next call.
+      held_ = *out;
+      held_frame_offset_ = frame_start;
+      holding_ = true;
+      emit_marker(out);
+    } else {
+      record_frame_offset_ = frame_start;
     }
-    ++report_.records_skipped;
-    queue_damage(tag, 1, frame_start);
-    damage_seen_ = true;
+    last_good_ = at;
+    return true;
   }
+  return false;
 }
 
 // --- streaming writer -------------------------------------------------------

@@ -13,7 +13,10 @@
 // The reader also reports the absolute byte offset of every record's frame,
 // which is what lets the streaming distiller (core/stream_distiller.hpp)
 // partition a corpus into byte-range windows.  Past the header it makes no
-// heap allocation per record: records wait in a fixed two-entry queue.
+// heap allocation per record, and a clean frame costs one pass: next()
+// checks it and decodes it straight into the caller's record.  Only the
+// good record that follows a synthesized LostRecords marker waits, in a
+// one-record hold, for the next call.
 //
 // TraceStreamWriter is the append-side dual: it writes the container header
 // with a zero record count, encodes framed records in place into one reused
@@ -22,10 +25,10 @@
 // with flat memory, no syscall and no allocation per record.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -47,9 +50,9 @@ class TraceStreamReader {
   TraceStreamReader& operator=(const TraceStreamReader&) = delete;
 
   /// Yields the next record (including synthesized LostRecords markers in
-  /// salvage mode); false at end of stream.  Strict mode throws
-  /// TraceFormatError on the first problem, with the same offset-annotated
-  /// message an in-memory parse produces.
+  /// salvage mode); false at end of stream, when *out is unspecified.
+  /// Strict mode throws TraceFormatError on the first problem, with the
+  /// same offset-annotated message an in-memory parse produces.
   bool next(TraceRecord* out);
 
   /// Running damage report; final once next() has returned false.
@@ -73,8 +76,11 @@ class TraceStreamReader {
 
  private:
   bool strict() const { return opts_.mode == ReadMode::kStrict; }
-  std::size_t avail() const { return buf_.size() - pos_; }
+  std::size_t avail() const { return size_ - pos_; }
   std::uint64_t abs() const { return base_ + pos_; }
+  const unsigned char* data() const {
+    return reinterpret_cast<const unsigned char*>(buf_.get());
+  }
 
   /// Ensures `n` bytes are buffered past pos_, or the stream is exhausted
   /// (in which case avail() is ground truth).  Compacts the consumed prefix
@@ -87,23 +93,27 @@ class TraceStreamReader {
   /// checksums as a frame; false at end of stream.
   bool resync(std::uint64_t frame_start_abs);
 
-  void queue_damage(std::uint8_t tag, std::uint32_t n,
-                    std::uint64_t frame_start_abs);
-  void flush_damage();
-  void emit_good(TraceRecord rec, std::uint64_t frame_start_abs);
-  void finish();
+  /// Counts the frame at frame_start_abs as skipped damage of type `tag`.
+  void skip_frame(std::uint8_t tag, std::uint64_t frame_start_abs);
+  /// Writes the damage counted since the last good record to *out as one
+  /// LostRecords marker.
+  void emit_marker(TraceRecord* out);
+  /// End of stream: the final checks, then a marker for trailing damage
+  /// (true) or nothing (false).
+  bool finish(TraceRecord* out);
 
   void read_header();
-  /// Parses frames until a record (or marker) is pending or the stream
-  /// ends.
-  void parse_frames();
 
   std::istream* in_;
   TraceReadOptions opts_;
   bool done_ = false;
   bool stream_exhausted_ = false;
 
-  std::string buf_;
+  // The read buffer: size_ bytes buffered of cap_ allocated.  It grows
+  // without zero-filling, since every byte it gains is read over at once.
+  std::unique_ptr<char[]> buf_;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
   std::size_t pos_ = 0;
   std::uint64_t base_ = 0;      ///< absolute offset of buf_[0]
   std::size_t hold_rel_ = 0;    ///< earliest byte a resync may revisit
@@ -124,19 +134,11 @@ class TraceStreamReader {
   std::uint64_t damage_start_ = 0;  ///< frame offset of the region's start
   bool damage_seen_ = false;
 
-  // Records decoded but not yet returned.  parse_frames() runs only when
-  // this queue is empty and stops as soon as it is not, so it holds at
-  // most two: one pass queues at most a LostRecords marker for the damage
-  // just crossed plus the good record after it (emit_good), or one marker
-  // from finish(), which never runs after emit_good in the same pass.
-  struct Pending {
-    TraceRecord record;
-    std::uint64_t frame_offset = 0;
-  };
-  void push_pending(TraceRecord rec, std::uint64_t frame_offset);
-  std::array<Pending, 2> pending_;
-  std::size_t pending_head_ = 0;   ///< entry next() returns first
-  std::size_t pending_count_ = 0;
+  // The good record decoded after a damaged region: next() returns the
+  // region's marker first and this record on the following call.
+  TraceRecord held_;
+  std::uint64_t held_frame_offset_ = 0;
+  bool holding_ = false;
 };
 
 /// Streaming writer: header up front (count patched on finalize), framed

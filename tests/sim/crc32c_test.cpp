@@ -1,7 +1,8 @@
-// CRC32C: the dispatched entry point and the portable table path agree on
-// the RFC 3720 known answers and on seeded random buffers of every small
-// length, alignment, seed and split; and on a CPU with SSE4.2 the
-// dispatcher must have picked the instruction path.
+// CRC32C: the dispatched entry points and the portable table path agree on
+// the RFC 3720 known answers, on seeded random buffers of every small
+// length, alignment, seed and split, and on the frame CRC of every type
+// byte; and on a CPU with SSE4.2 the dispatcher must have picked the
+// instruction path.
 #include "sim/crc32c.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "sim/io/codec.hpp"
 #include "sim/random.hpp"
 
 namespace tracemod::sim {
@@ -57,6 +59,25 @@ TEST(Crc32c, DispatchedMatchesTableOnEveryLengthAndAlignment) {
       const auto seed = static_cast<std::uint32_t>(rng.next_u64());
       ASSERT_EQ(crc32c(p, len, seed), crc32c_table(p, len, seed))
           << "len " << len << " align " << align << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32c, FrameCrcMatchesTableOnEveryTypeAndLength) {
+  // The codec's frame CRC folds the type byte into the payload's one
+  // dispatched call; the table path, one byte then the payload, is the
+  // reference.
+  Rng rng(20261019);
+  const std::vector<unsigned char> buf = random_bytes(rng, 80);
+  for (unsigned type = 0; type < 256; ++type) {
+    const auto t = static_cast<std::uint8_t>(type);
+    for (std::size_t len = 0; len <= buf.size(); ++len) {
+      const std::uint32_t want = crc32c_table(buf.data(), len,
+                                              crc32c_table(&t, 1));
+      ASSERT_EQ(io::frame_crc(t, buf.data(), len), want)
+          << "type " << type << " len " << len;
+      ASSERT_EQ(crc32c_prefixed(t, buf.data(), len), want)
+          << "type " << type << " len " << len;
     }
   }
 }

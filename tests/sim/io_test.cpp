@@ -34,6 +34,20 @@ std::string tmp(const std::string& name) {
   return testing::TempDir() + "tracemod_io_" + name;
 }
 
+/// Removes `path` and every `<path>.tmp.*` sibling that a publish crashed
+/// part-way left next to it.
+void remove_with_tmps(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
+  std::filesystem::remove(target);
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -351,6 +365,7 @@ TEST(AtomicFileWriterTest, CrashAtEverySyscallLeavesOldOrNewNeverAMix) {
     } else {
       EXPECT_FALSE(r.ok) << crash_at;
     }
+    remove_with_tmps(path);
   }
 }
 

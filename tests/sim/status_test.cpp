@@ -28,6 +28,20 @@ std::string tmp(const std::string& name) {
   return testing::TempDir() + "tracemod_status_" + name;
 }
 
+/// Removes `path` and every `<path>.tmp.*` sibling that a publish crashed
+/// part-way left next to it.
+void remove_with_tmps(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
+  std::filesystem::remove(target);
+}
+
 StatusSnapshot sample_snapshot() {
   StatusSnapshot s;
   s.tool_version = "0.9.0";
@@ -330,6 +344,7 @@ TEST(StatusBoardContract, CrashAtEverySyscallLeavesPreviousOrNewSnapshot) {
     ASSERT_TRUE(read.snapshot.seq == 1 || read.snapshot.seq == 2)
         << "crash at op " << crash_at;
     expect_equal(read.snapshot, read.snapshot.seq == 1 ? v1 : v2);
+    remove_with_tmps(path);
   }
 }
 

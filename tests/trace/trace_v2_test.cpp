@@ -32,6 +32,7 @@ using sim::crc32c;
 constexpr std::size_t kFrameHeader = 9;   // tag u8 + len u32 + crc u32
 constexpr std::size_t kPacketFrame = kFrameHeader + 40;
 constexpr std::size_t kDeviceFrame = kFrameHeader + 32;
+constexpr std::size_t kLostFrame = kFrameHeader + 16;
 
 CollectedTrace sample_trace() {
   CollectedTrace trace;
@@ -143,6 +144,20 @@ CollectedTrace mixed_trace(std::size_t n) {
     }
   }
   return trace;
+}
+
+/// Where the writer puts each record's frame, plus the end of the stream.
+std::vector<std::size_t> frame_offsets(const CollectedTrace& trace) {
+  std::vector<std::size_t> at{header_size()};
+  for (const TraceRecord& r : trace.records) {
+    const std::size_t frame = std::holds_alternative<PacketRecord>(r)
+                                  ? kPacketFrame
+                              : std::holds_alternative<DeviceRecord>(r)
+                                  ? kDeviceFrame
+                                  : kLostFrame;
+    at.push_back(at.back() + frame);
+  }
+  return at;
 }
 
 std::uint32_t frame_checksum(std::uint8_t tag, const std::string& payload) {
@@ -442,6 +457,174 @@ TEST(TraceV2, SalvageQueuesAMarkerAndTheRecordAfterIt) {
   EXPECT_EQ(seen, want);
   EXPECT_EQ(reader.report().lost_markers_synthesized, 2u);
   EXPECT_EQ(reader.report().crc_failures, 2u);
+}
+
+TEST(TraceV2, DamageAtTheFirstRefillAndInTheTailReadsAsTheLayoutSays) {
+  // A trace over more than three 256 KiB read chunks, damaged in turn in
+  // the frame that straddles the first refill point (the first chunk's end
+  // less kMaxFrameBytes: the reader refills right after it, so a damaged
+  // frame there is checked across a compaction), the frame that straddles
+  // the first chunk's end, and a frame that starts in the stream's last
+  // kMaxFrameBytes.  Every expectation comes from the writer's frame
+  // layout: strict reading stops at the damaged frame with its message,
+  // offset and index; salvage returns every other record at its own offset
+  // and one marker for the damage, stamped with the time of the record
+  // before it.
+  constexpr std::size_t kChunk = 256 * 1024;
+  constexpr std::size_t kMaxFrame = kFrameHeader + 4096;
+  const CollectedTrace trace = mixed_trace(18'000);
+  const std::string clean = to_bytes(trace);
+  const std::vector<std::size_t> at = frame_offsets(trace);
+  const std::size_t n = trace.records.size();
+  ASSERT_GT(clean.size(), 3 * kChunk);
+  ASSERT_EQ(at[n], clean.size());
+  // The frame holding byte `offset`, which must not be its first.
+  const auto straddling = [&](std::size_t offset) {
+    std::size_t k = 0;
+    while (at[k + 1] <= offset) ++k;
+    EXPECT_LT(at[k], offset);
+    return k;
+  };
+  const std::size_t refill = straddling(kChunk - kMaxFrame);
+  const std::size_t chunk_end = straddling(kChunk);
+  const std::size_t tail = n - 3;
+  ASSERT_GT(at[tail], clean.size() - kMaxFrame);
+
+  enum class Kind {
+    kCrc, kLength, kLengthOff, kUnknownTag, kShortPayload, kTruncated
+  };
+  struct Damage {
+    std::string bytes;
+    std::string what;       ///< strict error, before its offset
+    std::size_t offset;     ///< strict error offset
+    bool device = false;    ///< the marker counts a device record
+    std::ptrdiff_t shift = 0;  ///< how far the frames after it moved
+  };
+  const auto damage = [&](Kind kind, std::size_t k) {
+    const std::string payload =
+        clean.substr(at[k] + kFrameHeader, at[k + 1] - at[k] - kFrameHeader);
+    const std::string before = clean.substr(0, at[k]);
+    const std::string after = clean.substr(at[k + 1]);
+    const bool device = std::holds_alternative<DeviceRecord>(trace.records[k]);
+    const auto set_len = [&](Damage* d, std::uint32_t len) {
+      d->bytes = clean;
+      std::memcpy(d->bytes.data() + at[k] + 1, &len, sizeof(len));
+    };
+    Damage d;
+    switch (kind) {
+      case Kind::kCrc:
+        d.bytes = clean;
+        d.bytes[at[k] + kFrameHeader + 2] ^= 0x04;
+        d.what = "record checksum mismatch";
+        d.offset = at[k];
+        d.device = device;
+        break;
+      case Kind::kLength:
+        set_len(&d, 4097);
+        d.what = "implausible record length 4097";
+        d.offset = at[k] + kFrameHeader;
+        break;
+      case Kind::kLengthOff:
+        // Plausible but 4 bytes long: the CRC fails, and the skip lands
+        // inside the next frame, so salvage rescans from the damaged one.
+        set_len(&d, static_cast<std::uint32_t>(payload.size() + 4));
+        d.what = "record checksum mismatch";
+        d.offset = at[k];
+        d.device = device;
+        break;
+      case Kind::kUnknownTag:
+        d.bytes = before + make_frame(77, payload) + after;
+        d.what = "unknown record tag 77";
+        d.offset = at[k];
+        break;
+      case Kind::kShortPayload: {
+        // A device frame of 20 payload bytes, checksummed as written: its
+        // time and signal level fit, its signal quality does not.
+        const std::string short_frame =
+            make_frame(2, clean.substr(at[k] + kFrameHeader, 20));
+        d.bytes = before + short_frame + after;
+        d.what = "unexpected end of stream";
+        d.offset = at[k] + kFrameHeader + 16;
+        d.device = true;
+        d.shift = static_cast<std::ptrdiff_t>(short_frame.size()) -
+                  static_cast<std::ptrdiff_t>(at[k + 1] - at[k]);
+        break;
+      }
+      case Kind::kTruncated:
+        d.bytes = clean.substr(0, at[k] + kFrameHeader + 3);
+        d.what = "unexpected end of stream in record payload";
+        d.offset = at[k] + kFrameHeader;
+        break;
+    }
+    return d;
+  };
+
+  for (const std::size_t k : {refill, chunk_end, tail}) {
+    for (const Kind kind :
+         {Kind::kCrc, Kind::kLength, Kind::kLengthOff, Kind::kUnknownTag,
+          Kind::kShortPayload, Kind::kTruncated}) {
+      SCOPED_TRACE("frame " + std::to_string(k) + ", damage " +
+                   std::to_string(static_cast<int>(kind)));
+      const Damage d = damage(kind, k);
+      const bool truncated = kind == Kind::kTruncated;
+      const bool rescans =
+          kind == Kind::kLength || kind == Kind::kLengthOff || truncated;
+
+      std::istringstream strict_in(d.bytes);
+      TraceStreamReader strict(strict_in, {ReadMode::kStrict, nullptr});
+      TraceRecord rec;
+      std::size_t read = 0;
+      try {
+        while (strict.next(&rec)) ++read;
+        ADD_FAILURE() << "strict read accepted the damage";
+      } catch (const TraceFormatError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "trace format error: " + d.what + " at byte offset " +
+                      std::to_string(d.offset) + " (record " +
+                      std::to_string(k) + ")");
+      }
+      EXPECT_EQ(read, k);
+
+      CollectedTrace want;
+      std::vector<std::uint64_t> want_at;
+      for (std::size_t j = 0; j < k; ++j) {
+        want.records.push_back(trace.records[j]);
+        want_at.push_back(at[j]);
+      }
+      want.records.emplace_back(LostRecords{
+          record_time(trace.records[k - 1]), d.device ? 0u : 1u,
+          d.device ? 1u : 0u});
+      want_at.push_back(at[k]);
+      for (std::size_t j = k + 1; !truncated && j < n; ++j) {
+        want.records.push_back(trace.records[j]);
+        want_at.push_back(at[j] + d.shift);
+      }
+
+      std::istringstream salvage_in(d.bytes);
+      TraceStreamReader salvage(salvage_in, {ReadMode::kSalvage, nullptr});
+      CollectedTrace got;
+      std::vector<std::uint64_t> got_at;
+      while (salvage.next(&rec)) {
+        got.records.push_back(rec);
+        got_at.push_back(salvage.record_frame_offset());
+      }
+      EXPECT_EQ(to_bytes(got), to_bytes(want));
+      EXPECT_EQ(got_at, want_at);
+      const TraceReadReport& r = salvage.report();
+      EXPECT_EQ(r.records_read, truncated ? k : n - 1);
+      EXPECT_EQ(r.records_skipped, 1u);
+      EXPECT_EQ(r.records_salvaged, truncated ? 0u : n - 1 - k);
+      EXPECT_EQ(r.lost_markers_synthesized, 1u);
+      EXPECT_EQ(r.crc_failures,
+                kind == Kind::kCrc || kind == Kind::kLengthOff ? 1u : 0u);
+      EXPECT_EQ(r.unknown_tags, kind == Kind::kUnknownTag ? 1u : 0u);
+      EXPECT_EQ(r.resync_scans, rescans ? 1u : 0u);
+      EXPECT_EQ(r.bytes_scanned,
+                rescans ? (truncated ? d.bytes.size() : at[k + 1]) - at[k]
+                        : 0u);
+      EXPECT_EQ(r.truncated, truncated);
+    }
+  }
 }
 
 TEST(TraceV2, Version1HeaderIsRejectedInEveryMode) {
