@@ -159,19 +159,6 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
     devices_.push_back(std::move(dev));
   }
 
-  if (cfg_.threads > 0) {
-    pool_ = std::make_unique<sim::TaskPool>(cfg_.threads);
-    channel_->set_parallel_for(
-        [this](std::size_t n, const std::function<void(std::size_t)>& body) {
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            tasks.push_back([&body, i] { body(i); });
-          }
-          pool_->run_all(std::move(tasks));
-        });
-  }
-
   channel_->start();
 }
 

@@ -13,13 +13,12 @@
 //     every few seconds, echoed back by the sink when echo_downlink is
 //     set), exercising association, handoff, contention, and both air
 //     directions without paying for 100k TCP stacks;
-//   - the sharded channel: spatial cells sized by CampusConfig, and an
-//     optional TaskPool that the channel's association scan fans out on.
+//   - the sharded channel: spatial cells sized by CampusConfig.
 //
 // Everything is a pure function of the seed: construction draws from the
 // context's master rng in one fixed order, and run() produces a result
-// digest that is byte-identical across serial/parallel and repeat runs --
-// the equivalence the campus tests and CI smoke job pin.
+// digest that is byte-identical across repeat runs -- the equivalence the
+// campus tests and CI smoke job pin.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,6 @@
 #include "scenarios/benchmarks.hpp"
 #include "scenarios/scenario.hpp"
 #include "sim/sim_context.hpp"
-#include "sim/task_pool.hpp"
 #include "wireless/wavelan_device.hpp"
 #include "wireless/wavepoint.hpp"
 
@@ -56,8 +54,8 @@ struct CampusConfig {
   std::uint32_t app_payload_bytes = 256;
   bool echo_downlink = true;
   std::uint64_t seed = 42;
-  /// Worker threads for the channel's sharded association scan; 0 runs
-  /// serially.  Results are bit-identical either way.
+  /// Unused: the association scan runs on the event-loop thread.  Kept
+  /// only because perfbench/ still sets it.
   unsigned threads = 0;
   /// Wall-clock supervision for run() (benchmarks.hpp semantics).
   WatchdogConfig watchdog{};
@@ -79,7 +77,7 @@ struct CampusResult {
   std::size_t occupied_cells = 0;  ///< WavePoint cells (1 when flat)
   /// FNV-1a digest over the counters above plus per-host tx/rx counts and
   /// final position bit patterns: the byte-equivalence handle for the
-  /// serial==parallel and repeat-run contracts.
+  /// repeat-run contract.
   std::uint64_t digest = 0;
   /// Wall-clock seconds and derived rate; filled by run_campus (the only
   /// nondeterministic fields, never part of the digest).
@@ -132,7 +130,6 @@ class CampusWorld {
   std::vector<sim::Duration> app_offsets_;  // per-host first-tick jitter
   std::vector<std::uint64_t> tx_counts_;
   std::vector<std::uint64_t> rx_counts_;
-  std::unique_ptr<sim::TaskPool> pool_;
   bool done_ = false;
 };
 

@@ -1,6 +1,7 @@
 // A minimal fixed-size thread pool for fanning out independent units of
-// work: the sweep engine's trial matrix (scenarios/supervisor.hpp) and the
-// streaming distiller's corpus windows (core/stream_distiller.hpp).
+// work: the sweep engine's trial matrix (scenarios::run_sweep in
+// scenarios/supervisor.hpp, behind `tracemod sweep` and the Fig. 6-8
+// benches).
 // Tasks must be independent of each other -- no task may block on another.
 #pragma once
 

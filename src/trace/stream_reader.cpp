@@ -154,8 +154,7 @@ void TraceStreamReader::emit_marker(TraceRecord* out) {
 
 bool TraceStreamReader::finish(TraceRecord* out) {
   if (strict() && report_.records_read < report_.records_expected) {
-    throw TraceFormatError("unexpected end of stream", abs(),
-                           last_record_index_);
+    fail("unexpected end of stream", abs());
   }
   // Clean EOF but fewer frames than the header declared: the stream lost
   // its tail (or the count field itself is damaged) -- either way the
@@ -218,7 +217,6 @@ bool TraceStreamReader::next(TraceRecord* out) {
                std::to_string(report_.records_expected),
            abs());
     }
-    last_record_index_ = report_.records_read + report_.records_skipped;
     const std::uint64_t frame_start = abs();
 
     if (avail() < sim::io::kFrameHeaderBytes) {
@@ -255,8 +253,7 @@ bool TraceStreamReader::next(TraceRecord* out) {
 
     if (sim::io::frame_crc(tag, payload, len) != crc) {
       if (strict()) {
-        throw TraceFormatError("record checksum mismatch", frame_start,
-                               last_record_index_);
+        fail("record checksum mismatch", frame_start);
       }
       ++report_.crc_failures;
       skip_frame(tag, frame_start);
@@ -271,8 +268,7 @@ bool TraceStreamReader::next(TraceRecord* out) {
     }
     if (!wire::known_tag(tag)) {
       if (strict()) {
-        throw TraceFormatError("unknown record tag " + std::to_string(tag),
-                               frame_start, last_record_index_);
+        fail("unknown record tag " + std::to_string(tag), frame_start);
       }
       ++report_.unknown_tags;
       skip_frame(tag, frame_start);
@@ -286,11 +282,9 @@ bool TraceStreamReader::next(TraceRecord* out) {
     const auto type = static_cast<wire::RecordTag>(tag);
     if (!wire::decode_payload(type, payload, len, out)) {
       if (strict()) {
-        throw TraceFormatError(
-            "unexpected end of stream",
-            frame_start + sim::io::kFrameHeaderBytes +
-                wire::short_payload_offset(type, len),
-            last_record_index_);
+        fail("unexpected end of stream",
+             frame_start + sim::io::kFrameHeaderBytes +
+                 wire::short_payload_offset(type, len));
       }
       skip_frame(tag, frame_start);
       continue;

@@ -87,6 +87,8 @@ class TraceStreamReader {
   /// before reading so the buffer stays bounded.
   void ensure(std::size_t n);
 
+  /// Throws a TraceFormatError at `offset` naming the record being read:
+  /// the count of records read and skipped so far.
   [[noreturn]] void fail(const std::string& what, std::uint64_t offset) const;
 
   /// Byte-scan from just past frame_start for the next offset that
@@ -121,7 +123,6 @@ class TraceStreamReader {
   TraceReadReport report_;
   std::uint64_t header_bytes_ = 0;
   std::uint64_t record_frame_offset_ = 0;
-  std::uint64_t last_record_index_ = 0;
   std::optional<std::uint64_t> stream_size_;
 
   // Salvage bookkeeping: one contiguous damaged region accumulates here and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "sim/assert.hpp"
 #include "sim/metric_names.hpp"
@@ -365,32 +366,22 @@ void WirelessChannel::associate(MobileEntry& entry, std::uint32_t wp) {
   if (wp != kNoWavePoint) wavepoints_[wp]->claim_mobile(entry.addr);
 }
 
-WirelessChannel::ScanResult WirelessChannel::scan_mobile(
-    const MobileEntry& entry) const {
-  ScanResult r;
-  if (entry.in_handoff) {
-    r.skipped = true;
-    return r;
-  }
-  r.pos = entry.radio->position();
+void WirelessChannel::poll_mobile(MobileEntry& entry) {
+  if (entry.in_handoff) return;
+  const Vec2 pos = entry.radio->position();
   if (entry.quiet && entry.quiet_assoc == entry.assoc &&
-      std::memcmp(&entry.quiet_pos, &r.pos, sizeof(Vec2)) == 0) {
-    r.skipped = true;
-    return r;
+      std::memcmp(&entry.quiet_pos, &pos, sizeof(Vec2)) == 0) {
+    return;
   }
   // Candidate query: in the flat configuration this visits every WavePoint
   // in registration order (the seed's full scan); sharded, only WavePoints
   // in cells overlapping the interaction disc -- the fix for the old
   // O(mobiles x wavepoints) poll.
-  r.scan = scan_wavepoints(wp_index_, sites_, max_tx_dbm_, model_, r.pos,
-                           cfg_.spatial.radio_range_m, entry.assoc);
-  return r;
-}
-
-void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& r) {
-  if (r.skipped) return;
-  const std::uint32_t best = r.scan.best;
-  const double best_rx = r.scan.best_rx;
+  const AssociationScan scan =
+      scan_wavepoints(wp_index_, sites_, max_tx_dbm_, model_, pos,
+                      cfg_.spatial.radio_range_m, entry.assoc);
+  const std::uint32_t best = scan.best;
+  const double best_rx = scan.best_rx;
   if (best != kNoWavePoint) {
     if (entry.assoc == kNoWavePoint) {
       if (best_rx >= cfg_.association_floor_dbm) {
@@ -403,12 +394,12 @@ void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& r) {
       associate(entry, kNoWavePoint);
       return;
     } else if (best != entry.assoc &&
-               best_rx > r.scan.cur_rx + cfg_.handoff_hysteresis_db) {
+               best_rx > scan.cur_rx + cfg_.handoff_hysteresis_db) {
       begin_handoff(entry, best);
       return;
     }
   } else if (entry.assoc != kNoWavePoint &&
-             r.scan.cur_rx < cfg_.association_floor_dbm - 5.0) {
+             scan.cur_rx < cfg_.association_floor_dbm - 5.0) {
     // Sharded, the query can miss the current WavePoint once the mobile
     // has walked away from it: judge the association by its own signal,
     // as the flat medium does.
@@ -419,7 +410,7 @@ void WirelessChannel::apply_scan(MobileEntry& entry, const ScanResult& r) {
   // change nothing again.
   entry.quiet = true;
   entry.quiet_assoc = entry.assoc;
-  entry.quiet_pos = r.pos;
+  entry.quiet_pos = pos;
 }
 
 void WirelessChannel::begin_handoff(MobileEntry& entry, std::uint32_t best) {
@@ -458,30 +449,9 @@ void WirelessChannel::begin_handoff(MobileEntry& entry, std::uint32_t best) {
 }
 
 void WirelessChannel::poll_associations() {
-  // scan_mobile is pure (positions and median signal only -- no RNG, no
-  // scheduling), so the scan phase is order-independent; apply_scan runs
-  // serially in registration order either way.  That makes the serial and
-  // parallel paths bit-identical, and the flat path identical to the seed's
-  // interleaved scan-then-apply loop.
-  if (cfg_.spatial.sharded() && parallel_for_ && !mobiles_.empty()) {
-    std::vector<ScanResult> scans(mobiles_.size());
-    const std::size_t chunk = 256;
-    const std::size_t n_chunks = (mobiles_.size() + chunk - 1) / chunk;
-    parallel_for_(n_chunks, [&](std::size_t c) {
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(lo + chunk, mobiles_.size());
-      for (std::size_t i = lo; i < hi; ++i) {
-        scans[i] = scan_mobile(mobiles_[i]);
-      }
-    });
-    for (std::size_t i = 0; i < mobiles_.size(); ++i) {
-      apply_scan(mobiles_[i], scans[i]);
-    }
-  } else {
-    for (MobileEntry& entry : mobiles_) {
-      apply_scan(entry, scan_mobile(entry));
-    }
-  }
+  // Registration order, one mobile at a time: the seed's interleaved
+  // scan-then-apply loop.
+  for (MobileEntry& entry : mobiles_) poll_mobile(entry);
   loop_.schedule(cfg_.association_poll, [this] { poll_associations(); },
                  "wireless.poll");
 }

@@ -23,11 +23,7 @@
 //     cell beyond it;
 //   - the association/handoff scan asks the cell index for nearby
 //     WavePoints instead of walking all of them -- the seed's
-//     O(mobiles x wavepoints) poll becomes O(mobiles x nearby);
-//   - the pure signal-strength scan of the association poll can fan out
-//     across worker threads via set_parallel_for; mutations are applied
-//     serially in registration order, so serial and parallel sharded runs
-//     are bit-identical.
+//     O(mobiles x wavepoints) poll becomes O(mobiles x nearby).
 // In both configurations the poll skips a mobile whose position and
 // association repeat those of a scan that changed nothing, and the scan
 // skips candidates too far away to beat the current WavePoint or the
@@ -44,7 +40,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -165,13 +160,6 @@ class WirelessChannel {
     std::uint64_t handoffs = 0;
   };
 
-  /// Runs shard-scan bodies 0..n-1, possibly concurrently; must block
-  /// until all complete.  Bodies are pure (no RNG, no event scheduling),
-  /// so any execution order yields the identical result.
-  using ParallelFor =
-      std::function<void(std::size_t n,
-                         const std::function<void(std::size_t)>& body)>;
-
   WirelessChannel(sim::EventLoop& loop, SignalModel model, ChannelConfig cfg,
                   sim::Rng rng);
 
@@ -209,14 +197,6 @@ class WirelessChannel {
   /// ("channel/air" track).  Call once from the world builder.
   void set_telemetry(sim::SimContext& ctx);
 
-  /// Installs a fork-join executor for the sharded association scan (the
-  /// campus runner wires this to its TaskPool).  Only the pure
-  /// signal-strength scan runs on workers; association changes and handoff
-  /// scheduling stay on the event-loop thread in registration order, so a
-  /// run with an executor is bit-identical to one without.  Ignored in
-  /// flat (non-sharded) configurations.
-  void set_parallel_for(ParallelFor fn) { parallel_for_ = std::move(fn); }
-
   /// The WavePoint cell index, built by start() (diagnostics and tests).
   const CellIndex& wavepoint_index() const { return wp_index_; }
 
@@ -233,7 +213,6 @@ class WirelessChannel {
     /// quiet_pos and quiet_assoc hold the position and association of the
     /// last scan that changed nothing.  The scan is a pure function of the
     /// two, so a poll that finds both bit-identical skips the mobile.
-    /// Written only by the serial apply phase.
     bool quiet = false;
     std::uint32_t quiet_assoc = kNoWavePoint;
     Vec2 quiet_pos;
@@ -247,18 +226,16 @@ class WirelessChannel {
     int tries = 0;
   };
 
-  /// One mobile's share of a poll: its scan and where it ran.
-  struct ScanResult {
-    AssociationScan scan;
-    Vec2 pos;
-    bool skipped = false;  ///< mid-handoff, or quiet (see MobileEntry)
-  };
-
   /// Reserves the air for one attempt; `from_pos` is the transmitter's
   /// position now and `floor` busy_floor_at(from_pos).
   void start_attempt(Attempt attempt, Vec2 from_pos, sim::TimePoint floor);
   void finish_attempt(Attempt attempt);
+  /// Polls every mobile once, in registration order.
   void poll_associations();
+  /// One mobile's poll: the seed's association/handoff logic, verbatim,
+  /// and the quiet record when it changes nothing.  Skips a mobile that is
+  /// mid-handoff or quiet (see MobileEntry).
+  void poll_mobile(MobileEntry& entry);
   void associate(MobileEntry& entry, std::uint32_t wp);
   /// Drops the association and re-associates with `best` after the
   /// roaming outage.
@@ -266,13 +243,6 @@ class WirelessChannel {
   void schedule_burst_flip();
   /// The mobile registered under addr, or nullptr.
   MobileEntry* find_mobile_by_addr(net::IpAddress addr);
-
-  /// The pure scan (no RNG, no mutation): safe to run on shard workers.
-  ScanResult scan_mobile(const MobileEntry& entry) const;
-  /// Applies one mobile's scan result: the seed's association/handoff
-  /// logic, verbatim, and the quiet record when it changes nothing.
-  /// Event-loop thread only.
-  void apply_scan(MobileEntry& entry, const ScanResult& scan);
 
   /// Earliest instant the medium is free across every cell within radio
   /// range of a transmitter at `pos` (the flat config reduces this to the
@@ -308,7 +278,7 @@ class WirelessChannel {
   std::vector<AddrEntry> by_addr_;
   /// WavePoints bucketed by grid cell, built by start(); candidate queries
   /// for association and handoff go through this instead of scanning all
-  /// of them.  Read-only once built: shard workers query it.
+  /// of them.
   CellIndex wp_index_;
   /// Per-cell carrier-sense horizons, built by start(): row-major over
   /// busy_box_, the WavePoint grid widened by the radio range, so that
@@ -321,7 +291,6 @@ class WirelessChannel {
   std::int64_t busy_ny_ = 0;
   std::vector<sim::TimePoint> busy_;
   std::unordered_map<CellIndex::CellKey, sim::TimePoint> busy_outside_;
-  ParallelFor parallel_for_;
   bool burst_active_ = false;
   bool started_ = false;
   Stats stats_;

@@ -1,6 +1,5 @@
 // The campus-at-scale contracts (ISSUE 6 / DESIGN.md section 11):
 //   - a giant spatial cell reproduces the seed scenarios byte-for-byte;
-//   - serial and parallel sharded runs produce the same digest;
 //   - repeat runs with one seed are deterministic, different seeds differ,
 //     and three configurations keep digests recorded before the
 //     association poll was rewritten;
@@ -54,38 +53,22 @@ TEST(ShardedEquivalence, CampusWalkScenarioRunsTheCollectionPipeline) {
   EXPECT_EQ(trace_bytes(scenario, 11), trace_bytes(scenario, 11));
 }
 
-CampusConfig small_campus(unsigned threads) {
+CampusConfig small_campus() {
   CampusConfig cfg;
   cfg.hosts = 400;
   cfg.horizon = sim::seconds(10);
   cfg.seed = 1234;
-  cfg.threads = threads;
   return cfg;
-}
-
-TEST(Campus, SerialAndParallelRunsShareOneDigest) {
-  const CampusResult serial = run_campus(small_campus(0));
-  const CampusResult parallel = run_campus(small_campus(4));
-  ASSERT_TRUE(serial.ok);
-  ASSERT_TRUE(parallel.ok);
-  EXPECT_EQ(serial.digest, parallel.digest);
-  EXPECT_EQ(serial.events, parallel.events);
-  EXPECT_EQ(serial.frames_delivered, parallel.frames_delivered);
-  EXPECT_EQ(serial.handoffs, parallel.handoffs);
-  EXPECT_EQ(serial.echoes_received, parallel.echoes_received);
 }
 
 TEST(Campus, DigestsMatchValuesRecordedAtTheParent) {
   // The other Campus.* contracts compare runs with each other, so a change
   // that moved every campus result would pass them.  These values were
   // recorded before the association poll was rewritten; they pin both
-  // media (the flat one scans every WavePoint) and both scan paths.
-  for (unsigned threads : {0u, 4u}) {
-    SCOPED_TRACE(threads);
-    const CampusResult r = run_campus(small_campus(threads));
-    ASSERT_TRUE(r.ok);
-    EXPECT_EQ(r.digest, 0xe2ad05b770239237ull);
-  }
+  // media (the flat one scans every WavePoint).
+  const CampusResult r = run_campus(small_campus());
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.digest, 0xe2ad05b770239237ull);
   CampusConfig cfg;
   cfg.hosts = 1000;
   cfg.horizon = sim::seconds(10);
@@ -101,18 +84,18 @@ TEST(Campus, DigestsMatchValuesRecordedAtTheParent) {
 }
 
 TEST(Campus, RepeatRunsAreDeterministicAndSeedsMatter) {
-  const CampusResult a = run_campus(small_campus(0));
-  const CampusResult b = run_campus(small_campus(0));
+  const CampusResult a = run_campus(small_campus());
+  const CampusResult b = run_campus(small_campus());
   EXPECT_EQ(a.digest, b.digest);
 
-  CampusConfig other = small_campus(0);
+  CampusConfig other = small_campus();
   other.seed = 99;
   const CampusResult c = run_campus(other);
   EXPECT_NE(a.digest, c.digest);
 }
 
 TEST(Campus, SupervisedRunReachesTheHorizon) {
-  CampusConfig cfg = small_campus(0);
+  CampusConfig cfg = small_campus();
   cfg.hosts = 200;
   const CampusResult r = run_campus(cfg);
   ASSERT_TRUE(r.ok);
@@ -128,7 +111,7 @@ TEST(Campus, SupervisedRunReachesTheHorizon) {
 }
 
 TEST(Campus, HostsRoamInsideTheQuad) {
-  CampusConfig cfg = small_campus(0);
+  CampusConfig cfg = small_campus();
   cfg.hosts = 50;
   CampusWorld world(cfg);
   const double side = world.side_m();

@@ -176,12 +176,10 @@ TEST(TracemodCli, PerfRejectsMalformedInvocations) {
       {"--pipeline", "porter", "--seconds", "30"},
       {"--pipeline", "porter", "--hosts", "10"},
       {"--pipeline", "porter", "--cell", "100"},
-      {"--pipeline", "porter", "--threads", "2"},
       {"--campus", "--replay", tmp("nonexist.replay")},
       {"--campus", "--benchmark", "web"},
       {"--hosts", "10"},
       {"--cell", "100"},
-      {"--threads", "2"},
       {"--replay", tmp("nonexist.replay"), "--seconds", "30"},
   };
   for (const std::vector<std::string>& flags : out_of_mode) {
@@ -384,18 +382,35 @@ TEST(TracemodCli, SynthReportAndGenCorpusRejectNonPositiveOrNonFiniteValues) {
 
 TEST(TracemodCli, CampusRejectsFractionalOrNonFiniteValues) {
   // Rejected before any world is built.  Each used to run something other
-  // than what was asked (2 hosts for 2.5, the flat medium for a NaN cell,
-  // no events for an infinite horizon) or abort (1e30 hosts).
+  // than what was asked (2 hosts for 2.5, the flat medium for a NaN or
+  // negative cell, no events for an infinite horizon) or abort (1e30 hosts).
   const std::vector<std::pair<std::string, std::string>> bad = {
-      {"--hosts", "2.5"},   {"--hosts", "1e30"},    {"--hosts", "0"},
-      {"--hosts", "-3"},    {"--seconds", "nan"},   {"--seconds", "inf"},
-      {"--cell", "nan"},    {"--cell", "-inf"},     {"--wall-budget", "nan"},
-      {"--wall-budget", "inf"}};
+      {"--hosts", "2.5"},       {"--hosts", "1e30"},     {"--hosts", "0"},
+      {"--hosts", "-3"},        {"--seconds", "nan"},    {"--seconds", "inf"},
+      {"--cell", "nan"},        {"--cell", "-inf"},      {"--cell", "-5"},
+      {"--wall-budget", "nan"}, {"--wall-budget", "inf"}};
   for (const auto& [flag, value] : bad) {
     EXPECT_EQ(run({"campus", flag, value}), kExitUsage) << flag << " " << value;
     if (flag == "--wall-budget") continue;  // campus only
     EXPECT_EQ(run({"perf", tmp("never"), "--campus", flag, value}), kExitUsage)
         << "perf " << flag << " " << value;
+  }
+}
+
+TEST(TracemodCli, CampusAndPerfRefuseTheRetiredThreadsFlag) {
+  // The association scan runs on one thread, so no campus or perf mode
+  // reads --threads; a script written for the parallel scan fails loudly
+  // instead of running serially.
+  EXPECT_EQ(run({"campus", "--threads", "4"}), kExitUsage);
+  const std::vector<std::vector<std::string>> perf_modes = {
+      {"--campus", "--threads", "4"},
+      {"--pipeline", "porter", "--threads", "2"},
+      {"--threads", "2"},
+  };
+  for (const std::vector<std::string>& flags : perf_modes) {
+    std::vector<std::string> args = {"perf", tmp("p")};
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_EQ(run(args), kExitUsage) << testing::PrintToString(flags);
   }
 }
 

@@ -662,6 +662,19 @@ TEST(TraceV2, StrictErrorsCarryOffsetAndRecordIndex) {
         << what;
     EXPECT_NE(what.find("(record 1)"), std::string::npos) << what;
   }
+  // Cut right after the first frame: the stream ends where record 1
+  // would start, so the error names record 1, not the last one parsed.
+  const std::size_t cut = header_size() + kPacketFrame;
+  try {
+    read_bytes(to_bytes(sample_trace()).substr(0, cut), ReadMode::kStrict);
+    FAIL() << "expected strict read of a cut stream to throw";
+  } catch (const TraceFormatError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unexpected end of stream at byte offset " +
+                        std::to_string(cut) + " (record 1)"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(TraceV2, SalvageSkipsCrcDamageAndMarksIt) {

@@ -6,7 +6,6 @@
 //   - a mobile that walks out of every WavePoint's query disc drops its
 //     association, as in the flat medium;
 //   - a single giant cell is bit-identical to the flat (seed) medium;
-//   - the two-phase parallel association scan changes nothing;
 //   - the distance-bounded scan is bit-identical to the full one, and the
 //     poll allocates nothing per mobile.
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <bit>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -241,27 +239,6 @@ TEST(ShardedChannel, OneGiantCellIsBitIdenticalToFlat) {
             flat.channel.stats().frames_delivered);
   EXPECT_EQ(giant.channel.stats().retry_attempts,
             flat.channel.stats().retry_attempts);
-}
-
-TEST(ShardedChannel, ParallelAssociationScanIsBitIdentical) {
-  // Same world twice; one runs its association scans through a real
-  // thread fan-out.  Everything observable must match exactly.
-  TwoIslands serial(130.0, 400.0);
-  TwoIslands parallel(130.0, 400.0);
-  parallel.channel.set_parallel_for(
-      [](std::size_t n, const std::function<void(std::size_t)>& body) {
-        std::vector<std::thread> threads;
-        threads.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) threads.emplace_back(body, i);
-        for (std::thread& t : threads) t.join();
-      });
-  const auto log_serial = traffic_log(serial);
-  const auto log_parallel = traffic_log(parallel);
-  EXPECT_EQ(log_serial, log_parallel);
-  EXPECT_EQ(serial.channel.associated(serial.radio_a.mobile_index()),
-            &serial.wp_a);
-  EXPECT_EQ(parallel.channel.associated(parallel.radio_a.mobile_index()),
-            &parallel.wp_a);
 }
 
 TEST(ShardedChannel, HandoffScanFindsNewWavePointThroughCellIndex) {

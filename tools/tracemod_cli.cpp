@@ -53,16 +53,16 @@
 //       --audit the exports also carry the fidelity divergence series,
 //       with --perf the report and metrics carry the perf plane's
 //       hotspots and perf.* family
-//   tracemod campus [--hosts N] [--cell M] [--threads N] [--seconds S]
-//                   [--seed N] [--wall-budget S] [--json FILE]
+//   tracemod campus [--hosts N] [--cell M] [--seconds S] [--seed N]
+//                   [--wall-budget S] [--json FILE]
 //       generate and run an N-host campus on the sharded wireless medium
 //       (scenarios/campus.hpp); prints the deterministic result digest and
 //       events/sec, exits kExitDegraded if the run did not reach its
 //       virtual horizon
 //   tracemod perf <out-prefix> [--pipeline SCENARIO | --campus]
 //                 [--replay FILE] [--benchmark KIND] [--seed N]
-//                 [--seconds N] [--hosts N] [--cell M] [--threads N]
-//                 [--stride N] [--top N]
+//                 [--seconds N] [--hosts N] [--cell M] [--stride N]
+//                 [--top N]
 //       run one workload under the wall-clock profiler (sim/perf/) and
 //       write <out-prefix>.perf.json (tracemod-perf-v1: top-N self-time
 //       hotspots, allocs/event, events/sec, sim-seconds per wall-second),
@@ -74,9 +74,8 @@
 //       its result digest (profiling never changes virtual time, so the
 //       digest equals an unprofiled run's).  A flag the chosen mode does
 //       not read is refused: --replay belongs to the default mode,
-//       --benchmark to it and --pipeline, --hosts/--cell/--threads to
-//       --campus, and --seconds to --campus or the default mode without
-//       --replay
+//       --benchmark to it and --pipeline, --hosts/--cell to --campus, and
+//       --seconds to --campus or the default mode without --replay
 //   tracemod sweep [--threads N | --serial] [--trials N] [--seed N]
 //                  [--scenarios porter,flagstaff,wean,chatterbox,campus]
 //                  [--benchmarks web,ftp-send,ftp-recv,andrew]
@@ -183,15 +182,15 @@ int usage() {
       "  tracemod report <out-prefix> [--replay FILE] "
       "[--benchmark web|ftp-send|ftp-recv|andrew] [--seed N] [--seconds N] "
       "[--audit] [--perf]\n"
-      "  tracemod campus [--hosts N] [--cell METERS] [--threads N] "
-      "[--seconds S]\n"
-      "                  [--seed N] [--wall-budget S] [--json FILE]\n"
+      "  tracemod campus [--hosts N] [--cell METERS] [--seconds S] "
+      "[--seed N]\n"
+      "                  [--wall-budget S] [--json FILE]\n"
       "  tracemod perf <out-prefix> [--pipeline SCENARIO | --campus] "
       "[--replay FILE]\n"
       "                [--benchmark web|ftp-send|ftp-recv|andrew] [--seed N] "
       "[--seconds N]\n"
-      "                [--hosts N] [--cell METERS] [--threads N] "
-      "[--stride N] [--top N] [--status PREFIX]\n"
+      "                [--hosts N] [--cell METERS] [--stride N] [--top N] "
+      "[--status PREFIX]\n"
       "  tracemod sweep [--threads N | --serial] [--trials N] [--seed N]\n"
       "                 [--scenarios porter,flagstaff,wean,chatterbox,campus]\n"
       "                 [--benchmarks web,ftp-send,ftp-recv,andrew] "
@@ -270,15 +269,15 @@ int cmd_collect(const std::vector<std::string>& args) {
   return kExitOk;
 }
 
-/// A number that must also be finite: `--cell nan` would quietly select
-/// the flat medium.
-bool checked_finite(Parsed& p, const std::string& name, double* out) {
+/// A number that must also be finite and >= 0: `--cell nan` or
+/// `--cell -5` would quietly select the flat medium.
+bool checked_nonnegative(Parsed& p, const std::string& name, double* out) {
   double v = 0;
   if (!checked_number(p, name, &v)) return false;
-  if (!std::isfinite(v)) {
+  if (!(std::isfinite(v) && v >= 0.0)) {
     std::string text;
     p.str(name, &text);
-    reject_value(p, name, "a finite number", text);
+    reject_value(p, name, "a finite number >= 0", text);
     return false;
   }
   *out = v;
@@ -915,7 +914,6 @@ int cmd_campus(const std::vector<std::string>& args) {
   Parsed p = parse("tracemod campus", args,
                    {{"--hosts", true},
                     {"--cell", true},
-                    {"--threads", true},
                     {"--seconds", true},
                     {"--seed", true},
                     {"--wall-budget", true},
@@ -926,13 +924,12 @@ int cmd_campus(const std::vector<std::string>& args) {
   double cell = 130.0, wall_budget = 0;
   scenarios::CampusConfig cfg;  // 1000 hosts, 30 s
   checked_uint(p, "--hosts", &cfg.hosts);
-  checked_finite(p, "--cell", &cell);
-  checked_uint(p, "--threads", &cfg.threads);
+  checked_nonnegative(p, "--cell", &cell);
   checked_period(p, "--seconds", &cfg.horizon);
   checked_uint(p, "--seed", &cfg.seed);
-  checked_finite(p, "--wall-budget", &wall_budget);
+  checked_nonnegative(p, "--wall-budget", &wall_budget);
   if (p.failed) return usage();
-  if (cfg.hosts < 1 || wall_budget < 0) {
+  if (cfg.hosts < 1) {
     std::fprintf(stderr, "tracemod campus: invalid parameter value\n");
     return usage();
   }
@@ -972,7 +969,9 @@ int cmd_campus(const std::vector<std::string>& args) {
       << "  \"hosts\": " << r.hosts << ",\n"
       << "  \"wavepoints\": " << r.wavepoints << ",\n"
       << "  \"cell_size_m\": " << cell << ",\n"
-      << "  \"threads\": " << cfg.threads << ",\n"
+      // 0 meant a serial scan, which every run now is; the key stays so
+      // the schema does not change.
+      << "  \"threads\": 0,\n"
       << "  \"status\": \"" << scenarios::to_string(r.status) << "\",\n"
       << "  \"ok\": " << (r.ok ? "true" : "false") << ",\n"
       << "  \"virtual_s\": " << r.virtual_s << ",\n"
@@ -1007,7 +1006,6 @@ int cmd_perf(const std::vector<std::string>& args) {
                     {"--seconds", true},
                     {"--hosts", true},
                     {"--cell", true},
-                    {"--threads", true},
                     {"--stride", true},
                     {"--top", true},
                     {"--status", true}},
@@ -1015,7 +1013,6 @@ int cmd_perf(const std::vector<std::string>& args) {
   if (p.failed) return usage();
   const std::string prefix = p.pos[0];
   std::uint64_t seed = 1;
-  unsigned threads = 0;
   std::size_t hosts = 1000, top = 10;
   std::uint32_t stride = 1;
   double cell = 130.0;
@@ -1023,8 +1020,7 @@ int cmd_perf(const std::vector<std::string>& args) {
   checked_uint(p, "--seed", &seed);
   checked_period(p, "--seconds", &span);
   checked_uint(p, "--hosts", &hosts);
-  checked_finite(p, "--cell", &cell);
-  checked_uint(p, "--threads", &threads);
+  checked_nonnegative(p, "--cell", &cell);
   checked_uint(p, "--stride", &stride);
   checked_uint(p, "--top", &top);
   if (p.failed) return usage();
@@ -1047,7 +1043,6 @@ int cmd_perf(const std::vector<std::string>& args) {
       {"--benchmark", !campus, "without --campus"},
       {"--hosts", campus, "with --campus"},
       {"--cell", campus, "with --campus"},
-      {"--threads", campus, "with --campus"},
       {"--seconds", campus || (benchmark_mode && !p.has("--replay")),
        "with --campus, or with neither --pipeline nor --replay"},
   };
@@ -1092,7 +1087,6 @@ int cmd_perf(const std::vector<std::string>& args) {
     scenarios::CampusConfig cfg;
     cfg.hosts = hosts;
     cfg.cell_size_m = cell;
-    cfg.threads = threads;
     cfg.horizon = span > sim::Duration{} ? span : sim::seconds(30);
     // Match cmd_campus's default seed so `tracemod perf --campus` and
     // `tracemod campus` produce the same digest out of the box (the
