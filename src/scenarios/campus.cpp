@@ -117,6 +117,7 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
                      cfg_.hosts * std::min(cfg_.group_pct, 100u) / 100)
           : 0;
   host_paths_.reserve(cfg_.hosts);
+  host_legs_.reserve(cfg_.hosts);  // a default leg covers nothing
   std::size_t h = 0;
   while (h < grouped) {
     const std::size_t block = std::min(cfg_.group_size, grouped - h);
@@ -127,8 +128,8 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
     for (std::size_t k = 0; k < block; ++k) {
       HostPath hp;
       hp.group = static_cast<int>(groups_.size() - 1);
-      hp.member = k;
       host_paths_.push_back(hp);
+      host_legs_.push_back(HostLeg{{}, groups_.back().offset(k)});
     }
     h += block;
   }
@@ -137,6 +138,7 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
     HostPath hp;
     hp.path = paths_.size() - 1;
     host_paths_.push_back(hp);
+    host_legs_.push_back(HostLeg{{}, {-0.0, -0.0}});
   }
 
   // Per-host first-tick jitter, drawn in index order so traffic phase is
@@ -154,7 +156,8 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
     auto dev = std::make_unique<wireless::WaveLanDevice>(
         *channel_, host_addr(i),
         [this, i] { return host_position(i, ctx_.loop().now()); },
-        "m" + std::to_string(i));
+        "m" + std::to_string(i), wireless::WaveLanDevice::kTxPowerDbm,
+        path_of(i).max_speed_mps());
     dev->set_receive_callback([this, i](net::Packet) { ++rx_counts_[i]; });
     devices_.push_back(std::move(dev));
   }
@@ -164,13 +167,19 @@ CampusWorld::CampusWorld(const CampusConfig& cfg)
 
 CampusWorld::~CampusWorld() = default;
 
+const wireless::MobilityModel& CampusWorld::path_of(std::size_t host) const {
+  const HostPath& hp = host_paths_[host];
+  return hp.group >= 0 ? groups_[static_cast<std::size_t>(hp.group)].leader()
+                       : paths_[hp.path];
+}
+
 wireless::Vec2 CampusWorld::host_position(std::size_t host,
                                           sim::TimePoint t) const {
-  const HostPath& hp = host_paths_[host];
-  if (hp.group >= 0) {
-    return groups_[static_cast<std::size_t>(hp.group)].position(hp.member, t);
-  }
-  return paths_[hp.path].position(t);
+  // The same sum GroupMobility::position makes, over the leg
+  // MobilityModel::position would find.
+  HostLeg& h = host_legs_[host];
+  if (!h.leg.covers(t)) h.leg = path_of(host).leg_at(t);
+  return h.leg.at(t) + h.offset;
 }
 
 void CampusWorld::app_tick(std::size_t host) {

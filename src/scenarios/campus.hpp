@@ -104,15 +104,26 @@ class CampusWorld {
   std::size_t wavepoint_count() const { return wavepoints_.size(); }
   double side_m() const { return side_m_; }
 
-  /// Host position at a virtual time (tests; any host index).
+  /// Host position at a virtual time (any host index).  Reads the host's
+  /// cached leg, refilled when it does not cover t; not thread-safe.
   wireless::Vec2 host_position(std::size_t host, sim::TimePoint t) const;
 
  private:
   struct HostPath {
-    int group = -1;          ///< index into groups_, or -1 for solo
-    std::size_t member = 0;  ///< member slot within the group
-    std::size_t path = 0;    ///< index into paths_ when solo
+    int group = -1;        ///< index into groups_, or -1 for solo
+    std::size_t path = 0;  ///< index into paths_ when solo
   };
+
+  /// A host's position is leg.at(t) + offset: the cached leg of the path
+  /// it rides, and its group offset, or -0.0 for a solo walker (x + -0.0
+  /// is x, bit for bit, so one sum serves both).
+  struct HostLeg {
+    wireless::MobilityModel::Leg leg;
+    wireless::Vec2 offset;
+  };
+
+  /// The path host walks: its own, or its group leader's.
+  const wireless::MobilityModel& path_of(std::size_t host) const;
 
   void app_tick(std::size_t host);
 
@@ -126,6 +137,7 @@ class CampusWorld {
   std::vector<wireless::MobilityModel> paths_;       // solo walkers, leaders
   std::vector<wireless::GroupMobility> groups_;
   std::vector<HostPath> host_paths_;
+  mutable std::vector<HostLeg> host_legs_;  ///< host_position's cache
   std::vector<std::unique_ptr<wireless::WaveLanDevice>> devices_;
   std::vector<sim::Duration> app_offsets_;  // per-host first-tick jitter
   std::vector<std::uint64_t> tx_counts_;

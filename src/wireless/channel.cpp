@@ -51,7 +51,9 @@ AssociationScan scan_wavepoints(const CellIndex& index,
       const WavePointSite& site = sites[id];
       const double dx = site.pos.x - pos.x;
       const double dy = site.pos.y - pos.y;
-      if (dx * dx + dy * dy > reach2) return;
+      const double d2 = dx * dx + dy * dy;
+      scan.other_d2 = std::min(scan.other_d2, d2);
+      if (d2 > reach2) return;
       rx = model.median_rx_dbm(site.pos, site.tx_dbm, pos);
     }
     if (rx > scan.best_rx) {
@@ -62,6 +64,70 @@ AssociationScan scan_wavepoints(const CellIndex& index,
     }
   });
   return scan;
+}
+
+PollAction poll_action(const AssociationScan& scan, std::uint32_t current,
+                       const ChannelConfig& cfg) {
+  if (scan.best != kNoWavePoint) {
+    if (current == kNoWavePoint) {
+      return scan.best_rx >= cfg.association_floor_dbm ? PollAction::kAssociate
+                                                       : PollAction::kKeep;
+    }
+    // Out of range of everything: the roaming protocol drops the
+    // association entirely (5 dB of hysteresis against flapping).
+    if (scan.best_rx < cfg.association_floor_dbm - 5.0) {
+      return PollAction::kDrop;
+    }
+    if (scan.best != current &&
+        scan.best_rx > scan.cur_rx + cfg.handoff_hysteresis_db) {
+      return PollAction::kHandoff;
+    }
+    return PollAction::kKeep;
+  }
+  // Sharded, the query can miss the current WavePoint once the mobile has
+  // walked away from it: judge the association by its own signal, as the
+  // flat medium does.
+  if (current != kNoWavePoint &&
+      scan.cur_rx < cfg.association_floor_dbm - 5.0) {
+    return PollAction::kDrop;
+  }
+  return PollAction::kKeep;
+}
+
+StableSite stable_site(const WavePointSite& site, double max_tx_dbm,
+                       const SignalConfig& sc, const ChannelConfig& cfg) {
+  StableSite stable;
+  stable.rho = std::pow(10.0, (site.tx_dbm - max_tx_dbm +
+                               cfg.handoff_hysteresis_db) /
+                                  (10.0 * sc.path_exponent));
+  // association_range_m clamps to the 1 m reference distance, which would
+  // lend a WavePoint that never reaches floor - 5 a 1 m range.
+  const double rx_floor = cfg.association_floor_dbm - 5.0;
+  if (site.tx_dbm - sc.ref_loss_db >= rx_floor) {
+    stable.floor_range_m = association_range_m(site.tx_dbm, sc.ref_loss_db,
+                                               sc.path_exponent, rx_floor);
+  }
+  return stable;
+}
+
+double stable_radius_m(const AssociationScan& scan, const WavePointSite& cur,
+                       const StableSite& stable, Vec2 pos,
+                       const SpatialConfig& spatial) {
+  const double d_a = distance(cur.pos, pos);
+  double d_o = std::sqrt(scan.other_d2);
+  double delta = stable.floor_range_m - d_a;
+  if (spatial.sharded()) {
+    d_o = std::min(d_o, spatial.radio_range_m);
+    const double chebyshev = std::max(std::abs(cur.pos.x - pos.x),
+                                      std::abs(cur.pos.y - pos.y));
+    delta = std::min(delta, spatial.radio_range_m - chebyshev);
+  }
+  // Moving delta changes each distance by at most delta, and so each
+  // 1 m-clamped one: rho (max(d_o, 1) - delta) >= max(d_a, 1) + delta.
+  const double near = std::max(d_a, 1.0);
+  const double other = std::max(d_o, 1.0);
+  delta = std::min(delta, (stable.rho * other - near) / (1.0 + stable.rho));
+  return delta * (1.0 - 1e-6) - 1e-6;
 }
 
 WirelessChannel::WirelessChannel(sim::EventLoop& loop, SignalModel model,
@@ -84,8 +150,10 @@ void WirelessChannel::add_wavepoint(BaseStation* wp) {
 }
 
 std::uint32_t WirelessChannel::add_mobile(Transceiver* mobile,
-                                          net::IpAddress addr) {
+                                          net::IpAddress addr,
+                                          double max_speed_mps) {
   TM_ASSERT(mobile != nullptr);
+  TM_ASSERT(max_speed_mps >= 0.0);
   // Registration is closed once the channel starts: pending handoff events
   // hold pointers into mobiles_.
   TM_ASSERT(!started_);
@@ -93,6 +161,7 @@ std::uint32_t WirelessChannel::add_mobile(Transceiver* mobile,
   MobileEntry& entry = mobiles_.emplace_back();
   entry.radio = mobile;
   entry.addr = addr;
+  entry.max_speed_mps = max_speed_mps;
   return static_cast<std::uint32_t>(mobiles_.size() - 1);
 }
 
@@ -154,6 +223,13 @@ void WirelessChannel::start() {
                                [](const AddrEntry& a, const AddrEntry& b) {
                                  return a.addr == b.addr;
                                }) == by_addr_.end());
+  if (model_.free_space()) {
+    stable_.reserve(sites_.size());
+    for (const WavePointSite& site : sites_) {
+      stable_.push_back(
+          stable_site(site, max_tx_dbm_, model_.config(), cfg_));
+    }
+  }
   poll_associations();  // immediate first pass, then periodic
   if (cfg_.burst_extra_err > 0.0) schedule_burst_flip();
 }
@@ -363,11 +439,12 @@ void WirelessChannel::associate(MobileEntry& entry, std::uint32_t wp) {
     wavepoints_[entry.assoc]->unclaim_mobile(entry.addr);
   }
   entry.assoc = wp;
+  entry.skip_until = sim::kEpoch;
   if (wp != kNoWavePoint) wavepoints_[wp]->claim_mobile(entry.addr);
 }
 
 void WirelessChannel::poll_mobile(MobileEntry& entry) {
-  if (entry.in_handoff) return;
+  if (entry.in_handoff || loop_.now() < entry.skip_until) return;
   const Vec2 pos = entry.radio->position();
   if (entry.quiet && entry.quiet_assoc == entry.assoc &&
       std::memcmp(&entry.quiet_pos, &pos, sizeof(Vec2)) == 0) {
@@ -380,37 +457,35 @@ void WirelessChannel::poll_mobile(MobileEntry& entry) {
   const AssociationScan scan =
       scan_wavepoints(wp_index_, sites_, max_tx_dbm_, model_, pos,
                       cfg_.spatial.radio_range_m, entry.assoc);
-  const std::uint32_t best = scan.best;
-  const double best_rx = scan.best_rx;
-  if (best != kNoWavePoint) {
-    if (entry.assoc == kNoWavePoint) {
-      if (best_rx >= cfg_.association_floor_dbm) {
-        associate(entry, best);
-        return;
-      }
-    } else if (best_rx < cfg_.association_floor_dbm - 5.0) {
-      // Out of range of everything: the roaming protocol drops the
-      // association entirely (5 dB of hysteresis against flapping).
+  switch (poll_action(scan, entry.assoc, cfg_)) {
+    case PollAction::kAssociate:
+      associate(entry, scan.best);
+      return;
+    case PollAction::kDrop:
       associate(entry, kNoWavePoint);
       return;
-    } else if (best != entry.assoc &&
-               best_rx > scan.cur_rx + cfg_.handoff_hysteresis_db) {
-      begin_handoff(entry, best);
+    case PollAction::kHandoff:
+      begin_handoff(entry, scan.best);
       return;
-    }
-  } else if (entry.assoc != kNoWavePoint &&
-             scan.cur_rx < cfg_.association_floor_dbm - 5.0) {
-    // Sharded, the query can miss the current WavePoint once the mobile
-    // has walked away from it: judge the association by its own signal,
-    // as the flat medium does.
-    associate(entry, kNoWavePoint);
-    return;
+    case PollAction::kKeep:
+      break;
   }
   // Nothing changed, so a scan at the same position and association would
-  // change nothing again.
+  // change nothing again; nor would one anywhere within the stable radius,
+  // which the mobile's speed bound cannot leave before delta / v.
   entry.quiet = true;
   entry.quiet_assoc = entry.assoc;
   entry.quiet_pos = pos;
+  if (entry.assoc == kNoWavePoint || stable_.empty() ||
+      !(entry.max_speed_mps < HUGE_VAL)) {
+    return;
+  }
+  const double delta = stable_radius_m(scan, sites_[entry.assoc],
+                                       stable_[entry.assoc], pos, cfg_.spatial);
+  if (!(delta > 0.0)) return;
+  const double quiet_s = delta / entry.max_speed_mps;  // +inf at rest
+  entry.skip_until = quiet_s < 1e9 ? loop_.now() + sim::from_seconds(quiet_s)
+                                   : sim::TimePoint::max();
 }
 
 void WirelessChannel::begin_handoff(MobileEntry& entry, std::uint32_t best) {
@@ -419,6 +494,7 @@ void WirelessChannel::begin_handoff(MobileEntry& entry, std::uint32_t best) {
   wavepoints_[entry.assoc]->unclaim_mobile(entry.addr);
   entry.assoc = kNoWavePoint;
   entry.in_handoff = true;
+  entry.skip_until = sim::kEpoch;
   ++stats_.handoffs;
   if (m_handoffs_ != nullptr) ++*m_handoffs_;
   if (tel_ != nullptr) {

@@ -25,11 +25,13 @@
 //     WavePoints instead of walking all of them -- the seed's
 //     O(mobiles x wavepoints) poll becomes O(mobiles x nearby).
 // In both configurations the poll skips a mobile whose position and
-// association repeat those of a scan that changed nothing, and the scan
-// skips candidates too far away to beat the current WavePoint or the
-// strongest one so far (scan_wavepoints); neither skip changes a result
-// bit.  Mobiles are named by their registration index, so the frame path
-// hashes nothing.
+// association repeat those of a scan that changed nothing; in free space it
+// also skips an associated mobile until its registered speed bound could
+// have carried it out of that scan's stable radius (stable_radius_m).  The
+// scan skips candidates too far away to beat the current WavePoint or the
+// strongest one so far (scan_wavepoints).  No skip changes a result bit.
+// Mobiles are named by their registration index, so the frame path hashes
+// nothing.
 // The default spatial config (cell_size 0) is the degenerate single-cell
 // grid: every code path reduces to the seed's flat-medium arithmetic and
 // outputs stay bit-identical to it (pinned by tests and the sweep golden).
@@ -63,7 +65,8 @@ class Transceiver {
   virtual ~Transceiver() = default;
   /// Where the radio is now.  A pure function of virtual time: two calls
   /// at one instant return the same bits, so the channel reads it once per
-  /// attempt, not once per use.
+  /// attempt, not once per use.  A mobile moves no faster than the speed
+  /// bound it was registered with (WirelessChannel::add_mobile).
   virtual Vec2 position() const = 0;
   virtual double tx_power_dbm() const = 0;
   virtual void receive_frame(net::Packet pkt) = 0;
@@ -93,6 +96,9 @@ struct AssociationScan {
   std::uint32_t best = kNoWavePoint;  ///< strongest candidate
   double best_rx = -1e9;
   double cur_rx = -1e9;  ///< the current WavePoint's median signal
+  /// d_o squared: the squared distance to the nearest candidate other
+  /// than `current` (HUGE_VAL when there is none).
+  double other_d2 = HUGE_VAL;
 };
 
 /// The pure association scan (no RNG, no mutation): among index's
@@ -115,6 +121,19 @@ AssociationScan scan_wavepoints(const CellIndex& index,
                                 double max_tx_dbm, const SignalModel& model,
                                 Vec2 pos, double radius,
                                 std::uint32_t current);
+
+/// Per-WavePoint constants of the stable radius, fixed once the WavePoint
+/// set is (WirelessChannel::start()), so that a quiet poll adds no
+/// std::pow.
+struct StableSite {
+  /// rho = 10^((tx - tx_max + hysteresis) / (10 n)): no WavePoint at
+  /// distance d_o or more beats this one at distance d_a by more than the
+  /// hysteresis while max(d_a, 1) <= rho * max(d_o, 1).
+  double rho = 0.0;
+  /// Within this distance this WavePoint's median signal stays at or above
+  /// association_floor_dbm - 5 (0 when it is under that even at 1 m).
+  double floor_range_m = 0.0;
+};
 
 struct ChannelConfig {
   double effective_rate_bps = 1.9e6;   ///< byte rate at high SNR
@@ -148,6 +167,35 @@ struct ChannelConfig {
   SpatialConfig spatial{};
 };
 
+/// What a poll does with a mobile associated with `current` (kNoWavePoint
+/// when unassociated), given the scan at its position: the seed's
+/// association and handoff rule.  kAssociate and kHandoff go to scan.best.
+enum class PollAction : std::uint8_t { kKeep, kAssociate, kDrop, kHandoff };
+PollAction poll_action(const AssociationScan& scan, std::uint32_t current,
+                       const ChannelConfig& cfg);
+
+/// A WavePoint's StableSite, among WavePoints of at most max_tx_dbm.
+StableSite stable_site(const WavePointSite& site, double max_tx_dbm,
+                       const SignalConfig& sc, const ChannelConfig& cfg);
+
+/// The stable radius delta of a scan at `pos` for a mobile associated with
+/// `cur` whose poll_action is kKeep, under SignalModel::free_space(): at
+/// every position within delta of pos the poll keeps the association too,
+/// so a mobile whose speed is at most v needs no scan for delta / v.  It
+/// is the least of
+///   - (rho max(d_o, 1) - max(d_a, 1)) / (1 + rho): no other WavePoint
+///     gains the hysteresis on cur (d_a to cur; d_o to the nearest other
+///     candidate, capped at the radio range when sharded, because a
+///     WavePoint outside the query's cells is farther than the range);
+///   - floor_range_m - d_a: cur's signal stays at or above floor - 5;
+///   - sharded, the range minus the Chebyshev distance to cur: the query
+///     keeps visiting cur, so best_rx >= cur_rx;
+/// shrunk by a factor 1 - 1e-6 and by 1e-6 m against rounding.  Zero or
+/// less means no radius is known.
+double stable_radius_m(const AssociationScan& scan, const WavePointSite& cur,
+                       const StableSite& stable, Vec2 pos,
+                       const SpatialConfig& spatial);
+
 class WirelessChannel {
  public:
   struct Stats {
@@ -164,9 +212,11 @@ class WirelessChannel {
                   sim::Rng rng);
 
   void add_wavepoint(BaseStation* wp);
-  /// Registers a mobile; returns its index, which names it in the calls
-  /// below.
-  std::uint32_t add_mobile(Transceiver* mobile, net::IpAddress addr);
+  /// Registers a mobile that never moves faster than max_speed_mps;
+  /// returns its index, which names it in the calls below.  The default
+  /// bound, HUGE_VAL, turns the motion-bounded skip off for it.
+  std::uint32_t add_mobile(Transceiver* mobile, net::IpAddress addr,
+                           double max_speed_mps = HUGE_VAL);
 
   /// Indexes the WavePoints and the mobiles' addresses, then starts
   /// association polling and the interference process.  Registration
@@ -216,6 +266,11 @@ class WirelessChannel {
     bool quiet = false;
     std::uint32_t quiet_assoc = kNoWavePoint;
     Vec2 quiet_pos;
+    double max_speed_mps = HUGE_VAL;  ///< registered by add_mobile
+    /// Polls before this instant skip the mobile: its speed bound keeps it
+    /// inside the stable radius of its last quiet scan.  associate() and
+    /// begin_handoff() reset it.
+    sim::TimePoint skip_until = sim::kEpoch;
     std::vector<net::Packet> deferred;  ///< held during handoff
   };
 
@@ -232,9 +287,10 @@ class WirelessChannel {
   void finish_attempt(Attempt attempt);
   /// Polls every mobile once, in registration order.
   void poll_associations();
-  /// One mobile's poll: the seed's association/handoff logic, verbatim,
-  /// and the quiet record when it changes nothing.  Skips a mobile that is
-  /// mid-handoff or quiet (see MobileEntry).
+  /// One mobile's poll: the seed's association/handoff logic
+  /// (poll_action), and the quiet record and skip deadline when it changes
+  /// nothing.  Skips a mobile that is mid-handoff, quiet, or before its
+  /// skip deadline (see MobileEntry).
   void poll_mobile(MobileEntry& entry);
   void associate(MobileEntry& entry, std::uint32_t wp);
   /// Drops the association and re-associates with `best` after the
@@ -268,6 +324,9 @@ class WirelessChannel {
   std::vector<BaseStation*> wavepoints_;
   std::vector<WavePointSite> sites_;  ///< parallel to wavepoints_
   double max_tx_dbm_ = -HUGE_VAL;     ///< over sites_
+  /// Parallel to sites_, filled by start() in free space; empty otherwise,
+  /// which turns the motion-bounded skip off.
+  std::vector<StableSite> stable_;
   /// By registration index: the uplink names its mobile directly.
   std::vector<MobileEntry> mobiles_;
   struct AddrEntry {

@@ -21,7 +21,9 @@ MobilityModel::MobilityModel(std::vector<Waypoint> waypoints) {
     const Waypoint& wp = waypoints[i];
     TM_ASSERT(wp.speed_mps > 0.0);
     const double d = distance(prev, wp.pos);
-    t += sim::from_seconds(d / wp.speed_mps);
+    const sim::Duration travel = sim::from_seconds(d / wp.speed_mps);
+    widen_speed(d, travel);
+    t += travel;
     knots_.push_back(Knot{t, wp.pos});
     checkpoints_.push_back(Checkpoint{wp.label, t, wp.pos});
     if (wp.pause.count() > 0) {
@@ -33,23 +35,38 @@ MobilityModel::MobilityModel(std::vector<Waypoint> waypoints) {
   duration_ = t - sim::kEpoch;
 }
 
-Vec2 MobilityModel::position(sim::TimePoint t) const {
-  if (t <= knots_.front().at) return knots_.front().pos;
-  if (t >= knots_.back().at) return knots_.back().pos;
-  // Binary search for the first knot at or after t.  Long generated paths
-  // (a campus hour of random-waypoint legs) made the old linear scan the
-  // hot spot of every association poll; lower_bound picks the identical
-  // interval the scan did.
+void MobilityModel::widen_speed(double d, sim::Duration span) {
+  if (span.count() == 0) {
+    // Distinct positions at one instant: a jump no speed bounds.
+    if (d > 0.0) max_speed_mps_ = HUGE_VAL;
+    return;
+  }
+  // The span is the rounded travel time, so this can exceed the speed the
+  // waypoint asked for.
+  max_speed_mps_ = std::max(max_speed_mps_, d / sim::to_seconds(span));
+}
+
+MobilityModel::Leg MobilityModel::leg_at(sim::TimePoint t) const {
+  const Knot& first = knots_.front();
+  const Knot& last = knots_.back();
+  if (t <= first.at) {
+    return Leg{sim::TimePoint::min(), first.at, {}, first.pos, first.pos};
+  }
+  // From the last knot on, the path holds its last position, which need
+  // not equal lerp(a, b, 1.0): the leg that reaches the last knot ends 1 ns
+  // before it, and this one covers the knot's own instant.
+  const sim::TimePoint tail = std::max(first.at, last.at - sim::nanoseconds(1));
+  if (t >= last.at) {
+    return Leg{tail, sim::TimePoint::max(), {}, last.pos, last.pos};
+  }
+  // Binary search for the first knot at or after t.  A zero-span leg
+  // covers no instant, so it is never the one found.
   const auto it = std::lower_bound(
       knots_.begin() + 1, knots_.end(), t,
       [](const Knot& k, sim::TimePoint when) { return k.at < when; });
   const Knot& a = *(it - 1);
   const Knot& b = *it;
-  const auto span = b.at - a.at;
-  if (span.count() == 0) return b.pos;
-  const double frac = static_cast<double>((t - a.at).count()) /
-                      static_cast<double>(span.count());
-  return lerp(a.pos, b.pos, frac);
+  return Leg{a.at, std::min(b.at, tail), b.at - a.at, a.pos, b.pos};
 }
 
 MobilityModel MobilityModel::stationary(Vec2 pos, sim::Duration dwell,
@@ -70,6 +87,10 @@ MobilityModel MobilityModel::trace_replay(
   for (std::size_t i = 0; i < points.size(); ++i) {
     TM_ASSERT(points[i].at >= prev_at);
     prev_at = points[i].at;
+    if (!m.knots_.empty()) {
+      const Knot& prev = m.knots_.back();
+      m.widen_speed(distance(prev.pos, points[i].pos), points[i].at - prev.at);
+    }
     m.knots_.push_back(Knot{points[i].at, points[i].pos});
     m.checkpoints_.push_back(Checkpoint{
         label_prefix + std::to_string(i), points[i].at, points[i].pos});

@@ -41,11 +41,42 @@ class MobilityModel {
     Vec2 pos;
   };
 
+  /// One piece of the position track, valid for begin < t <= end: it
+  /// moves from a toward b over span, or holds b when span is zero (before
+  /// the first knot, and from the last knot on).  position(t) is
+  /// leg_at(t).at(t), so a caller that keeps a leg and evaluates it at any
+  /// t it covers gets the bits position(t) returns.  A default leg covers
+  /// nothing.
+  struct Leg {
+    sim::TimePoint begin = sim::TimePoint::max();  ///< exclusive
+    sim::TimePoint end = sim::TimePoint::min();    ///< inclusive
+    sim::Duration span{};  ///< from a's knot to b's; may outlast end
+    Vec2 a;
+    Vec2 b;
+
+    bool covers(sim::TimePoint t) const { return begin < t && t <= end; }
+    Vec2 at(sim::TimePoint t) const {
+      if (span.count() == 0) return b;
+      return lerp(a, b,
+                  static_cast<double>((t - begin).count()) /
+                      static_cast<double>(span.count()));
+    }
+  };
+
   /// Requires at least one waypoint; the first waypoint's speed is unused.
   explicit MobilityModel(std::vector<Waypoint> waypoints);
 
   /// Position at time t; clamps to the endpoints outside [0, duration].
-  Vec2 position(sim::TimePoint t) const;
+  Vec2 position(sim::TimePoint t) const { return leg_at(t).at(t); }
+
+  /// The leg covering t: a binary search over the knots.
+  Leg leg_at(sim::TimePoint t) const;
+
+  /// The fastest leg's speed, |b - a| / span over consecutive knots, in
+  /// m/s: up to rounding, no two instants' positions are farther apart
+  /// than this times the time between them.  HUGE_VAL when the path jumps
+  /// (a zero-span leg between distinct positions); 0 when it never moves.
+  double max_speed_mps() const { return max_speed_mps_; }
 
   /// Total traversal time (travel + pauses).
   sim::Duration duration() const { return duration_; }
@@ -75,9 +106,13 @@ class MobilityModel {
     Vec2 pos;
   };
 
+  /// Raises max_speed_mps_ to a leg's speed: `d` metres in `span`.
+  void widen_speed(double d, sim::Duration span);
+
   std::vector<Knot> knots_;  // piecewise-linear position track
   std::vector<Checkpoint> checkpoints_;
   sim::Duration duration_{};
+  double max_speed_mps_ = 0.0;
 };
 
 /// Parameters for the random-waypoint generator.  Draw order per waypoint
@@ -115,6 +150,9 @@ class GroupMobility {
   void add_ring(std::size_t count, double radius);
 
   Vec2 position(std::size_t member, sim::TimePoint t) const;
+
+  /// Members ride rigidly with the leader, so they share its bound.
+  double max_speed_mps() const { return leader_.max_speed_mps(); }
 
   std::size_t members() const { return offsets_.size(); }
   const MobilityModel& leader() const { return leader_; }

@@ -18,6 +18,8 @@ SignalModel::SignalModel(SignalConfig cfg, std::vector<Wall> walls,
                    [](const Wall& w) { return !(w.loss_db >= 0.0); }) &&
       std::none_of(zones_.begin(), zones_.end(),
                    [](const Zone& z) { return !(z.extra_loss_db >= 0.0); });
+  free_space_ =
+      cfg_.path_exponent > 0.0 && walls_.empty() && zones_.empty();
 }
 
 double SignalModel::median_rx_dbm(Vec2 from, double tx_dbm, Vec2 to) const {

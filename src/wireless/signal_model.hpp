@@ -43,6 +43,12 @@ class SignalModel {
   /// association scan skip distant candidates.
   bool attenuation_only() const { return attenuation_only_; }
 
+  /// True when there is no wall and no zone and the path exponent is
+  /// positive: median_rx_dbm is then exactly
+  /// tx_dbm - ref_loss_db - 10 n log10(max(d, 1)), which the association
+  /// poll's stable radius inverts.
+  bool free_space() const { return free_space_; }
+
   /// Received power including the current shadowing state; advances the
   /// shadowing process to time t first.
   double rx_dbm(Vec2 from, double tx_dbm, Vec2 to, sim::TimePoint t);
@@ -67,6 +73,7 @@ class SignalModel {
   std::vector<Zone> zones_;
   sim::Rng rng_;
   bool attenuation_only_ = false;
+  bool free_space_ = false;
   double shadow_db_ = 0.0;
   sim::TimePoint shadow_at_ = sim::kEpoch;
 };

@@ -5,6 +5,7 @@
 // trace-collection layer samples periodically (paper Section 3.1.1).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -18,17 +19,20 @@ namespace tracemod::wireless {
 class WaveLanDevice : public net::NetDevice, public Transceiver {
  public:
   using PositionFn = std::function<Vec2()>;
+  static constexpr double kTxPowerDbm = 12.0;  ///< the default
 
   /// Registers with the channel under the given interface address.  The
-  /// position function is sampled on every transmission (mobility).
+  /// position function is sampled on every transmission (mobility), and
+  /// moves no faster than max_speed_mps (WirelessChannel::add_mobile).
   WaveLanDevice(WirelessChannel& channel, net::IpAddress addr,
                 PositionFn position, std::string name,
-                double tx_power_dbm = 12.0)
+                double tx_power_dbm = kTxPowerDbm,
+                double max_speed_mps = HUGE_VAL)
       : channel_(channel),
         position_(std::move(position)),
         name_(std::move(name)),
         tx_power_dbm_(tx_power_dbm),
-        index_(channel_.add_mobile(this, addr)) {}
+        index_(channel_.add_mobile(this, addr, max_speed_mps)) {}
 
   // --- net::NetDevice ---
   void transmit(net::Packet pkt) override {

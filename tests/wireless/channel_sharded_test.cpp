@@ -7,12 +7,17 @@
 //     association, as in the flat medium;
 //   - a single giant cell is bit-identical to the flat (seed) medium;
 //   - the distance-bounded scan is bit-identical to the full one, and the
-//     poll allocates nothing per mobile.
+//     poll allocates nothing per mobile;
+//   - a move within a quiet scan's stable radius keeps the poll's verdict,
+//     so the motion-bounded skip changes no association and no counter.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <memory>
+#include <numbers>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "scenarios/campus.hpp"
 #include "sim/perf/report.hpp"
 #include "wireless/channel.hpp"
+#include "wireless/mobility.hpp"
 #include "wireless/wavelan_device.hpp"
 #include "wireless/wavepoint.hpp"
 
@@ -459,8 +465,223 @@ TEST(ShardedChannel, PollAllocatesNothingPerMobile) {
   ASSERT_NE(poll, nullptr);
   ASSERT_NE(query, nullptr);
   EXPECT_LE(poll->self_allocs, 2 * poll->count + 2 * r.handoffs);
-  // Quiet mobiles (paused walkers) skip the scan, query included.
-  EXPECT_LT(query->count, poll->count * cfg.hosts);
+  // Quiet mobiles (paused walkers) and the motion bound skip the scan,
+  // query included: here 447 queries in 39 polls of 400 hosts (7,946
+  // before the motion bound), so at most 10% of polls x hosts.
+  EXPECT_LE(query->count * 10, poll->count * cfg.hosts);
+}
+
+TEST(AssociationScan, StableRadiusKeepsTheVerdict) {
+  // stable_radius_m's promise: wherever a mobile whose poll keeps its
+  // association moves within the radius, the poll keeps it too.  Mobiles
+  // sit near cell borders, near the midpoint of two WavePoints, and near
+  // the edge of a WavePoint's query reach; every WavePoint the poll would
+  // keep is tried as the current one.
+  ChannelConfig cfg;
+  cfg.spatial.radio_range_m = 130.0;
+  const SignalModel model(SignalConfig{}, {}, {}, sim::Rng(1));
+  ASSERT_TRUE(model.free_space());
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    // 2 to 24 WavePoints of 12 or 18 dBm on a 600 m square: the sparse
+    // layouts leave mobiles whose nearest other WavePoint lies outside the
+    // query's cells.
+    std::vector<WavePointSite> sites(
+        static_cast<std::size_t>(rng.uniform_int(2, 24)));
+    std::vector<Vec2> positions;
+    double max_tx = -HUGE_VAL;
+    for (WavePointSite& site : sites) {
+      site.pos = {rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)};
+      site.tx_dbm = rng.chance(0.5) ? 12.0 : 18.0;
+      positions.push_back(site.pos);
+      max_tx = std::max(max_tx, site.tx_dbm);
+    }
+    auto any_site = [&] {
+      return sites[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(sites.size()) - 1))]
+          .pos;
+    };
+    for (double cell : {0.0, 130.0}) {
+      SCOPED_TRACE(cell);
+      cfg.spatial.cell_size = cell;
+      const CellIndex index(cell, positions);
+      std::vector<StableSite> stable;
+      for (const WavePointSite& site : sites) {
+        stable.push_back(stable_site(site, max_tx, model.config(), cfg));
+      }
+      std::vector<Vec2> mobiles;
+      for (int k = 0; k < 8; ++k) {
+        const double border =
+            130.0 * static_cast<double>(rng.uniform_int(-1, 5)) +
+            rng.uniform(-4.0, 4.0);
+        const double along = rng.uniform(-100.0, 700.0);
+        mobiles.push_back(k % 2 == 0 ? Vec2{border, along}
+                                     : Vec2{along, border});
+        const Vec2 a = any_site();
+        const Vec2 b = any_site();
+        const double jx = rng.uniform(-6.0, 6.0);
+        const double jy = rng.uniform(-6.0, 6.0);
+        mobiles.push_back((a + b) * 0.5 + Vec2{jx, jy});
+        const double side = rng.chance(0.5) ? 1.0 : -1.0;
+        const double reach = side * rng.uniform(110.0, 130.0);
+        const double across = rng.uniform(-130.0, 130.0);
+        mobiles.push_back(any_site() + (k % 2 == 0 ? Vec2{reach, across}
+                                                   : Vec2{across, reach}));
+      }
+      for (const Vec2 pos : mobiles) {
+        for (std::uint32_t cur = 0; cur < sites.size(); ++cur) {
+          const AssociationScan scan =
+              scan_wavepoints(index, sites, max_tx, model, pos, 130.0, cur);
+          if (poll_action(scan, cur, cfg) != PollAction::kKeep) continue;
+          const double delta =
+              stable_radius_m(scan, sites[cur], stable[cur], pos, cfg.spatial);
+          if (!(delta > 0.0)) continue;
+          ++checked;
+          // 128 points on the rim, 96 inside.
+          const double phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+          for (int k = 0; k < 224; ++k) {
+            const double theta =
+                k < 128 ? phase + 2.0 * std::numbers::pi * k / 128.0
+                        : rng.uniform(0.0, 2.0 * std::numbers::pi);
+            const double r =
+                k < 128 ? delta : delta * std::sqrt(rng.uniform());
+            const Vec2 to =
+                pos + Vec2{r * std::cos(theta), r * std::sin(theta)};
+            const AssociationScan moved =
+                scan_wavepoints(index, sites, max_tx, model, to, 130.0, cur);
+            ASSERT_EQ(poll_action(moved, cur, cfg), PollAction::kKeep)
+                << "current " << cur << " at (" << pos.x << ", " << pos.y
+                << "), delta " << delta << ", moved to (" << to.x << ", "
+                << to.y << ")";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+/// A roaming world for the motion-bounded skip: a 4 x 4 grid of 12 and
+/// 18 dBm WavePoints 120 m apart, and 120 mobiles on random-waypoint paths
+/// at walking to cycling speeds, each sending an uplink frame every second.
+/// `bounded` registers each radio's true speed bound, else HUGE_VAL.
+struct RoamingWorld {
+  static constexpr int kPolls = 240;  ///< 60 virtual s
+  sim::EventLoop loop;
+  WirelessChannel channel;
+  net::EthernetSegment backbone{loop};
+  net::EthernetDevice sink{backbone, "sink"};
+  net::IpAddress server{10, 0, 1, 1};
+  std::vector<std::unique_ptr<WavePoint>> wavepoints;
+  std::vector<MobilityModel> paths;
+  std::vector<std::unique_ptr<WaveLanDevice>> radios;
+  /// Every mobile's WavePoint index after each poll; -1 for none.
+  std::vector<int> associations;
+  std::uint64_t next_id = 1;
+
+  RoamingWorld(double cell_size, bool bounded)
+      : channel(loop, SignalModel(SignalConfig{}, {}, {}, sim::Rng(5)),
+                TwoIslands::make_cfg(cell_size), sim::Rng(6)) {
+    sink.claim_address(server);
+    for (int j = 0; j < 4; ++j) {
+      for (int i = 0; i < 4; ++i) {
+        wavepoints.push_back(std::make_unique<WavePoint>(
+            channel, backbone, Vec2{120.0 * i, 120.0 * j},
+            std::string("wp").append(std::to_string(4 * j + i)),
+            (i + j) % 2 == 0 ? 18.0 : 12.0));
+      }
+    }
+    RandomWaypointConfig rw;
+    rw.area_min = {-30.0, -30.0};
+    rw.area_max = {390.0, 390.0};
+    rw.speed_min_mps = 0.7;
+    rw.speed_max_mps = 6.0;
+    rw.pause_max = sim::seconds(5);
+    rw.horizon = sim::seconds(60);
+    sim::Rng rng(7);
+    paths.reserve(120);
+    for (int i = 0; i < 120; ++i) paths.push_back(random_waypoint(rw, rng));
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      radios.push_back(std::make_unique<WaveLanDevice>(
+          channel, addr(i), [this, i] { return paths[i].position(loop.now()); },
+          std::string("m").append(std::to_string(i)),
+          WaveLanDevice::kTxPowerDbm,
+          bounded ? paths[i].max_speed_mps() : HUGE_VAL));
+    }
+    channel.start();
+    for (int k = 0; k < kPolls; ++k) {
+      loop.schedule_at(sim::kEpoch + sim::milliseconds(250) * k +
+                           sim::microseconds(1),
+                       [this] { record(); });
+    }
+    for (int s = 0; s < kPolls / 4; ++s) {
+      for (std::size_t i = 0; i < radios.size(); ++i) {
+        loop.schedule_at(
+            sim::kEpoch + sim::seconds(s) + sim::milliseconds(3) * i,
+            [this, i] {
+              net::Packet p = net::make_udp_packet(addr(i), server, 1, 2, 400);
+              p.id = next_id++;
+              radios[i]->transmit(std::move(p));
+            });
+      }
+    }
+  }
+
+  static net::IpAddress addr(std::size_t i) {
+    return net::IpAddress(0x0A020000u + static_cast<std::uint32_t>(i));
+  }
+
+  void record() {
+    for (const auto& radio : radios) {
+      const BaseStation* wp = channel.associated(radio->mobile_index());
+      int index = -1;
+      for (std::size_t w = 0; w < wavepoints.size(); ++w) {
+        if (wavepoints[w].get() == wp) index = static_cast<int>(w);
+      }
+      associations.push_back(index);
+    }
+  }
+
+  /// Runs the 60 s and returns the cell queries its polls made.
+  std::uint64_t run() {
+    sim::perf::PerfProfiler profiler;
+    {
+      sim::perf::PerfSession session(profiler);
+      loop.run_for(sim::milliseconds(250) * kPolls);
+    }
+    for (const auto& d : sim::perf::capture_perf(profiler).domains) {
+      if (d.domain == sim::perf::Domain::kCellIndex) return d.count;
+    }
+    return 0;
+  }
+};
+
+auto counters(const WirelessChannel::Stats& s) {
+  return std::make_tuple(s.frames_delivered, s.frames_dropped_retries,
+                         s.frames_dropped_unassociated,
+                         s.frames_dropped_handoff, s.frames_dropped_backlog,
+                         s.retry_attempts, s.handoffs);
+}
+
+TEST(ShardedChannel, MotionBoundChangesNoPollVerdict) {
+  for (double cell : {0.0, 130.0}) {
+    SCOPED_TRACE(cell);
+    RoamingWorld bounded(cell, true);
+    RoamingWorld unbounded(cell, false);
+    const std::uint64_t bounded_queries = bounded.run();
+    const std::uint64_t unbounded_queries = unbounded.run();
+    ASSERT_EQ(bounded.associations.size(),
+              static_cast<std::size_t>(RoamingWorld::kPolls) * 120);
+    EXPECT_EQ(bounded.associations, unbounded.associations);
+    EXPECT_EQ(counters(bounded.channel.stats()),
+              counters(unbounded.channel.stats()));
+    // The world roams, and the bound skipped scans.
+    EXPECT_GT(bounded.channel.stats().handoffs, 10u);
+    EXPECT_GT(bounded.channel.stats().frames_delivered, 5000u);
+    EXPECT_LT(bounded_queries, unbounded_queries);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace tracemod::wireless {
 namespace {
+
+std::pair<std::uint64_t, std::uint64_t> bits(Vec2 p) {
+  return {std::bit_cast<std::uint64_t>(p.x), std::bit_cast<std::uint64_t>(p.y)};
+}
 
 MobilityModel simple_path() {
   // 10 m at 2 m/s, pause 3 s, then 20 m at 2 m/s.
@@ -232,6 +243,177 @@ TEST(TraceReplay, HitsRecordedSamplesExactly) {
   ASSERT_EQ(m.checkpoints().size(), 3u);
   EXPECT_EQ(m.checkpoints()[0].label, "t0");
   EXPECT_EQ(m.checkpoints()[2].label, "t2");
+}
+
+/// Instants that probe a path's leg boundaries: every leg's end (found by
+/// walking the legs) and each checkpoint, each at -1, 0 and +1 ns; before
+/// the start, after the end, and random times.  Shuffled, so a cached leg
+/// is asked for times in no particular order.
+std::vector<sim::TimePoint> probe_times(const MobilityModel& m,
+                                        sim::Rng& rng) {
+  std::vector<sim::TimePoint> knots;
+  MobilityModel::Leg leg = m.leg_at(sim::kEpoch - sim::seconds(1));
+  for (int i = 0; i < 10000 && leg.end != sim::TimePoint::max(); ++i) {
+    knots.push_back(leg.end);
+    leg = m.leg_at(leg.end + sim::nanoseconds(1));
+  }
+  for (const MobilityModel::Checkpoint& cp : m.checkpoints()) {
+    knots.push_back(cp.at);
+  }
+  std::vector<sim::TimePoint> times;
+  for (sim::TimePoint k : knots) {
+    for (int ns : {-1, 0, 1}) times.push_back(k + sim::nanoseconds(ns));
+  }
+  const sim::TimePoint end = sim::kEpoch + m.duration();
+  times.push_back(sim::kEpoch - sim::seconds(3600));
+  times.push_back(end + sim::seconds(3600));
+  times.push_back(sim::TimePoint::max());
+  for (int i = 0; i < 400; ++i) {
+    times.push_back(sim::kEpoch +
+                    sim::from_seconds(rng.uniform(
+                        -10.0, sim::to_seconds(m.duration()) + 10.0)));
+  }
+  for (std::size_t i = times.size() - 1; i > 0; --i) {
+    std::swap(times[i], times[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(i)))]);
+  }
+  return times;
+}
+
+/// A kept leg, refilled only when it does not cover t, returns
+/// position(t)'s bits at every probe.
+void expect_cached_legs_match(const MobilityModel& m, sim::Rng& rng) {
+  MobilityModel::Leg cached;
+  int refills = 0;
+  for (sim::TimePoint t : probe_times(m, rng)) {
+    SCOPED_TRACE(t.time_since_epoch().count());
+    const MobilityModel::Leg fresh = m.leg_at(t);
+    ASSERT_TRUE(fresh.covers(t));
+    if (!cached.covers(t)) {
+      cached = fresh;
+      ++refills;
+    }
+    EXPECT_EQ(bits(cached.at(t)), bits(m.position(t)));
+    EXPECT_EQ(bits(fresh.at(t)), bits(m.position(t)));
+  }
+  EXPECT_GT(refills, 0);
+}
+
+/// The seed's MobilityModel::position over an explicit knot list: the
+/// reference the leg lookup must reproduce bit for bit.
+Vec2 seed_position(const std::vector<MobilityModel::TracePoint>& knots,
+                   sim::TimePoint t) {
+  if (t <= knots.front().at) return knots.front().pos;
+  if (t >= knots.back().at) return knots.back().pos;
+  const auto it = std::lower_bound(
+      knots.begin() + 1, knots.end(), t,
+      [](const MobilityModel::TracePoint& k, sim::TimePoint when) {
+        return k.at < when;
+      });
+  const auto& a = *(it - 1);
+  const auto& b = *it;
+  const auto span = b.at - a.at;
+  if (span.count() == 0) return b.pos;
+  return lerp(a.pos, b.pos,
+              static_cast<double>((t - a.at).count()) /
+                  static_cast<double>(span.count()));
+}
+
+/// A recorded track with repeated timestamps: a jump at 6 s and another
+/// at the last sample, whose position holds from there on.
+std::vector<MobilityModel::TracePoint> jumpy_track() {
+  const sim::TimePoint t0 = sim::kEpoch;
+  return {{t0 + sim::seconds(2), {10.1, 20.3}},
+          {t0 + sim::seconds(6), {30.7, 20.9}},
+          {t0 + sim::seconds(6), {31.3, 21.1}},
+          {t0 + sim::milliseconds(7300), {30.2, 25.9}},
+          {t0 + sim::milliseconds(9100), {17.3, 4.4}},
+          {t0 + sim::milliseconds(9100), {40.6, 25.2}}};
+}
+
+TEST(Mobility, CachedLegsReturnTheFreshBits) {
+  sim::Rng rng(2024);
+  {
+    SCOPED_TRACE("random waypoint");
+    sim::Rng path_rng(31);
+    expect_cached_legs_match(random_waypoint(golden_cfg(), path_rng), rng);
+  }
+  {
+    SCOPED_TRACE("trace replay");
+    std::vector<MobilityModel::TracePoint> track = jumpy_track();
+    const MobilityModel m = MobilityModel::trace_replay(track);
+    expect_cached_legs_match(m, rng);
+    // And the bits are the seed's: the knots are the samples, anchored at
+    // the epoch.  At the last sample the track holds that sample, not the
+    // interpolation that reaches it.
+    track.insert(track.begin(),
+                 MobilityModel::TracePoint{sim::kEpoch, track.front().pos});
+    for (sim::TimePoint t : probe_times(m, rng)) {
+      EXPECT_EQ(bits(m.position(t)), bits(seed_position(track, t)))
+          << t.time_since_epoch().count();
+    }
+    EXPECT_EQ(bits(m.position(track.back().at)), bits(track.back().pos));
+  }
+  {
+    SCOPED_TRACE("stationary");
+    expect_cached_legs_match(
+        MobilityModel::stationary({3.25, -0.0}, sim::seconds(60)), rng);
+  }
+}
+
+TEST(Mobility, MaxSpeedBoundsEveryDisplacement) {
+  // Every pair of instants, near or far, same leg or not: the path moves
+  // no farther than its bound times the time between them.
+  auto expect_bounded = [](auto&& position, double v, double horizon_s,
+                           sim::Rng& rng) {
+    for (int i = 0; i < 3000; ++i) {
+      const sim::TimePoint t1 =
+          sim::kEpoch + sim::from_seconds(rng.uniform(-1.0, horizon_s + 1.0));
+      const sim::Duration dt =
+          i % 3 == 0 ? sim::nanoseconds(rng.uniform_int(1, 1000))
+                     : sim::from_seconds(rng.uniform(0.0, horizon_s / 4));
+      const double moved = distance(position(t1), position(t1 + dt));
+      ASSERT_LE(moved, v * sim::to_seconds(dt) * (1.0 + 1e-9) + 1e-9)
+          << "t1=" << sim::to_seconds(t1) << " dt=" << sim::to_seconds(dt);
+    }
+  };
+  sim::Rng rng(77);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Rng path_rng(seed);
+    RandomWaypointConfig cfg = golden_cfg();
+    cfg.pause_min = {};
+    const MobilityModel m = random_waypoint(cfg, path_rng);
+    const double v = m.max_speed_mps();
+    // Each leg's span is its travel time truncated to the nanosecond, so
+    // the bound may pass the fastest drawn speed by a hair, never more.
+    EXPECT_GE(v, cfg.speed_min_mps);
+    EXPECT_LE(v, cfg.speed_max_mps * (1.0 + 1e-6));
+    const double horizon = sim::to_seconds(m.duration());
+    expect_bounded([&m](sim::TimePoint t) { return m.position(t); }, v,
+                   horizon, rng);
+    GroupMobility group(m);
+    group.add_ring(3, 2.5);
+    EXPECT_EQ(group.max_speed_mps(), v);
+    expect_bounded([&group](sim::TimePoint t) { return group.position(2, t); },
+                   v, horizon, rng);
+  }
+  // A waypoint path whose legs are walked at known speeds.
+  EXPECT_NEAR(simple_path().max_speed_mps(), 2.0, 1e-9);
+  // A replayed track: its fastest leg, or HUGE_VAL once it jumps.
+  std::vector<MobilityModel::TracePoint> track = jumpy_track();
+  const MobilityModel jumpy = MobilityModel::trace_replay(track);
+  EXPECT_EQ(jumpy.max_speed_mps(), HUGE_VAL);
+  track.erase(track.begin() + 2);  // the jump at 6 s
+  track.pop_back();                // the jump at 9.1 s
+  const MobilityModel smooth = MobilityModel::trace_replay(track);
+  EXPECT_LT(smooth.max_speed_mps(), HUGE_VAL);
+  EXPECT_GT(smooth.max_speed_mps(), 0.0);
+  expect_bounded([&smooth](sim::TimePoint t) { return smooth.position(t); },
+                 smooth.max_speed_mps(), 10.0, rng);
+  // Standing still: zero.
+  EXPECT_EQ(MobilityModel::stationary({1, 2}, sim::seconds(5)).max_speed_mps(),
+            0.0);
 }
 
 }  // namespace
